@@ -22,10 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .errors import CertificateEvaluationError
 from .generator import RATE_FLOOR, GeneratorSpec, _strongly_connected, irreducible_at
-from .simplex import Distribution, SimplexGrid
+from .simplex import Distribution, SimplexGrid, _chart_embed, _chart_jacobian
 from .stationary import TOL_INVARIANT, _frozen_solve, find_invariant
 
 TOL_DET = 1e-8
@@ -104,15 +103,11 @@ def _jsonable(value):
     return value
 
 
-def _chart_point(u: np.ndarray) -> np.ndarray:
-    return np.append(u, 1.0 - u.sum())
-
-
 def build_M(spec: GeneratorSpec, m, h: float = FD_STEP) -> np.ndarray:
     """Chart Jacobian of f(m) = x(m) - m by central differences.
 
     Works on the chart u = (m_1, ..., m_{S-1}); the step is ``h`` scaled by
-    (1 + ||m||).  Requires the frozen chain to be irreducible at ``m`` and
+    (1 + ||u||).  Requires the frozen chain to be irreducible at ``m`` and
     at every probe point, else :class:`CertificateEvaluationError`.
     """
     arr = m.probs if isinstance(m, Distribution) else np.asarray(m, dtype=float)
@@ -123,18 +118,11 @@ def build_M(spec: GeneratorSpec, m, h: float = FD_STEP) -> np.ndarray:
         raise CertificateEvaluationError(
             f"frozen chain is reducible at {tuple(float(x) for x in arr)}"
         )
-    step = h * (1.0 + float(np.linalg.norm(arr)))
-    u = arr[: s - 1]
-    matrix = np.empty((s - 1, s - 1))
-    for b in range(s - 1):
-        up = u.copy()
-        up[b] += step
-        um = u.copy()
-        um[b] -= step
-        fp = _defect_chart(spec, _chart_point(up))
-        fm = _defect_chart(spec, _chart_point(um))
-        matrix[:, b] = (fp - fm) / (2.0 * step)
-    return matrix
+
+    def defects(rows: np.ndarray) -> np.ndarray:
+        return np.array([_defect_chart(spec, point) for point in _chart_embed(rows)])
+
+    return _chart_jacobian(defects, arr[None, : s - 1], h)[0]
 
 
 def _defect_chart(spec: GeneratorSpec, point: np.ndarray) -> np.ndarray:
@@ -197,7 +185,7 @@ def certify_unique(spec: GeneratorSpec, grid: SimplexGrid, h: float = FD_STEP) -
         except CertificateEvaluationError as exc:
             return exc
 
-    outcomes = parallel_map(det_at, list(points))
+    outcomes = [det_at(row) for row in points]
     for row, outcome in zip(points, outcomes):
         if isinstance(outcome, CertificateEvaluationError):
             return Certificate(
@@ -277,9 +265,7 @@ def scalar_drift(spec: GeneratorSpec) -> Callable[[float], float]:
         raise ValueError("scalar drift requires a two-state generator")
 
     def f(m1: float) -> float:
-        point = np.array([m1, 1.0 - m1])
-        q = spec.rates(point)
-        return float(m1 * q[0, 0] + (1.0 - m1) * q[1, 0])
+        return float(spec.drift([m1, 1.0 - m1])[0])
 
     return f
 
@@ -320,8 +306,7 @@ def certify_ergodic_2(
     }
     xs = np.linspace(0.0, 1.0, scan_resolution + 1)
     pts = np.column_stack([xs, 1.0 - xs])
-    q = spec.rates_batch(pts)
-    vals = xs * q[:, 0, 0] + (1.0 - xs) * q[:, 1, 0]
+    vals = spec.drift_batch(pts)[:, 0]
     f = scalar_drift(spec)
     zero_atol = tolerances["zero"]
 
@@ -422,43 +407,20 @@ class ReducedSystem:
     spec: GeneratorSpec
     chart_margin: float = CHART_MARGIN
 
-    def embed(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return np.column_stack([u[:, 0], u[:, 1], 1.0 - u[:, 0] - u[:, 1]])
-
     def drift_batch(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        q = self.spec.rates_batch(self.embed(u))
-        f1 = q[:, 2, 0] + (q[:, 0, 0] - q[:, 2, 0]) * u[:, 0] + (q[:, 1, 0] - q[:, 2, 0]) * u[:, 1]
-        f2 = q[:, 2, 1] + (q[:, 0, 1] - q[:, 2, 1]) * u[:, 0] + (q[:, 1, 1] - q[:, 2, 1]) * u[:, 1]
-        return np.column_stack([f1, f2])
+        return self.spec.drift_batch(_chart_embed(u))[:, :2]
 
     def drift(self, u1: float, u2: float) -> np.ndarray:
         return self.drift_batch(np.array([[u1, u2]]))[0]
 
     def divergence_batch(self, u: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        steps = h * (1.0 + np.linalg.norm(u, axis=1))
-        e1 = np.column_stack([steps, np.zeros(len(u))])
-        e2 = np.column_stack([np.zeros(len(u)), steps])
-        d1 = self.drift_batch(u + e1)[:, 0] - self.drift_batch(u - e1)[:, 0]
-        d2 = self.drift_batch(u + e2)[:, 1] - self.drift_batch(u - e2)[:, 1]
-        return (d1 + d2) / (2.0 * steps)
+        return np.trace(_chart_jacobian(self.drift_batch, u, h), axis1=1, axis2=2)
 
     def divergence(self, u1: float, u2: float, h: float = FD_STEP) -> float:
         return float(self.divergence_batch(np.array([[u1, u2]]), h)[0])
 
     def jacobian(self, u1: float, u2: float, h: float = FD_STEP) -> np.ndarray:
-        u = np.array([u1, u2])
-        step = h * (1.0 + float(np.linalg.norm(u)))
-        jac = np.empty((2, 2))
-        for b in range(2):
-            up = u.copy()
-            up[b] += step
-            um = u.copy()
-            um[b] -= step
-            jac[:, b] = (self.drift(*up) - self.drift(*um)) / (2.0 * step)
-        return jac
+        return _chart_jacobian(self.drift_batch, np.array([[u1, u2]]), h)[0]
 
     def lattice(self, resolution: int) -> np.ndarray:
         """Sweep points covering the chart extended by ``chart_margin``."""

@@ -11,6 +11,7 @@ precomputed marginal flow.
 from __future__ import annotations
 
 import io
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -356,20 +357,20 @@ def flow_invariance_audit(trajectory: Trajectory, spec: GeneratorSpec) -> AuditR
     )
 
 
-_THINNING_CACHE: dict[int, tuple[GeneratorSpec, float]] = {}
+_THINNING_CACHE: weakref.WeakKeyDictionary[GeneratorSpec, float] = weakref.WeakKeyDictionary()
 
 
 def thinning_bound(spec: GeneratorSpec) -> float:
     """Dominating jump rate: 1.1 * max exit rate over a resolution-50 grid."""
-    cached = _THINNING_CACHE.get(id(spec))
-    if cached is not None and cached[0] is spec:
-        return cached[1]
+    cached = _THINNING_CACHE.get(spec)
+    if cached is not None:
+        return cached
     grid = SimplexGrid(spec.dimension, THINNING_GRID_RESOLUTION)
     q = spec.rates_batch(grid.array)
     idx = np.arange(spec.dimension)
     bound = float(THINNING_HEADROOM * np.max(-q[:, idx, idx])) if spec.dimension > 1 else 0.0
     bound = max(bound, 0.0)
-    _THINNING_CACHE[id(spec)] = (spec, bound)
+    _THINNING_CACHE[spec] = bound
     return bound
 
 

@@ -158,6 +158,30 @@ def project_to_simplex(v) -> Distribution:
     return Distribution(arr)
 
 
+def _chart_embed(u: np.ndarray) -> np.ndarray:
+    """Lift chart rows ``(n, S-1)`` to points ``(n, S)`` through m_S = 1 - sum(u)."""
+    u = np.asarray(u, dtype=float)
+    return np.concatenate([u, 1.0 - u.sum(axis=1, keepdims=True)], axis=1)
+
+
+def _chart_jacobian(func, u: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference Jacobians ``(n, k, d)`` of ``func`` at chart rows ``u`` ``(n, d)``.
+
+    ``func`` maps rows ``(p, d)`` to values ``(p, k)`` and is called once
+    with all 2d probes of every row, ordered row by row as u + s e_b,
+    u - s e_b for b = 0, ..., d-1.  The step of a row is s = h (1 + ||u||_2).
+    """
+    u = np.asarray(u, dtype=float)
+    n, d = u.shape
+    steps = h * (1.0 + np.linalg.norm(u, axis=1))
+    offsets = np.eye(d)[None, :, None, :] * np.array([1.0, -1.0])[None, None, :, None]
+    probes = u[:, None, None, :] + offsets * steps[:, None, None, None]
+    values = np.asarray(func(probes.reshape(n * d * 2, d)), dtype=float)
+    values = values.reshape(n, d, 2, values.shape[-1])
+    diff = (values[:, :, 0, :] - values[:, :, 1, :]) / (2.0 * steps[:, None, None])
+    return diff.transpose(0, 2, 1)
+
+
 def _project_array(v: np.ndarray) -> tuple[np.ndarray, float]:
     """Project a raw vector, returning (projected array, max-norm drift)."""
     if v.ndim != 1 or v.size == 0:

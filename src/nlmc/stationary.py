@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .errors import NumericalError, ReducibleGeneratorError
 from .generator import RATE_FLOOR, GeneratorSpec, _strongly_connected, irreducible_at
 from .semigroup import IntegratorControls, integrate_flow
-from .simplex import Distribution, SimplexGrid, _project_array
+from .simplex import Distribution, SimplexGrid, _chart_embed, _chart_jacobian, _project_array
 
 TOL_INVARIANT = 1e-10
 FROZEN_RESIDUAL_TOL = 1e-12
@@ -142,10 +141,8 @@ def find_invariant(
     """Search for every invariant distribution reachable from ``seeds``.
 
     ``seeds`` is a :class:`SimplexGrid` or an iterable of distributions.
-    Seed runs are independent; the environment variable ``NLMC_THREADS``
-    lets them execute concurrently without changing the result.  Converged
-    points closer than ``CLUSTER_RADIUS`` in max norm are merged; each
-    cluster records the seeds that reached it.
+    Converged points closer than ``CLUSTER_RADIUS`` in max norm are merged;
+    each cluster records the seeds that reached it.
     """
     controls = controls or SearchControls()
     spec.require_valid()
@@ -163,7 +160,7 @@ def find_invariant(
                 f"seed of shape {arr.shape} does not match generator dimension {spec.dimension}"
             )
 
-    outcomes = parallel_map(lambda arr: _search_from(spec, arr, controls), seed_arrays)
+    outcomes = [_search_from(spec, arr, controls) for arr in seed_arrays]
 
     clusters: list[list] = []
     failed = 0
@@ -235,10 +232,6 @@ def _search_from(spec: GeneratorSpec, seed: np.ndarray, c: SearchControls) -> np
     return _newton_polish(spec, m, c)
 
 
-def _residual_raw(spec: GeneratorSpec, arr: np.ndarray) -> float:
-    return float(np.max(np.abs(spec.drift(arr))))
-
-
 def _flow_tail(spec: GeneratorSpec, arr: np.ndarray, horizon: float) -> np.ndarray:
     projected, _ = _project_array(arr)
     flow = integrate_flow(spec, projected, horizon, IntegratorControls(rtol=1e-10, atol=1e-12))
@@ -257,23 +250,15 @@ def _newton_polish(spec: GeneratorSpec, arr: np.ndarray, c: SearchControls) -> n
         return np.array([1.0])
     u = np.array(arr[: s - 1], dtype=float)
 
-    def chart_drift(uv: np.ndarray) -> np.ndarray:
-        full = np.append(uv, 1.0 - uv.sum())
-        return spec.drift(full)[: s - 1]
+    def chart_drift(rows: np.ndarray) -> np.ndarray:
+        return spec.drift_batch(_chart_embed(rows))[:, : s - 1]
 
-    g = chart_drift(u)
+    g = chart_drift(u[None])[0]
     for _ in range(c.newton_steps):
         gnorm = float(np.max(np.abs(g)))
         if gnorm <= POLISH_TARGET:
             break
-        step = 1e-6 * (1.0 + float(np.linalg.norm(u)))
-        jac = np.empty((s - 1, s - 1))
-        for b in range(s - 1):
-            up = u.copy()
-            up[b] += step
-            um = u.copy()
-            um[b] -= step
-            jac[:, b] = (chart_drift(up) - chart_drift(um)) / (2.0 * step)
+        jac = _chart_jacobian(chart_drift, u[None], 1e-6)[0]
         try:
             delta = np.linalg.solve(jac, g)
         except np.linalg.LinAlgError:
@@ -284,7 +269,7 @@ def _newton_polish(spec: GeneratorSpec, arr: np.ndarray, c: SearchControls) -> n
             if float(np.max(np.abs(trial))) > 10.0:
                 lam *= 0.5
                 continue
-            gt = chart_drift(trial)
+            gt = chart_drift(trial[None])[0]
             if float(np.max(np.abs(gt))) < gnorm:
                 u = trial
                 g = gt
@@ -292,10 +277,10 @@ def _newton_polish(spec: GeneratorSpec, arr: np.ndarray, c: SearchControls) -> n
             lam *= 0.5
         else:
             break
-    candidate = np.append(u, 1.0 - u.sum())
+    candidate = _chart_embed(u[None])[0]
     if float(candidate.min()) < -1e-9 or not np.all(np.isfinite(candidate)):
         return None
     candidate, _ = _project_array(candidate)
-    if _residual_raw(spec, candidate) > c.accept_tol:
+    if residual(spec, candidate) > c.accept_tol:
         return None
     return candidate

@@ -341,9 +341,3 @@ class TestCertifyErgodicThreeStates:
     def test_wrong_dimension_raises(self):
         with pytest.raises(ValueError):
             certify_ergodic_3(corpus("bistable"), SimplexGrid(2, 10))
-
-    def test_thread_count_does_not_change_the_certificate(self, monkeypatch):
-        baseline = certify_unique(CONSUMER, SimplexGrid(3, 8)).to_json_text()
-        monkeypatch.setenv("NLMC_THREADS", "4")
-        threaded = certify_unique(CONSUMER, SimplexGrid(3, 8)).to_json_text()
-        assert threaded == baseline

@@ -1,6 +1,8 @@
 """Marginal-flow integration, dense output, invariance audits, jump-path sampling."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -190,6 +192,14 @@ class TestThinningBound:
     def test_constant_chain_bound(self):
         spec = constant_generator([[-2.0, 2.0], [0.5, -0.5]])
         assert thinning_bound(spec) == pytest.approx(2.2, rel=1e-12)
+
+    def test_bound_cache_does_not_keep_a_dropped_spec_alive(self):
+        spec = constant_generator([[-2.0, 2.0], [0.5, -0.5]])
+        sample_path(spec, (0.5, 0.5), horizon=1.0, seed=3)
+        ref = weakref.ref(spec)
+        del spec
+        gc.collect()
+        assert ref() is None
 
 
 class TestSamplePath:

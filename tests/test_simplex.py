@@ -14,6 +14,7 @@ from nlmc import (
     project_to_simplex,
     tangent_cone_member,
 )
+from nlmc.simplex import _chart_embed, _chart_jacobian
 
 from helpers import CONSUMER_PARAMS, projection_oracle, random_rate_matrix
 
@@ -179,3 +180,47 @@ class TestProjection:
             project_to_simplex((1.2, -0.2))
         with pytest.raises(IntegrationDivergedError):
             project_to_simplex((float("nan"), 1.0))
+
+
+def _quadratic(rows):
+    u0, u1 = rows[:, 0], rows[:, 1]
+    return np.column_stack([u0**2 + 3.0 * u0 * u1, 2.0 * u1**2 - u0, u0 - 4.0 * u1])
+
+
+def _quadratic_jacobian(u):
+    return np.array([[2.0 * u[0] + 3.0 * u[1], 3.0 * u[0]], [-1.0, 4.0 * u[1]], [1.0, -4.0]])
+
+
+class TestChartJacobian:
+    ROWS = np.array([[0.2, 0.3], [0.0, 1.0], [-0.02, 0.7], [1.5, -0.4]])
+
+    def test_reproduces_the_exact_jacobian_of_a_quadratic_map(self):
+        # Central differences are exact on quadratics, so only rounding remains.
+        jac = _chart_jacobian(_quadratic, self.ROWS, 1e-4)
+        for row, got in zip(self.ROWS, jac):
+            assert np.allclose(got, _quadratic_jacobian(row), rtol=0.0, atol=1e-9)
+
+    def test_batched_call_equals_row_by_row_calls(self):
+        spec = corpus("consumer", CONSUMER_PARAMS)
+
+        def chart_drift(rows):
+            return spec.drift_batch(_chart_embed(rows))
+
+        batched = _chart_jacobian(chart_drift, self.ROWS, 1e-6)
+        for row, got in zip(self.ROWS, batched):
+            assert np.array_equal(got, _chart_jacobian(chart_drift, row[None], 1e-6)[0])
+
+    def test_output_shape_is_rows_by_outputs_by_chart_dimension(self):
+        calls = []
+
+        def lifted(rows):
+            calls.append(rows.shape)
+            return _chart_embed(rows)
+
+        jac = _chart_jacobian(lifted, self.ROWS, 1e-6)
+        assert jac.shape == (4, 3, 2)
+        assert calls == [(16, 2)]
+        # The lift appends m_S = 1 - sum(u), so each row of the chart Jacobian
+        # of the embedding is a unit vector or the all -1 row.
+        assert np.allclose(jac, np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), atol=1e-9)
+        assert np.allclose(_chart_embed(self.ROWS).sum(axis=1), 1.0, atol=1e-15)

@@ -191,9 +191,3 @@ class TestFindInvariant:
         assert set(entry) == {"point", "residual", "classification", "converged_seeds"}
         again = find_invariant(corpus("bistable"), SimplexGrid(2, 20)).to_json_text()
         assert again == text
-
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        baseline = find_invariant(corpus("bistable"), SimplexGrid(2, 20)).to_json_text()
-        monkeypatch.setenv("NLMC_THREADS", "4")
-        threaded = find_invariant(corpus("bistable"), SimplexGrid(2, 20)).to_json_text()
-        assert threaded == baseline
