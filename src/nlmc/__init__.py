@@ -59,7 +59,6 @@ from .semigroup import (
 )
 from .simplex import Distribution, SimplexGrid, project_to_simplex, tangent_cone_member
 from .stationary import (
-    SearchControls,
     StationaryResult,
     StationarySet,
     find_invariant,
@@ -90,7 +89,6 @@ __all__ = [
     "RateMatrix",
     "ReducedSystem",
     "ReducibleGeneratorError",
-    "SearchControls",
     "SimplexGrid",
     "StationaryResult",
     "StationarySet",

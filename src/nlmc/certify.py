@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CertificateEvaluationError
-from .generator import RATE_FLOOR, GeneratorSpec, _strongly_connected, irreducible_at
+from .generator import RATE_FLOOR, GeneratorSpec, _irreducible, irreducible_at
 from .simplex import Distribution, SimplexGrid, _chart_embed, _chart_jacobian
 from .stationary import TOL_INVARIANT, _frozen_solve, find_invariant
 
@@ -118,25 +118,27 @@ def build_M(spec: GeneratorSpec, m, h: float = FD_STEP) -> np.ndarray:
         raise CertificateEvaluationError(
             f"frozen chain is reducible at {tuple(float(x) for x in arr)}"
         )
-
-    def defects(rows: np.ndarray) -> np.ndarray:
-        return np.array([_defect_chart(spec, point) for point in _chart_embed(rows)])
-
-    return _chart_jacobian(defects, arr[None, : s - 1], h)[0]
+    return _chart_jacobian(lambda rows: _defects(spec, rows), arr[None, : s - 1], h)[0]
 
 
-def _defect_chart(spec: GeneratorSpec, point: np.ndarray) -> np.ndarray:
-    q = spec.rates(point)
-    if not _strongly_connected(q > RATE_FLOOR):
-        raise CertificateEvaluationError(
-            f"frozen chain is reducible at probe point {tuple(float(x) for x in point)}"
-        )
-    x = _frozen_solve(q)
-    if not np.all(np.isfinite(x)):
-        raise CertificateEvaluationError(
-            f"stationary solve failed at probe point {tuple(float(x) for x in point)}"
-        )
-    return (x - point)[: spec.dimension - 1]
+def _defects(spec: GeneratorSpec, rows: np.ndarray) -> np.ndarray:
+    """Chart defects (x(m) - m)[:S-1] at chart rows ``(n, S-1)``, solving irreducible rows only.
+
+    The first failing row raises :class:`CertificateEvaluationError` with its ``probe`` index.
+    """
+    points = _chart_embed(rows)
+    q = spec.rates_batch(points)
+    irreducible = _irreducible(q)
+    x = np.full(points.shape, np.nan)
+    x[irreducible] = _frozen_solve(q[irreducible])
+    failed = ~np.all(np.isfinite(x), axis=1)
+    if failed.any():
+        n = int(np.argmax(failed))
+        what = "frozen chain is reducible" if not irreducible[n] else "stationary solve failed"
+        error = CertificateEvaluationError(f"{what} at probe point {tuple(map(float, points[n]))}")
+        error.probe = n
+        raise error
+    return (x - points)[:, :-1]
 
 
 def certify_unique(spec: GeneratorSpec, grid: SimplexGrid, h: float = FD_STEP) -> Certificate:
@@ -159,12 +161,8 @@ def certify_unique(spec: GeneratorSpec, grid: SimplexGrid, h: float = FD_STEP) -
         "label": "grid-certified",
     }
     points = grid.array
-    rates = spec.rates_batch(points)
-    reducible = [
-        n for n in range(points.shape[0])
-        if not _strongly_connected(rates[n] > RATE_FLOOR)
-    ]
-    if reducible:
+    reducible = np.flatnonzero(~_irreducible(spec.rates_batch(points)))
+    if reducible.size:
         witnesses = [points[n] for n in reducible[:_WITNESS_CAP]]
         return Certificate(
             claim=CLAIM_UNIQUE,
@@ -179,24 +177,24 @@ def certify_unique(spec: GeneratorSpec, grid: SimplexGrid, h: float = FD_STEP) -
             tolerances=tolerances,
         )
 
-    def det_at(row: np.ndarray):
-        try:
-            return float(np.linalg.det(build_M(spec, row, h)))
-        except CertificateEvaluationError as exc:
-            return exc
-
-    outcomes = [det_at(row) for row in points]
-    for row, outcome in zip(points, outcomes):
-        if isinstance(outcome, CertificateEvaluationError):
-            return Certificate(
-                claim=CLAIM_UNIQUE,
-                verdict="INCONCLUSIVE",
-                reason="determinant could not be evaluated at a grid point",
-                generator_id=spec.generator_id,
-                evidence={**base_evidence, "witnesses": [row], "detail": str(outcome)},
-                tolerances=tolerances,
-            )
-    dets = np.array(outcomes, dtype=float)
+    d = spec.dimension - 1
+    try:
+        jacobians = _chart_jacobian(lambda rows: _defects(spec, rows), points[:, :d], h)
+    except CertificateEvaluationError as exc:
+        # Probes come row by row, 2d per grid point.
+        return Certificate(
+            claim=CLAIM_UNIQUE,
+            verdict="INCONCLUSIVE",
+            reason="determinant could not be evaluated at a grid point",
+            generator_id=spec.generator_id,
+            evidence={
+                **base_evidence,
+                "witnesses": [points[exc.probe // (2 * d)]],
+                "detail": str(exc),
+            },
+            tolerances=tolerances,
+        )
+    dets = np.linalg.det(jacobians)
     abs_dets = np.abs(dets)
     weakest = int(np.argmin(abs_dets))
     if abs_dets[weakest] <= TOL_DET:

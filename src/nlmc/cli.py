@@ -25,6 +25,7 @@ from .simplex import SimplexGrid
 from .stationary import find_invariant
 
 MAX_GRID_RESOLUTION = 200
+MAX_GRID_POINTS = math.comb(MAX_GRID_RESOLUTION + 2, 2)  # the largest three-state grid
 MAX_SCAN_RESOLUTION = 1_000_000
 
 _DEFAULT_OUT = {
@@ -115,6 +116,15 @@ def _load_spec(config: RunConfig) -> GeneratorSpec:
     return corpus(config.corpus_name, config.corpus_params)
 
 
+def _grid(spec: GeneratorSpec, config: RunConfig) -> SimplexGrid:
+    """The run's simplex grid, refused when it has more than ``MAX_GRID_POINTS`` points."""
+    k, s = config.grid_resolution, spec.dimension
+    count = math.comb(k + s - 1, s - 1)
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"--grid {k} on {s} states has {count} points, over {MAX_GRID_POINTS}")
+    return SimplexGrid(s, k)
+
+
 def _check_m0(spec: GeneratorSpec, m0: tuple[float, ...]) -> tuple[float, ...]:
     if len(m0) != spec.dimension:
         raise ValueError(
@@ -168,8 +178,7 @@ def run(config: RunConfig) -> int:
         return 0
 
     if config.command == "invariant":
-        grid = SimplexGrid(spec.dimension, config.grid_resolution)
-        found = find_invariant(spec, grid)
+        found = find_invariant(spec, _grid(spec, config))
         found.to_json(out)
         for result in found:
             point = ", ".join(f"{x:.12g}" for x in result.point.probs)
@@ -183,15 +192,12 @@ def run(config: RunConfig) -> int:
         return 0
 
     if config.command == "certify-unique":
-        grid = SimplexGrid(spec.dimension, config.grid_resolution)
-        certificate = certify_unique(spec, grid, config.fd_step)
+        certificate = certify_unique(spec, _grid(spec, config), config.fd_step)
     elif config.command == "certify-ergodic":
         if spec.dimension == 2:
             certificate = certify_ergodic_2(spec, config.scan_resolution)
         elif spec.dimension == 3:
-            certificate = certify_ergodic_3(
-                spec, SimplexGrid(3, config.grid_resolution), config.fd_step
-            )
+            certificate = certify_ergodic_3(spec, _grid(spec, config), config.fd_step)
         else:
             raise ValueError(
                 f"ergodicity certificates support 2 or 3 states, not {spec.dimension}"

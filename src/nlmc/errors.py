@@ -18,7 +18,12 @@ class ReducibleGeneratorError(NlmcError):
 
 
 class CertificateEvaluationError(NlmcError):
-    """A certificate sweep could not evaluate its hypothesis at some point."""
+    """A certificate sweep could not evaluate its hypothesis at some point.
+
+    ``probe`` is the index of the failing row of a batched evaluation, if any.
+    """
+
+    probe: int | None = None
 
 
 class GeneratorFileError(NlmcError):

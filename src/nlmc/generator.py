@@ -498,35 +498,30 @@ def lipschitz_estimate(spec: GeneratorSpec, grid: SimplexGrid | None = None) -> 
     return float(diffs.max() * (k / 2.0))
 
 
-def irreducible_at(spec: GeneratorSpec, m, rate_floor: float = RATE_FLOOR) -> bool:
+def irreducible_at(spec: GeneratorSpec, m) -> bool:
     """Whether the frozen chain Q(m) is irreducible.
 
-    Edges are rates strictly above ``rate_floor``; the test is strong
+    Edges are rates strictly above ``RATE_FLOOR``; the test is strong
     connectivity of the resulting directed graph.
     """
-    q = spec.rates(m)
-    return _strongly_connected(q > rate_floor)
+    return bool(_irreducible(spec.rates(m)[None])[0])
 
 
-def _strongly_connected(adjacency: np.ndarray) -> bool:
-    s = adjacency.shape[0]
-    if s == 1:
-        return True
-    adj = adjacency.copy()
-    np.fill_diagonal(adj, False)
-    return _reaches_all(adj) and _reaches_all(adj.T)
+def _irreducible(q: np.ndarray) -> np.ndarray:
+    """Strong connectivity of every rate graph in a stack ``(n, S, S)``, as ``(n,)`` bools.
 
-
-def _reaches_all(adj: np.ndarray) -> bool:
-    s = adj.shape[0]
-    seen = np.zeros(s, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = adj[frontier].any(axis=0) & ~seen
-        frontier = list(np.nonzero(nxt)[0])
-        seen |= nxt
-    return bool(seen.all())
+    Edges are rates strictly above ``RATE_FLOOR``.  Each boolean squaring of
+    the reflexive adjacency matrix doubles the path length it covers
+    (transitive closure by repeated squaring, after Warshall 1962), so
+    ceil(log2(S - 1)) squarings reach every state that is reachable at all.
+    """
+    s = q.shape[-1]
+    reach = (q > RATE_FLOOR) | np.eye(s, dtype=bool)
+    covered = 1
+    while covered < s - 1:
+        reach = reach @ reach
+        covered *= 2
+    return reach.all(axis=(1, 2))
 
 
 def _canonical_cells_json(spec: GeneratorSpec) -> str:

@@ -28,6 +28,7 @@ from .simplex import (
 )
 
 MAX_HORIZON = 1e6
+MAX_SAMPLES = 1_000_000
 THINNING_GRID_RESOLUTION = 50
 THINNING_HEADROOM = 1.1
 
@@ -185,6 +186,11 @@ class JumpPath:
             handle.write(self.to_csv_text())
 
 
+def _check_horizon(horizon: float) -> None:
+    if not (0.0 < horizon <= MAX_HORIZON):
+        raise ValueError(f"horizon must lie in (0, {MAX_HORIZON:g}], got {horizon!r}")
+
+
 def _as_state(m) -> np.ndarray:
     if isinstance(m, Distribution):
         return m.probs.copy()
@@ -205,8 +211,7 @@ def integrate_flow(
     (the largest repaired drift is reported on the returned flow).
     """
     controls = controls or IntegratorControls()
-    if not (0.0 < horizon <= MAX_HORIZON):
-        raise ValueError(f"horizon must lie in (0, {MAX_HORIZON:g}], got {horizon!r}")
+    _check_horizon(horizon)
     spec.require_valid()
     y = _as_state(m0)
     f = spec.drift(y)
@@ -264,8 +269,10 @@ def integrate_flow(
 def _sample_times(horizon: float, sample_every: float | None) -> np.ndarray:
     if sample_every is None:
         sample_every = horizon / 1000.0
-    count = int(np.floor(horizon / sample_every + 1e-9))
-    times = np.arange(count + 1) * sample_every
+    count = np.floor(horizon / sample_every + 1e-9)
+    if count + 1 > MAX_SAMPLES:
+        raise ValueError(f"sampling needs {count + 1:.0f} samples, above the cap {MAX_SAMPLES}")
+    times = np.arange(int(count) + 1) * sample_every
     if times[-1] < horizon * (1.0 - 1e-12):
         times = np.append(times, horizon)
     else:
@@ -281,8 +288,9 @@ def evolve(
 ) -> Trajectory:
     """Marginal flow sampled every ``controls.sample_every`` (default horizon/1000)."""
     controls = controls or IntegratorControls()
-    flow = integrate_flow(spec, m0, horizon, controls)
+    _check_horizon(horizon)
     times = _sample_times(horizon, controls.sample_every)
+    flow = integrate_flow(spec, m0, horizon, controls)
     states = flow.at_many(times)
     for n in range(states.shape[0]):
         states[n], _ = _project_array(states[n])
@@ -394,8 +402,7 @@ def sample_path(
     draws it from ``m0``.  Passing a precomputed ``flow`` (covering
     ``horizon`` for the same generator) skips re-integration.
     """
-    if not (0.0 < horizon <= MAX_HORIZON):
-        raise ValueError(f"horizon must lie in (0, {MAX_HORIZON:g}], got {horizon!r}")
+    _check_horizon(horizon)
     m0_arr = _as_state(m0)
     s = spec.dimension
     if initial_state is not None and not (0 <= int(initial_state) < s):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ReducibleGeneratorError
-from .generator import RATE_FLOOR, GeneratorSpec, _strongly_connected, irreducible_at
+from .generator import GeneratorSpec, _irreducible
 from .semigroup import IntegratorControls, integrate_flow
 from .simplex import Distribution, SimplexGrid, _chart_embed, _chart_jacobian, _project_array
 
@@ -25,23 +25,10 @@ FROZEN_RESIDUAL_TOL = 1e-12
 CLUSTER_RADIUS = 1e-6
 INTERIOR_TOL = 1e-8
 POLISH_TARGET = 1e-13
-
-
-@dataclass(frozen=True)
-class SearchControls:
-    """Knobs for the invariant-distribution search."""
-
-    max_iterations: int = 200
-    damping: float = 0.5
-    accept_tol: float = TOL_INVARIANT
-    evolve_horizon: float = 50.0
-    newton_steps: int = 40
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must lie in (0, 1]")
-        if self.accept_tol <= 0:
-            raise ValueError("accept_tol must be positive")
+MAX_ITERATIONS = 200     # damped fixed-point steps per seed
+DAMPING = 0.5            # initial weight of x(m) in each fixed-point step
+EVOLVE_HORIZON = 50.0    # flow time ridden when the fixed-point iteration cycles
+NEWTON_STEPS = 40        # Newton steps of the final polish
 
 
 @dataclass(frozen=True)
@@ -109,12 +96,12 @@ def frozen_stationary(spec: GeneratorSpec, m) -> Distribution:
     linear solve must reproduce x Q(m) = 0 to within 1e-12.
     """
     arr = m.probs if isinstance(m, Distribution) else np.asarray(m, dtype=float)
-    if not irreducible_at(spec, arr):
+    q = spec.rates(arr)
+    if not _irreducible(q[None])[0]:
         raise ReducibleGeneratorError(
             f"{spec.describe()} is reducible at {tuple(float(x) for x in arr)}"
         )
-    q = spec.rates(arr)
-    x = _frozen_solve(q)
+    x = _frozen_solve(q[None])[0]
     defect = float(np.max(np.abs(x @ q)))
     if defect > FROZEN_RESIDUAL_TOL:
         raise NumericalError(
@@ -124,27 +111,29 @@ def frozen_stationary(spec: GeneratorSpec, m) -> Distribution:
 
 
 def _frozen_solve(q: np.ndarray) -> np.ndarray:
-    """Least-squares solve of x Q = 0, sum(x) = 1 via the augmented system."""
-    s = q.shape[0]
-    a = np.vstack([q.T, np.ones((1, s))])
-    b = np.zeros(s + 1)
-    b[s] = 1.0
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return x
+    """Stationary rows ``(n, S)`` of rate matrices ``(n, S, S)`` by one stacked square solve.
+
+    The last balance equation of Q^T x = 0 is replaced by sum(x) = 1, which is
+    non-singular when Q has a single closed class; a singular stack gives NaN rows.
+    """
+    n, s, _ = q.shape
+    a = np.swapaxes(q, 1, 2).copy()
+    a[:, -1, :] = 1.0
+    b = np.zeros((n, s, 1))
+    b[:, -1] = 1.0
+    try:
+        return np.linalg.solve(a, b)[..., 0]
+    except np.linalg.LinAlgError:
+        return np.full((n, s), np.nan)
 
 
-def find_invariant(
-    spec: GeneratorSpec,
-    seeds,
-    controls: SearchControls | None = None,
-) -> StationarySet:
+def find_invariant(spec: GeneratorSpec, seeds) -> StationarySet:
     """Search for every invariant distribution reachable from ``seeds``.
 
     ``seeds`` is a :class:`SimplexGrid` or an iterable of distributions.
     Converged points closer than ``CLUSTER_RADIUS`` in max norm are merged;
     each cluster records the seeds that reached it.
     """
-    controls = controls or SearchControls()
     spec.require_valid()
     if isinstance(seeds, SimplexGrid):
         seed_arrays = [row for row in seeds.array]
@@ -160,7 +149,7 @@ def find_invariant(
                 f"seed of shape {arr.shape} does not match generator dimension {spec.dimension}"
             )
 
-    outcomes = [_search_from(spec, arr, controls) for arr in seed_arrays]
+    outcomes = [_search_from(spec, arr) for arr in seed_arrays]
 
     clusters: list[list] = []
     failed = 0
@@ -193,22 +182,22 @@ def find_invariant(
         results=tuple(results),
         seed_count=len(seed_arrays),
         failed_seeds=failed,
-        tolerance=controls.accept_tol,
+        tolerance=TOL_INVARIANT,
     )
 
 
-def _search_from(spec: GeneratorSpec, seed: np.ndarray, c: SearchControls) -> np.ndarray | None:
+def _search_from(spec: GeneratorSpec, seed: np.ndarray) -> np.ndarray | None:
     m = np.array(seed, dtype=float)
     q = spec.rates(m)
     r = float(np.max(np.abs(m @ q)))
-    alpha = c.damping
+    alpha = DAMPING
     fell_back = False
-    for _ in range(c.max_iterations):
-        if r <= c.accept_tol:
+    for _ in range(MAX_ITERATIONS):
+        if r <= TOL_INVARIANT:
             break
-        if not _strongly_connected(q > RATE_FLOOR):
-            return _newton_polish(spec, m, c)
-        x = _frozen_solve(q)
+        if not _irreducible(q[None])[0]:
+            return _newton_polish(spec, m)
+        x = _frozen_solve(q[None])[0]
         if not np.all(np.isfinite(x)):
             return None
         candidate = (1.0 - alpha) * m + alpha * x
@@ -224,12 +213,12 @@ def _search_from(spec: GeneratorSpec, seed: np.ndarray, c: SearchControls) -> np
         if fell_back:
             break
         # The iteration is cycling around a repeller; ride the flow instead.
-        m = _flow_tail(spec, m, c.evolve_horizon)
+        m = _flow_tail(spec, m, EVOLVE_HORIZON)
         q = spec.rates(m)
         r = float(np.max(np.abs(m @ q)))
-        alpha = c.damping
+        alpha = DAMPING
         fell_back = True
-    return _newton_polish(spec, m, c)
+    return _newton_polish(spec, m)
 
 
 def _flow_tail(spec: GeneratorSpec, arr: np.ndarray, horizon: float) -> np.ndarray:
@@ -238,7 +227,7 @@ def _flow_tail(spec: GeneratorSpec, arr: np.ndarray, horizon: float) -> np.ndarr
     return flow.ys[-1]
 
 
-def _newton_polish(spec: GeneratorSpec, arr: np.ndarray, c: SearchControls) -> np.ndarray | None:
+def _newton_polish(spec: GeneratorSpec, arr: np.ndarray) -> np.ndarray | None:
     """Damped Newton on the chart drift; None when it fails to meet tolerance.
 
     Works on u = (m_1, ..., m_{S-1}) with m_S = 1 - sum(u); the chart drift
@@ -254,7 +243,7 @@ def _newton_polish(spec: GeneratorSpec, arr: np.ndarray, c: SearchControls) -> n
         return spec.drift_batch(_chart_embed(rows))[:, : s - 1]
 
     g = chart_drift(u[None])[0]
-    for _ in range(c.newton_steps):
+    for _ in range(NEWTON_STEPS):
         gnorm = float(np.max(np.abs(g)))
         if gnorm <= POLISH_TARGET:
             break
@@ -281,6 +270,6 @@ def _newton_polish(spec: GeneratorSpec, arr: np.ndarray, c: SearchControls) -> n
     if float(candidate.min()) < -1e-9 or not np.all(np.isfinite(candidate)):
         return None
     candidate, _ = _project_array(candidate)
-    if residual(spec, candidate) > c.accept_tol:
+    if residual(spec, candidate) > TOL_INVARIANT:
         return None
     return candidate

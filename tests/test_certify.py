@@ -170,13 +170,33 @@ class TestCertifyUnique:
         # A genuine frozen-stationary map cannot have a uniformly wrong
         # determinant sign (the degree identity forbids it), so the guard is
         # exercised with a stubbed defect whose chart slope is +1.5.
-        def fake_defect(spec, point):
-            return 1.5 * point[: spec.dimension - 1]
+        def fake_defects(spec, rows):
+            return 1.5 * rows
 
-        monkeypatch.setattr(nlmc.certify, "_defect_chart", fake_defect)
+        monkeypatch.setattr(nlmc.certify, "_defects", fake_defects)
         certificate = certify_unique(corpus("bistable"), SimplexGrid(2, 10))
         assert certificate.verdict == "INCONCLUSIVE"
         assert "degree" in certificate.reason
+
+    def test_reducible_probe_point_is_inconclusive(self):
+        # Q12 = K (m1 - a)^2 vanishes exactly at the lower probe of the grid
+        # point m1 = 1/2 (chart step 1e-6 * 1.5), while every grid point and
+        # every other probe keeps Q12 above the rate floor.
+        big, a = 1e4, 0.5 - 1.5e-6
+        spec = polynomial_generator(
+            2,
+            {
+                (0, 1): [((2, 0), big), ((1, 0), -2.0 * big * a), ((0, 0), big * a * a)],
+                (1, 0): [((0, 0), 1.0)],
+            },
+        )
+        certificate = certify_unique(spec, SimplexGrid(2, 10))
+        assert certificate.verdict == "INCONCLUSIVE"
+        assert certificate.reason == "determinant could not be evaluated at a grid point"
+        assert [list(w) for w in certificate.evidence["witnesses"]] == [[0.5, 0.5]]
+        assert certificate.evidence["detail"] == (
+            "frozen chain is reducible at probe point (0.4999985, 0.5000015)"
+        )
 
     def test_grid_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):

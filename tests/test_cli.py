@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from nlmc import save_generator
-from nlmc.cli import RunConfig, main, reproduce
+import nlmc.semigroup
+from nlmc import constant_generator, corpus, save_generator
+from nlmc.cli import MAX_GRID_POINTS, RunConfig, _grid, main, reproduce
 
 
 def _read_csv(path):
@@ -94,6 +95,34 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "2 states" in err
+
+    def test_oversampled_run_is_refused_before_integrating(self, tmp_path, capsys, monkeypatch):
+        # 1e6 / 1e-3 asks for 10^9 rows, about 8 GB per array.
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before checking the sample count")
+
+        monkeypatch.setattr(nlmc.semigroup, "integrate_flow", no_integration)
+        out = tmp_path / "huge.csv"
+        code = main(
+            [
+                "simulate",
+                "--corpus",
+                "bistable",
+                "--m0",
+                "0.9,0.1",
+                "--horizon",
+                "1e6",
+                "--sample-every",
+                "1e-3",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "1000000001 samples" in err
+        assert "cap 1000000" in err
 
 
 class TestSample:
@@ -261,8 +290,6 @@ class TestCertifyCommands:
 
 class TestGeneratorFile:
     def test_saved_generator_round_trips_through_the_cli(self, tmp_path):
-        from nlmc import corpus
-
         gen_path = tmp_path / "bistable.json"
         save_generator(corpus("bistable"), gen_path)
         out = tmp_path / "stationary.json"
@@ -303,6 +330,27 @@ class TestGeneratorFile:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_grid_over_the_point_cap_is_refused(self, tmp_path, capsys):
+        # Resolution 40 on 8 states would materialise C(47, 7) = 62 891 499 seeds.
+        q = np.ones((8, 8))
+        np.fill_diagonal(q, -7.0)
+        gen_path = tmp_path / "eight.json"
+        save_generator(constant_generator(q), gen_path)
+        out = tmp_path / "stationary.json"
+        code = main(
+            ["invariant", "--generator-file", str(gen_path), "--grid", "40", "--out", str(out)]
+        )
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "62891499 points" in err
+        assert str(MAX_GRID_POINTS) in err
+
+    def test_point_cap_admits_the_finest_three_state_grid(self):
+        spec = corpus("consumer", {"b": 1.0, "e": 1.0, "eps": 0.1, "lam": 1.0})
+        config = RunConfig(command="invariant", corpus_name="consumer", grid_resolution=200)
+        assert len(_grid(spec, config)) == MAX_GRID_POINTS == 20301
+
 
 class TestUsageErrors:
     def test_unknown_corpus_name(self, capsys):
@@ -330,8 +378,6 @@ class TestUsageErrors:
 
     def test_corpus_params_require_corpus_flag(self, tmp_path, capsys):
         gen_path = tmp_path / "bistable.json"
-        from nlmc import corpus
-
         save_generator(corpus("bistable"), gen_path)
         code = main(
             [

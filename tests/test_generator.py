@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from nlmc import (
     GeneratorEvaluationError,
@@ -20,7 +21,7 @@ from nlmc import (
     save_generator,
     validate,
 )
-from nlmc.generator import CORPUS_NAMES, rate_matrix_violations
+from nlmc.generator import CORPUS_NAMES, RATE_FLOOR, _irreducible, rate_matrix_violations
 
 from helpers import (
     CONSUMER_PARAMS,
@@ -328,6 +329,30 @@ class TestIrreducibility:
         q = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
         spec = constant_generator(q)
         assert not irreducible_at(spec, (0.3, 0.3, 0.4))
+
+    def test_batched_kernel_matches_strong_components_oracle(self):
+        def cycle(last_rate):
+            q = np.zeros((3, 3))
+            q[0, 1], q[1, 2], q[2, 0] = 1.0, 1.0, last_rate
+            np.fill_diagonal(q, -q.sum(axis=1))
+            return q
+
+        rng = np.random.default_rng(53)
+        for s in range(1, 7):
+            stack = np.array(
+                [random_rate_matrix(rng, s, sparsity=p) for p in (0.0, 0.3, 0.5, 0.7) * 10]
+            )
+            if s == 3:
+                # A rate exactly at the floor is not an edge; twice the floor is.
+                stack = np.concatenate([stack, [cycle(RATE_FLOOR), cycle(2.0 * RATE_FLOOR)]])
+            expected = [
+                connected_components(q > RATE_FLOOR, directed=True, connection="strong")[0] == 1
+                for q in stack
+            ]
+            assert _irreducible(stack).tolist() == expected
+            assert 0 < sum(expected) < len(expected) or s == 1
+            if s == 3:
+                assert expected[-2:] == [False, True]
 
 
 class TestFileRoundTrip:

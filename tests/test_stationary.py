@@ -8,7 +8,6 @@ import pytest
 from nlmc import (
     Distribution,
     ReducibleGeneratorError,
-    SearchControls,
     SimplexGrid,
     constant_generator,
     corpus,
@@ -18,6 +17,7 @@ from nlmc import (
     polynomial_generator,
     residual,
 )
+from nlmc.stationary import _frozen_solve
 
 from helpers import (
     CONSUMER_PARAMS,
@@ -94,15 +94,23 @@ class TestFrozenStationary:
         with pytest.raises(ReducibleGeneratorError):
             frozen_stationary(spec, (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0))
 
+    def test_batched_solve_matches_null_space_oracle(self):
+        rng = np.random.default_rng(59)
+        for s in range(2, 7):
+            stack = np.array([random_rate_matrix(rng, s) for _ in range(8)])
+            x = _frozen_solve(stack)
+            assert x.shape == (8, s)
+            for q, row in zip(stack, x):
+                assert float(np.max(np.abs(row - stationary_oracle(q)))) < 1e-12
+            one_at_a_time = np.concatenate([_frozen_solve(q[None]) for q in stack])
+            assert np.array_equal(x, one_at_a_time)
 
-class TestSearchControls:
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            SearchControls(damping=0.0)
-        with pytest.raises(ValueError):
-            SearchControls(damping=1.5)
-        with pytest.raises(ValueError):
-            SearchControls(accept_tol=0.0)
+    def test_singular_stack_gives_nan_rows(self):
+        # Two closed classes {1, 2} and {3, 4}: the stationary set is a segment.
+        pair = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        two_classes = np.block([[pair, np.zeros((2, 2))], [np.zeros((2, 2)), pair]])
+        assert np.isnan(_frozen_solve(two_classes[None])).all()
+        assert np.isnan(_frozen_solve(np.array([two_classes, two_classes]))).all()
 
 
 class TestFindInvariant:
