@@ -64,24 +64,10 @@ class RunConfig:
     figure: str | None = None
 
     def __post_init__(self) -> None:
-        commands = (
-            "simulate",
-            "sample",
-            "invariant",
-            "certify-unique",
-            "certify-ergodic",
-            "corpus-list",
-            "reproduce",
-        )
-        if self.command not in commands:
+        if self.command not in (*_DEFAULT_OUT, "corpus-list", "reproduce"):
             raise ValueError(f"unknown command {self.command!r}")
-        needs_generator = self.command in (
-            "simulate",
-            "sample",
-            "invariant",
-            "certify-unique",
-            "certify-ergodic",
-        )
+        # Exactly the commands that write a default artifact read a generator.
+        needs_generator = self.command in _DEFAULT_OUT
         sources = (self.corpus_name is not None) + (self.generator_file is not None)
         if needs_generator and sources != 1:
             raise ValueError("exactly one of --corpus or --generator-file is required")

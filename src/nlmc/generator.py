@@ -296,22 +296,6 @@ def constant_generator(matrix) -> GeneratorSpec:
     return polynomial_generator(s, cells)
 
 
-def _consumer_batch(b: float, e: float, eps: float, lam: float):
-    def batch(points: np.ndarray) -> np.ndarray:
-        n = points.shape[0]
-        q = np.zeros((n, 3, 3))
-        q[:, 0, 1] = b
-        q[:, 0, 2] = e * points[:, 0] + eps
-        q[:, 1, 2] = e * points[:, 1] + eps
-        q[:, 2, 0] = lam
-        q[:, 2, 1] = lam
-        idx = np.arange(3)
-        q[:, idx, idx] = -q.sum(axis=2)
-        return q
-
-    return batch
-
-
 def _oscillator_batch(points: np.ndarray) -> np.ndarray:
     # Rates are defined on the region where every component is >= 1/10 and
     # extended to the rest of the simplex by clamping each argument at 1/10,
@@ -378,8 +362,7 @@ def corpus(name: str, params: dict | None = None) -> GeneratorSpec:
             (2, 0): [((0, 0, 0), lam)],
             (2, 1): [((0, 0, 0), lam)],
         }
-        spec = polynomial_generator(3, cells, name="consumer", params=values, kind="builtin")
-        return spec
+        return polynomial_generator(3, cells, name="consumer", params=values, kind="builtin")
     if name == "oscillator":
         if params:
             raise ValueError("oscillator takes no parameters")

@@ -398,9 +398,12 @@ def sample_path(
     (exit rate at the current state under Q(m(t))) / bound; accepted jumps
     pick the target in proportion to the off-diagonal rates.  If the exit
     rate is ever observed above the bound, the whole path restarts from the
-    same seed with the bound doubled.  ``initial_state`` is 0-based; None
-    draws it from ``m0``.  Passing a precomputed ``flow`` (covering
-    ``horizon`` for the same generator) skips re-integration.
+    same seed with the bound doubled.  A run whose proposal count, about
+    bound x horizon, would exceed ``MAX_SAMPLES`` is refused with
+    ValueError, before integrating and again at each doubling.
+    ``initial_state`` is 0-based; None draws it from ``m0``.  Passing a
+    precomputed ``flow`` (covering ``horizon`` for the same generator)
+    skips re-integration.
     """
     _check_horizon(horizon)
     m0_arr = _as_state(m0)
@@ -408,6 +411,8 @@ def sample_path(
     if initial_state is not None and not (0 <= int(initial_state) < s):
         raise ValueError(f"initial_state must lie in 0..{s - 1}, got {initial_state!r}")
     spec.require_valid()
+    base = thinning_bound(spec)
+    _check_proposals(base, horizon)
     if flow is None:
         flow = integrate_flow(spec, m0_arr, horizon, controls)
     else:
@@ -415,9 +420,9 @@ def sample_path(
             raise ValueError("flow was integrated for a different generator")
         if flow.horizon < horizon:
             raise ValueError(f"flow horizon {flow.horizon!r} is shorter than {horizon!r}")
-    base = thinning_bound(spec)
     for doubling in range(64):
         bound = base * (2.0**doubling)
+        _check_proposals(bound, horizon)
         rng = np.random.default_rng(seed)
         if initial_state is None:
             start = int(np.searchsorted(np.cumsum(m0_arr), rng.random(), side="right"))
@@ -425,15 +430,9 @@ def sample_path(
         else:
             start = int(initial_state)
         if bound == 0.0:
-            return JumpPath(
-                generator_id=spec.generator_id,
-                seed=seed,
-                horizon=float(horizon),
-                initial_state=start,
-                jump_times=np.empty(0),
-                states_visited=np.empty(0, dtype=int),
-            )
-        path = _thin_path(spec, flow, start, horizon, bound, rng)
+            path = np.empty(0), np.empty(0, dtype=int)
+        else:
+            path = _thin_path(spec, flow, start, horizon, bound, rng)
         if path is not None:
             times, visited = path
             return JumpPath(
@@ -445,6 +444,15 @@ def sample_path(
                 states_visited=visited,
             )
     raise IntegrationDivergedError("thinning bound kept being exceeded after 64 doublings")
+
+
+def _check_proposals(bound: float, horizon: float) -> None:
+    # _thin_path holds every proposal of the horizon, with its rate matrix, at once.
+    count = bound * horizon
+    if count > MAX_SAMPLES:
+        raise ValueError(
+            f"thinning needs about {count:.0f} proposals, above the cap {MAX_SAMPLES}"
+        )
 
 
 def _thin_path(spec, flow, start, horizon, bound, rng):

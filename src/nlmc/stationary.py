@@ -5,7 +5,9 @@ The search runs a damped fixed-point iteration on m -> x(m), where x(m) is
 the stationary distribution of the frozen chain Q(m), falls back to riding
 the marginal flow when that iteration cycles, switches to a damped Newton
 method on the chart drift when the frozen chain is reducible, and always
-finishes with a Newton polish.  Results from all seeds are clustered.
+finishes with a Newton polish.  All seeds advance in lockstep as the rows
+of one array, each with its own damping, line search and stopping mask;
+only the flow fallback runs one seed at a time.  Results are clustered.
 """
 
 from __future__ import annotations
@@ -114,17 +116,18 @@ def _frozen_solve(q: np.ndarray) -> np.ndarray:
     """Stationary rows ``(n, S)`` of rate matrices ``(n, S, S)`` by one stacked square solve.
 
     The last balance equation of Q^T x = 0 is replaced by sum(x) = 1, which is
-    non-singular when Q has a single closed class; a singular stack gives NaN rows.
+    non-singular when Q has a single closed class.  A singular matrix gives a
+    NaN row and leaves the other rows solved.
     """
     n, s, _ = q.shape
     a = np.swapaxes(q, 1, 2).copy()
     a[:, -1, :] = 1.0
     b = np.zeros((n, s, 1))
     b[:, -1] = 1.0
-    try:
-        return np.linalg.solve(a, b)[..., 0]
-    except np.linalg.LinAlgError:
-        return np.full((n, s), np.nan)
+    x = np.full((n, s), np.nan)
+    solvable = np.linalg.slogdet(a)[0] != 0.0
+    x[solvable] = np.linalg.solve(a[solvable], b[solvable])[..., 0]
+    return x
 
 
 def find_invariant(spec: GeneratorSpec, seeds) -> StationarySet:
@@ -136,26 +139,23 @@ def find_invariant(spec: GeneratorSpec, seeds) -> StationarySet:
     """
     spec.require_valid()
     if isinstance(seeds, SimplexGrid):
-        seed_arrays = [row for row in seeds.array]
+        rows = seeds.array
     else:
-        seed_arrays = [
-            s.probs if isinstance(s, Distribution) else Distribution(s).probs for s in seeds
-        ]
-    if not seed_arrays:
+        rows = np.array(
+            [s.probs if isinstance(s, Distribution) else Distribution(s).probs for s in seeds]
+        )
+    if rows.shape[0] == 0:
         raise ValueError("at least one seed is required")
-    for arr in seed_arrays:
-        if arr.shape != (spec.dimension,):
-            raise ValueError(
-                f"seed of shape {arr.shape} does not match generator dimension {spec.dimension}"
-            )
+    if rows.shape[1:] != (spec.dimension,):
+        raise ValueError(f"seeds of shape {rows.shape[1:]} do not match dimension {spec.dimension}")
 
-    outcomes = [_search_from(spec, arr) for arr in seed_arrays]
+    m, failed = _fixed_point(spec, rows)
+    polished = iter(_newton_polish(spec, m[~failed]))
+    outcomes = [None if f else next(polished) for f in failed]
 
     clusters: list[list] = []
-    failed = 0
-    for seed_arr, found in zip(seed_arrays, outcomes):
+    for seed_arr, found in zip(rows, outcomes):
         if found is None:
-            failed += 1
             continue
         for cluster in clusters:
             if float(np.max(np.abs(cluster[0] - found))) <= CLUSTER_RADIUS:
@@ -167,109 +167,131 @@ def find_invariant(spec: GeneratorSpec, seeds) -> StationarySet:
     results = []
     for rep, hint_seeds in clusters:
         point = Distribution(rep)
-        res = residual(spec, point)
-        classification = "interior" if float(point.probs.min()) > INTERIOR_TOL else "boundary"
         results.append(
             StationaryResult(
                 point=point,
-                residual=res,
-                classification=classification,
+                residual=residual(spec, point),
+                classification="interior" if point.probs.min() > INTERIOR_TOL else "boundary",
                 basin_hint=tuple(Distribution(s) for s in hint_seeds),
             )
         )
     results.sort(key=lambda r: tuple(r.point.probs))
     return StationarySet(
         results=tuple(results),
-        seed_count=len(seed_arrays),
-        failed_seeds=failed,
+        seed_count=rows.shape[0],
+        failed_seeds=sum(found is None for found in outcomes),
         tolerance=TOL_INVARIANT,
     )
 
 
-def _search_from(spec: GeneratorSpec, seed: np.ndarray) -> np.ndarray | None:
-    m = np.array(seed, dtype=float)
-    q = spec.rates(m)
-    r = float(np.max(np.abs(m @ q)))
-    alpha = DAMPING
-    fell_back = False
+def _drift_norms(m: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row defects ||m^T Q(m)||_inf of points ``(n, S)`` with their rates ``(n, S, S)``."""
+    return np.max(np.abs((m[:, None, :] @ q)[:, 0]), axis=1)
+
+
+def _fixed_point(spec: GeneratorSpec, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Damped fixed-point iteration m -> x(m) from all seed rows in lockstep.
+
+    Returns the final rows and the mask of rows whose frozen solve broke
+    down.  Each row keeps its own damping and stops on its own: when its
+    defect meets ``TOL_INVARIANT``, when its frozen chain turns reducible
+    (the Newton polish takes over), or when it cycles again after its one
+    flow fallback.
+    """
+    m = np.array(seeds, dtype=float)
+    q = spec.rates_batch(m)
+    r = _drift_norms(m, q)
+    alpha = np.full(m.shape[0], DAMPING)
+    failed = np.zeros(m.shape[0], dtype=bool)
+    fell_back = np.zeros(m.shape[0], dtype=bool)
+    rows = np.arange(m.shape[0])
     for _ in range(MAX_ITERATIONS):
-        if r <= TOL_INVARIANT:
+        rows = rows[r[rows] > TOL_INVARIANT]
+        rows = rows[_irreducible(q[rows])]
+        if rows.size == 0:
             break
-        if not _irreducible(q[None])[0]:
-            return _newton_polish(spec, m)
-        x = _frozen_solve(q[None])[0]
-        if not np.all(np.isfinite(x)):
-            return None
-        candidate = (1.0 - alpha) * m + alpha * x
-        q_cand = spec.rates(candidate)
-        r_cand = float(np.max(np.abs(candidate @ q_cand)))
-        if r_cand < r:
-            m, q, r = candidate, q_cand, r_cand
-            alpha = min(1.0, 1.25 * alpha)
+        x = _frozen_solve(q[rows])
+        solved = np.all(np.isfinite(x), axis=1)
+        failed[rows[~solved]] = True
+        rows, x = rows[solved], x[solved]
+        a = alpha[rows, None]
+        candidate = (1.0 - a) * m[rows] + a * x
+        q_cand = spec.rates_batch(candidate)
+        r_cand = _drift_norms(candidate, q_cand)
+        better = r_cand < r[rows]
+        up = rows[better]
+        m[up], q[up], r[up] = candidate[better], q_cand[better], r_cand[better]
+        alpha[up] = np.minimum(1.0, 1.25 * alpha[up])
+        alpha[rows[~better]] *= 0.5
+        stalled = ~better & (alpha[rows] < 1e-3)
+        cycling = rows[stalled & ~fell_back[rows]]
+        rows = rows[~(stalled & fell_back[rows])]
+        if cycling.size == 0:
             continue
-        alpha *= 0.5
-        if alpha >= 1e-3:
-            continue
-        if fell_back:
-            break
-        # The iteration is cycling around a repeller; ride the flow instead.
-        m = _flow_tail(spec, m, EVOLVE_HORIZON)
-        q = spec.rates(m)
-        r = float(np.max(np.abs(m @ q)))
-        alpha = DAMPING
-        fell_back = True
-    return _newton_polish(spec, m)
+        # These rows cycle around a repeller; ride the flow instead.
+        controls = IntegratorControls(rtol=1e-10, atol=1e-12)
+        for i in cycling:
+            start, _ = _project_array(m[i])
+            m[i] = integrate_flow(spec, start, EVOLVE_HORIZON, controls).ys[-1]
+        q[cycling] = spec.rates_batch(m[cycling])
+        r[cycling] = _drift_norms(m[cycling], q[cycling])
+        alpha[cycling] = DAMPING
+        fell_back[cycling] = True
+    return m, failed
 
 
-def _flow_tail(spec: GeneratorSpec, arr: np.ndarray, horizon: float) -> np.ndarray:
-    projected, _ = _project_array(arr)
-    flow = integrate_flow(spec, projected, horizon, IntegratorControls(rtol=1e-10, atol=1e-12))
-    return flow.ys[-1]
-
-
-def _newton_polish(spec: GeneratorSpec, arr: np.ndarray) -> np.ndarray | None:
-    """Damped Newton on the chart drift; None when it fails to meet tolerance.
+def _newton_polish(spec: GeneratorSpec, points: np.ndarray) -> list[np.ndarray | None]:
+    """Damped Newton on the chart drift from every row of ``points`` ``(n, S)``.
 
     Works on u = (m_1, ..., m_{S-1}) with m_S = 1 - sum(u); the chart drift
     is the first S-1 components of f, which vanish together with f itself
-    because f always sums to zero.
+    because f always sums to zero.  Rows advance in lockstep, each with its
+    own line search; the result of a row is None when its Jacobian turns
+    singular or it fails to meet tolerance.
     """
     s = spec.dimension
-    if s == 1:
-        return np.array([1.0])
-    u = np.array(arr[: s - 1], dtype=float)
+    u = np.array(points[:, : s - 1], dtype=float)
 
     def chart_drift(rows: np.ndarray) -> np.ndarray:
         return spec.drift_batch(_chart_embed(rows))[:, : s - 1]
 
-    g = chart_drift(u[None])[0]
+    g = chart_drift(u)
+    gnorm = np.max(np.abs(g), axis=1, initial=0.0)
+    rows = np.arange(u.shape[0])
     for _ in range(NEWTON_STEPS):
-        gnorm = float(np.max(np.abs(g)))
-        if gnorm <= POLISH_TARGET:
+        rows = rows[gnorm[rows] > POLISH_TARGET]
+        if rows.size == 0:
             break
-        jac = _chart_jacobian(chart_drift, u[None], 1e-6)[0]
-        try:
-            delta = np.linalg.solve(jac, g)
-        except np.linalg.LinAlgError:
-            return None
-        lam = 1.0
-        while lam > 1e-8:
-            trial = u - lam * delta
-            if float(np.max(np.abs(trial))) > 10.0:
-                lam *= 0.5
-                continue
-            gt = chart_drift(trial[None])[0]
-            if float(np.max(np.abs(gt))) < gnorm:
-                u = trial
-                g = gt
+        jac = _chart_jacobian(chart_drift, u[rows], 1e-6)
+        # A singular Jacobian fails only its own row, marked NaN, not the stacked solve.
+        invertible = np.linalg.slogdet(jac)[0] != 0.0
+        u[rows[~invertible]] = np.nan
+        rows, jac = rows[invertible], jac[invertible]
+        delta = np.linalg.solve(jac, g[rows][:, :, None])[:, :, 0]
+        lam = np.ones(rows.size)
+        improved = np.zeros(rows.size, dtype=bool)
+        while True:
+            trying = np.flatnonzero(~improved & (lam > 1e-8))
+            if trying.size == 0:
                 break
-            lam *= 0.5
-        else:
-            break
-    candidate = _chart_embed(u[None])[0]
-    if float(candidate.min()) < -1e-9 or not np.all(np.isfinite(candidate)):
-        return None
-    candidate, _ = _project_array(candidate)
-    if residual(spec, candidate) > TOL_INVARIANT:
-        return None
-    return candidate
+            trial = u[rows[trying]] - lam[trying, None] * delta[trying]
+            near = np.max(np.abs(trial), axis=1) <= 10.0
+            gt = chart_drift(trial[near])
+            gt_norm = np.max(np.abs(gt), axis=1, initial=0.0)
+            better = gt_norm < gnorm[rows[trying[near]]]
+            won = trying[near][better]
+            hit = rows[won]
+            u[hit], g[hit], gnorm[hit] = trial[near][better], gt[better], gt_norm[better]
+            improved[won] = True
+            lam[trying[~improved[trying]]] *= 0.5
+        # A row whose line search finds no descent stops where it is.
+        rows = rows[improved]
+
+    out: list[np.ndarray | None] = []
+    for candidate in _chart_embed(u):
+        if float(candidate.min()) < -1e-9 or not np.all(np.isfinite(candidate)):
+            out.append(None)
+            continue
+        candidate, _ = _project_array(candidate)
+        out.append(None if residual(spec, candidate) > TOL_INVARIANT else candidate)
+    return out

@@ -193,6 +193,34 @@ class TestSample:
         )
         assert code == 1
 
+    def test_oversized_thinning_run_is_refused(self, tmp_path, capsys, monkeypatch):
+        # Rates of 100 over 1e6 time units would hold about 1.1e8 proposals at once.
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before checking the proposal count")
+
+        monkeypatch.setattr(nlmc.semigroup, "integrate_flow", no_integration)
+        gen_path = tmp_path / "fast.json"
+        save_generator(constant_generator([[-100.0, 100.0], [100.0, -100.0]]), gen_path)
+        out = tmp_path / "path.csv"
+        code = main(
+            [
+                "sample",
+                "--generator-file",
+                str(gen_path),
+                "--m0",
+                "0.5,0.5",
+                "--horizon",
+                "1e6",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "110000000 proposals" in err
+        assert "cap 1000000" in err
+
 
 class TestInvariant:
     def test_bistable_finds_three_distributions(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+import nlmc.semigroup
 from nlmc import (
     Distribution,
     GeneratorSpec,
@@ -20,6 +21,7 @@ from nlmc import (
     evolve,
     flow_invariance_audit,
     integrate_flow,
+    polynomial_generator,
     sample_path,
     thinning_bound,
 )
@@ -320,3 +322,37 @@ class TestSamplePath:
         assert path.jump_count > 20
         again = sample_path(spec, (0.505, 0.495), horizon=1.0, seed=5)
         assert np.array_equal(path.jump_times, again.jump_times)
+
+    def test_chain_without_rates_never_jumps(self):
+        spec = polynomial_generator(2, {})
+        path = sample_path(spec, (0.0, 1.0), horizon=5.0, seed=1)
+        assert path.initial_state == 1
+        assert path.jump_count == 0
+        assert path.states_visited.dtype.kind == "i"
+        assert path.occupation_time(1) == 5.0
+
+    def test_proposal_count_over_the_cap_is_refused_before_integrating(self, monkeypatch):
+        # Rates of 100 over 1e6 time units would hold about 1.1e8 proposals at once.
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before checking the proposal count")
+
+        monkeypatch.setattr(nlmc.semigroup, "integrate_flow", no_integration)
+        spec = constant_generator([[-100.0, 100.0], [100.0, -100.0]])
+        with pytest.raises(ValueError, match=r"110000000 proposals, above the cap 1000000"):
+            sample_path(spec, (0.5, 0.5), horizon=1e6)
+
+    def test_proposal_cap_is_checked_again_at_each_doubling(self, monkeypatch):
+        # With the bound exceeded on every attempt, 1.1 x 2^k x 1e5 passes the
+        # cap for k = 0..3 and fails at k = 4, before a fifth attempt.
+        attempts = []
+
+        def always_exceeded(spec, flow, start, horizon, bound, rng):
+            attempts.append(bound)
+            return None
+
+        monkeypatch.setattr(nlmc.semigroup, "integrate_flow", lambda *args, **kwargs: None)
+        monkeypatch.setattr(nlmc.semigroup, "_thin_path", always_exceeded)
+        spec = constant_generator([[-1.0, 1.0], [1.0, -1.0]])
+        with pytest.raises(ValueError, match="1760000 proposals, above the cap 1000000"):
+            sample_path(spec, (0.5, 0.5), horizon=1e5)
+        assert len(attempts) == 4

@@ -112,6 +112,16 @@ class TestFrozenStationary:
         assert np.isnan(_frozen_solve(two_classes[None])).all()
         assert np.isnan(_frozen_solve(np.array([two_classes, two_classes]))).all()
 
+    def test_singular_matrix_fails_only_its_own_row(self):
+        pair = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        two_classes = np.block([[pair, np.zeros((2, 2))], [np.zeros((2, 2)), pair]])
+        single = np.full((4, 4), 1.0)
+        np.fill_diagonal(single, -3.0)
+        x = _frozen_solve(np.array([single, two_classes, single]))
+        assert np.isnan(x[1]).all()
+        assert np.array_equal(x[[0, 2]], _frozen_solve(np.array([single, single])))
+        assert float(np.max(np.abs(x[0] - 0.25))) < 1e-15
+
 
 class TestFindInvariant:
     def test_bistable_finds_all_three_rest_points(self):
@@ -185,6 +195,24 @@ class TestFindInvariant:
         for result in edge_hits:
             assert result.classification == "boundary"
             assert float(result.point.probs[0]) <= 1.0 / 3.0 + 1e-8
+
+    @pytest.mark.parametrize("name, resolution", [("bistable", 20), ("oscillator", 6)])
+    def test_a_seed_alone_lands_where_it_lands_in_lockstep(self, name, resolution):
+        # Bistable grid 20 takes the flow fallback on 4 seeds; on oscillator
+        # grid 6 every frozen chain is reducible and 12 seeds fail the polish.
+        spec = corpus(name)
+        grid = SimplexGrid(spec.dimension, resolution)
+        together = find_invariant(spec, grid)
+        landed = {seed: r.point.probs for r in together for seed in r.basin_hint}
+        assert len(landed) + together.failed_seeds == len(grid)
+        for seed in grid.points:
+            alone = find_invariant(spec, [seed])
+            if seed in landed:
+                assert alone.failed_seeds == 0
+                assert float(np.max(np.abs(alone.points[0].probs - landed[seed]))) <= 1e-12
+            else:
+                assert alone.failed_seeds == 1
+                assert len(alone) == 0
 
     def test_json_export_is_deterministic_and_complete(self):
         found = find_invariant(corpus("bistable"), SimplexGrid(2, 20))
