@@ -169,9 +169,10 @@ class GeneratorSpec:
     def drift(self, m) -> np.ndarray:
         """Marginal drift f(m) with components f_j = sum_i m_i Q_ij(m)."""
         arr = m.probs if isinstance(m, Distribution) else np.asarray(m, dtype=float)
-        return arr @ self.rates(arr)
+        return self.drift_batch(arr[None])[0]
 
     def drift_batch(self, points) -> np.ndarray:
+        """Marginal drifts, shape (n, S), for points given as rows (n, S)."""
         arr = np.asarray(points, dtype=float)
         return np.einsum("ni,nij->nj", arr, self.rates_batch(arr))
 
@@ -236,21 +237,20 @@ def _normalize_cells(dimension: int, cells: dict) -> dict[tuple[int, int], Polyn
 
 
 def _compile_cells(dimension: int, cells: dict[tuple[int, int], PolynomialCell]):
-    compiled = []
-    for (i, j), cell in sorted(cells.items()):
-        if not cell.terms:
-            continue
-        exps = np.array([t.exponents for t in cell.terms], dtype=float)
-        coeffs = np.array([t.coefficient for t in cell.terms], dtype=float)
-        compiled.append((i, j, exps, coeffs))
+    # Exponents (T, S) of the distinct monomials, coefficients (T, S*S).  einsum, not @:
+    # BLAS takes another path for one row, so rates would depend on the batch size.
+    monomials = sorted({t.exponents for cell in cells.values() for t in cell.terms})
+    column = {exps: k for k, exps in enumerate(monomials)}
+    exps = np.array(monomials, dtype=float).reshape(len(monomials), dimension)
+    coeffs = np.zeros((len(monomials), dimension * dimension))
+    for (i, j), cell in cells.items():
+        for t in cell.terms:
+            coeffs[column[t.exponents], i * dimension + j] += t.coefficient
+    idx = np.arange(dimension)
 
     def batch(points: np.ndarray) -> np.ndarray:
-        n = points.shape[0]
-        q = np.zeros((n, dimension, dimension))
-        for i, j, exps, coeffs in compiled:
-            monomials = np.prod(points[:, None, :] ** exps[None, :, :], axis=2)
-            q[:, i, j] = monomials @ coeffs
-        idx = np.arange(dimension)
+        values = np.prod(points[:, None, :] ** exps[None, :, :], axis=2)
+        q = np.einsum("nt,tk->nk", values, coeffs).reshape(-1, dimension, dimension)
         q[:, idx, idx] = -q.sum(axis=2)
         return q
 

@@ -31,6 +31,7 @@ MAX_HORIZON = 1e6
 MAX_SAMPLES = 1_000_000
 THINNING_GRID_RESOLUTION = 50
 THINNING_HEADROOM = 1.1
+THINNING_BLOCK = 4096    # proposals whose rates are held at once
 
 # Dormand-Prince 5(4) tableau; the last error weight belongs to the stage
 # evaluated at the fifth-order solution itself.
@@ -242,8 +243,8 @@ def integrate_flow(
         err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
         if err <= 1.0:
             t = horizon if final_step else t + h
-            y, drift = _project_array(y5)
-            max_drift = max(max_drift, drift)
+            (y,), (drift,) = _project_array(y5[None])
+            max_drift = max(max_drift, float(drift))
             f = spec.drift(y)
             ts.append(t)
             ys.append(y)
@@ -291,9 +292,7 @@ def evolve(
     _check_horizon(horizon)
     times = _sample_times(horizon, controls.sample_every)
     flow = integrate_flow(spec, m0, horizon, controls)
-    states = flow.at_many(times)
-    for n in range(states.shape[0]):
-        states[n], _ = _project_array(states[n])
+    states, _ = _project_array(flow.at_many(times))
     states.flags.writeable = False
     times.flags.writeable = False
     return Trajectory(
@@ -447,7 +446,7 @@ def sample_path(
 
 
 def _check_proposals(bound: float, horizon: float) -> None:
-    # _thin_path holds every proposal of the horizon, with its rate matrix, at once.
+    # _thin_path holds every proposal time of the horizon at once.
     count = bound * horizon
     if count > MAX_SAMPLES:
         raise ValueError(
@@ -468,35 +467,32 @@ def _thin_path(spec, flow, start, horizon, bound, rng):
     n = proposals.size
     accept_u = rng.random(n)
     target_u = rng.random(n)
-    if n == 0:
-        return np.empty(0), np.empty(0, dtype=int)
-    # Interpolated flow states can undershoot zero by rounding noise only;
-    # clamping is enough here, rates never see more than that.
-    marginals = np.maximum(flow.at_many(proposals), 0.0)
-    q = spec.rates_batch(marginals)
     s = spec.dimension
     idx = np.arange(s)
-    exits = -q[:, idx, idx]
-    weights = np.maximum(q, 0.0)
-    weights[:, idx, idx] = 0.0
-    cum = np.cumsum(weights, axis=2)
-    times = []
-    visited = []
+    visited = np.full(n, -1)
     current = start
-    for k in range(n):
-        lam = exits[k, current]
-        if lam > bound:
-            return None
-        if lam <= 0.0 or accept_u[k] * bound >= lam:
-            continue
-        row = cum[k, current]
-        if row[-1] <= 0.0:
-            continue
-        target = int(np.searchsorted(row, target_u[k] * row[-1], side="right"))
-        target = min(target, s - 1)
-        if target == current:
-            continue
-        times.append(float(proposals[k]))
-        visited.append(target)
-        current = target
-    return np.array(times), np.array(visited, dtype=int)
+    for first in range(0, n, THINNING_BLOCK):
+        times = proposals[first : first + THINNING_BLOCK]
+        # Interpolated flow states can undershoot zero by rounding noise only;
+        # clamping is enough here, rates never see more than that.
+        q = spec.rates_batch(np.maximum(flow.at_many(times), 0.0))
+        exits = -q[:, idx, idx]
+        q[:, idx, idx] = 0.0
+        cum = np.cumsum(np.maximum(q, 0.0, out=q), axis=2)
+        for k in range(times.size):
+            lam = exits[k, current]
+            if lam > bound:
+                return None
+            if lam <= 0.0 or accept_u[first + k] * bound >= lam:
+                continue
+            row = cum[k, current]
+            if row[-1] <= 0.0:
+                continue
+            target = int(np.searchsorted(row, target_u[first + k] * row[-1], side="right"))
+            target = min(target, s - 1)
+            if target == current:
+                continue
+            visited[first + k] = target
+            current = target
+    jumped = visited >= 0
+    return proposals[jumped], visited[jumped]

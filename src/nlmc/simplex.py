@@ -154,8 +154,11 @@ def project_to_simplex(v) -> Distribution:
     genuinely left the simplex and :class:`IntegrationDivergedError` is
     raised instead of silently rewriting the state.
     """
-    arr, _ = _project_array(np.asarray(v, dtype=float))
-    return Distribution(arr)
+    arr = np.asarray(v, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"projection needs a non-empty 1-d vector, got shape {arr.shape}")
+    (x,), _ = _project_array(arr[None])
+    return Distribution(x)
 
 
 def _chart_embed(u: np.ndarray) -> np.ndarray:
@@ -182,21 +185,21 @@ def _chart_jacobian(func, u: np.ndarray, h: float) -> np.ndarray:
     return diff.transpose(0, 2, 1)
 
 
-def _project_array(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Project a raw vector, returning (projected array, max-norm drift)."""
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"projection needs a non-empty 1-d vector, got shape {v.shape}")
+def _project_array(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project rows ``(n, S)`` each on its own, giving (rows, max-norm drifts ``(n,)``).
+
+    A non-finite entry, or any row moved more than ``TOL_PROJECTION``, raises.
+    """
     if not np.all(np.isfinite(v)):
         raise IntegrationDivergedError("state contains non-finite entries")
-    u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u) - 1.0
-    ranks = np.arange(1, v.size + 1)
-    thresholds = cumulative / ranks
-    rho = int(np.nonzero(u > thresholds)[0][-1])
-    x = np.maximum(v - thresholds[rho], 0.0)
-    drift = float(np.max(np.abs(v - x)))
-    if drift > TOL_PROJECTION:
+    u = np.sort(v, axis=1)[:, ::-1]
+    thresholds = (np.cumsum(u, axis=1) - 1.0) / np.arange(1, v.shape[1] + 1)
+    rho = v.shape[1] - 1 - np.argmax((u > thresholds)[:, ::-1], axis=1)
+    x = np.maximum(v - thresholds[np.arange(v.shape[0]), rho][:, None], 0.0)
+    drift = np.max(np.abs(v - x), axis=1)
+    worst = float(np.max(drift, initial=0.0))
+    if worst > TOL_PROJECTION:
         raise IntegrationDivergedError(
-            f"state drifted {drift:.6e} from the simplex, beyond the {TOL_PROJECTION:g} repair budget"
+            f"state drifted {worst:.6e} from the simplex, beyond the {TOL_PROJECTION:g} repair budget"
         )
     return x, drift

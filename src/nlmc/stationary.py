@@ -186,7 +186,7 @@ def find_invariant(spec: GeneratorSpec, seeds) -> StationarySet:
 
 def _drift_norms(m: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Row defects ||m^T Q(m)||_inf of points ``(n, S)`` with their rates ``(n, S, S)``."""
-    return np.max(np.abs((m[:, None, :] @ q)[:, 0]), axis=1)
+    return np.max(np.abs(np.einsum("ni,nij->nj", m, q)), axis=1)
 
 
 def _fixed_point(spec: GeneratorSpec, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,8 +230,8 @@ def _fixed_point(spec: GeneratorSpec, seeds: np.ndarray) -> tuple[np.ndarray, np
             continue
         # These rows cycle around a repeller; ride the flow instead.
         controls = IntegratorControls(rtol=1e-10, atol=1e-12)
-        for i in cycling:
-            start, _ = _project_array(m[i])
+        starts, _ = _project_array(m[cycling])
+        for i, start in zip(cycling, starts):
             m[i] = integrate_flow(spec, start, EVOLVE_HORIZON, controls).ys[-1]
         q[cycling] = spec.rates_batch(m[cycling])
         r[cycling] = _drift_norms(m[cycling], q[cycling])
@@ -292,6 +292,6 @@ def _newton_polish(spec: GeneratorSpec, points: np.ndarray) -> list[np.ndarray |
         if float(candidate.min()) < -1e-9 or not np.all(np.isfinite(candidate)):
             out.append(None)
             continue
-        candidate, _ = _project_array(candidate)
+        (candidate,), _ = _project_array(candidate[None])
         out.append(None if residual(spec, candidate) > TOL_INVARIANT else candidate)
     return out

@@ -31,6 +31,16 @@ from helpers import (
     random_rate_matrix,
 )
 
+ROW_CASES = [
+    pytest.param(corpus("consumer", {"b": 2.0, "e": 3.0, "eps": 0.05, "lam": 0.5}), id="consumer"),
+    pytest.param(corpus("bistable"), id="bistable"),
+    pytest.param(corpus("oscillator"), id="oscillator"),
+    pytest.param(
+        polynomial_generator(4, random_polynomial_cells(np.random.default_rng(21), 4)),
+        id="random-4",
+    ),
+]
+
 
 class TestRateMatrix:
     def test_accepts_conservative_matrix(self):
@@ -79,6 +89,31 @@ class TestPolynomialGenerator:
             for n in range(pts.shape[0]):
                 oracle = naive_rates(s, cells, pts[n])
                 assert np.allclose(q_batch[n], oracle, atol=1e-13)
+
+    def test_one_monomial_table_matches_term_by_term_sums(self):
+        # Cells share monomials, repeat them within a cell, and span six decades.
+        rng = np.random.default_rng(17)
+        s = 4
+        pool = [tuple(int(e) for e in rng.multinomial(d, np.ones(s) / s)) for d in (0, 1, 1, 2, 3)]
+        cells = {
+            (i, j): [(pool[k], float(10.0 ** rng.uniform(-3, 3))) for k in rng.integers(0, 5, 4)]
+            for i in range(s)
+            for j in range(s)
+            if i != j
+        }
+        spec = polynomial_generator(s, cells)
+        pts = rng.dirichlet(np.ones(s), size=50)
+        for q, point in zip(spec.rates_batch(pts), pts):
+            oracle = naive_rates(s, cells, point)
+            assert np.all(np.abs(q - oracle) <= 1e-13 * np.abs(oracle))
+
+    @pytest.mark.parametrize("spec", ROW_CASES)
+    def test_a_point_gets_the_same_bits_alone_as_in_a_batch(self, spec):
+        pts = np.random.default_rng(8).dirichlet(np.ones(spec.dimension), size=500)
+        rates, drifts = spec.rates_batch(pts), spec.drift_batch(pts)
+        for k, point in enumerate(pts):
+            assert np.array_equal(rates[k], spec.rates(point))
+            assert np.array_equal(drifts[k], spec.drift(point))
 
     def test_rows_sum_to_zero_by_construction(self):
         rng = np.random.default_rng(9)

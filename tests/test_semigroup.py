@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import nlmc.semigroup
 from nlmc import (
     Distribution,
+    Flow,
     GeneratorSpec,
     IntegrationDivergedError,
     IntegratorControls,
@@ -26,7 +28,7 @@ from nlmc import (
     thinning_bound,
 )
 
-from helpers import CONSUMER_PARAMS, expm_oracle, random_rate_matrix
+from helpers import CONSUMER_PARAMS, expm_oracle, random_rate_matrix, stationary_oracle
 
 TIGHT = IntegratorControls(rtol=1e-10, atol=1e-12)
 
@@ -225,6 +227,36 @@ class TestSamplePath:
         assert direct.initial_state == reused.initial_state
         assert np.array_equal(direct.jump_times, reused.jump_times)
         assert np.array_equal(direct.states_visited, reused.states_visited)
+
+    def test_block_size_does_not_change_the_path(self, monkeypatch):
+        spec = corpus("consumer", {"b": 2.0, "e": 3.0, "eps": 0.05, "lam": 0.5})
+        flow = integrate_flow(spec, (0.2, 0.3, 0.5), 2000.0)
+        default = sample_path(spec, (0.2, 0.3, 0.5), horizon=2000.0, seed=5, flow=flow)
+        assert thinning_bound(spec) * 2000.0 > 2 * nlmc.semigroup.THINNING_BLOCK
+        assert default.jump_count > 100
+        for size in (7, 10**9):
+            monkeypatch.setattr(nlmc.semigroup, "THINNING_BLOCK", size)
+            other = sample_path(spec, (0.2, 0.3, 0.5), horizon=2000.0, seed=5, flow=flow)
+            assert np.array_equal(default.jump_times, other.jump_times)
+            assert np.array_equal(default.states_visited, other.states_visited)
+
+    def test_thinning_holds_one_block_of_rates_not_every_proposal(self):
+        q = random_rate_matrix(np.random.default_rng(31), 4)
+        spec = constant_generator(q)
+        proposals = 40_000
+        horizon = proposals / thinning_bound(spec)
+        # Started at its stationary law, a constant chain's marginal flow stands still.
+        pi = stationary_oracle(q)
+        flow = Flow(spec.generator_id, horizon, np.array([0.0, horizon]), np.stack([pi, pi]),
+                    np.zeros((2, 4)), 0.0, 1)
+        tracemalloc.start()
+        try:
+            path = sample_path(spec, pi, horizon=horizon, seed=1, flow=flow)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.jump_count > 0
+        assert peak < proposals * 4 * 4 * 8  # one (n, S, S) rates array
 
     def test_path_structure(self):
         spec = corpus("bistable")

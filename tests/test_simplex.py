@@ -14,7 +14,7 @@ from nlmc import (
     project_to_simplex,
     tangent_cone_member,
 )
-from nlmc.simplex import _chart_embed, _chart_jacobian
+from nlmc.simplex import _chart_embed, _chart_jacobian, _project_array
 
 from helpers import CONSUMER_PARAMS, projection_oracle, random_rate_matrix
 
@@ -180,6 +180,55 @@ class TestProjection:
             project_to_simplex((1.2, -0.2))
         with pytest.raises(IntegrationDivergedError):
             project_to_simplex((float("nan"), 1.0))
+
+
+class TestRowProjection:
+    @staticmethod
+    def noisy_rows(rng, s, n=300):
+        rows = rng.dirichlet(np.ones(s), size=n)
+        if s > 1:
+            # Boundary rows: a zero coordinate, with mass moved to the last one.
+            rows[: n // 3, -1] += rows[: n // 3, 0]
+            rows[: n // 3, 0] = 0.0
+        return rows + rng.uniform(-2e-7, 2e-7, size=rows.shape)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 5])
+    def test_each_row_is_projected_as_if_alone(self, s):
+        rng = np.random.default_rng(40 + s)
+        noisy = self.noisy_rows(rng, s)
+        x, drift = _project_array(noisy)
+        assert x.shape == noisy.shape and drift.shape == (noisy.shape[0],)
+        for k in range(noisy.shape[0]):
+            (alone,), (alone_drift,) = _project_array(noisy[k : k + 1])
+            assert np.array_equal(x[k], alone) and drift[k] == alone_drift
+            assert float(np.max(np.abs(project_to_simplex(noisy[k]).probs - x[k]))) <= 1e-15
+
+    @pytest.mark.parametrize("s", [2, 3, 5])
+    def test_rows_meet_the_kkt_conditions(self, s):
+        # x = max(v - theta, 0): mass 1, v - x = theta on the support, v <= theta off it.
+        noisy = self.noisy_rows(np.random.default_rng(50 + s), s)
+        x, drift = _project_array(noisy)
+        assert np.all(x >= 0.0)
+        assert float(np.max(np.abs(x.sum(axis=1) - 1.0))) <= 1e-15
+        off_support = 0
+        for v, row in zip(noisy, x):
+            support = row > 0.0
+            theta = v[support] - row[support]
+            assert float(np.ptp(theta)) <= 1e-15
+            assert np.all(v[~support] <= theta.mean() + 1e-15)
+            off_support += int(np.count_nonzero(~support))
+        assert off_support > 0
+        assert np.array_equal(drift, np.max(np.abs(noisy - x), axis=1))
+
+    def test_one_bad_row_fails_the_whole_call(self):
+        good = np.full((4, 3), 1.0 / 3.0)
+        poisoned = good.copy()
+        poisoned[2, 1] = np.inf
+        with pytest.raises(IntegrationDivergedError, match="non-finite"):
+            _project_array(poisoned)
+        over = np.array([[0.5, 0.5], [0.5 + 4e-6, 0.5], [0.5 + 1e-5, 0.5], [0.5, 0.5]])
+        with pytest.raises(IntegrationDivergedError, match="drifted 5.000000e-06"):
+            _project_array(over)
 
 
 def _quadratic(rows):

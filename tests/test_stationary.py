@@ -17,7 +17,7 @@ from nlmc import (
     polynomial_generator,
     residual,
 )
-from nlmc.stationary import _frozen_solve
+from nlmc.stationary import _fixed_point, _frozen_solve, _newton_polish
 
 from helpers import (
     CONSUMER_PARAMS,
@@ -27,6 +27,8 @@ from helpers import (
     random_rate_matrix,
     stationary_oracle,
 )
+
+SKEWED_CONSUMER = corpus("consumer", {"b": 2.0, "e": 3.0, "eps": 0.05, "lam": 0.5})
 
 
 class TestResidual:
@@ -196,11 +198,18 @@ class TestFindInvariant:
             assert result.classification == "boundary"
             assert float(result.point.probs[0]) <= 1.0 / 3.0 + 1e-8
 
-    @pytest.mark.parametrize("name, resolution", [("bistable", 20), ("oscillator", 6)])
-    def test_a_seed_alone_lands_where_it_lands_in_lockstep(self, name, resolution):
+    @pytest.mark.parametrize(
+        "spec, resolution",
+        [
+            pytest.param(corpus("bistable"), 20, id="bistable-20"),
+            pytest.param(corpus("oscillator"), 6, id="oscillator-6"),
+            pytest.param(SKEWED_CONSUMER, 10, id="consumer-10"),
+        ],
+    )
+    def test_a_seed_alone_lands_where_it_lands_in_lockstep(self, spec, resolution):
         # Bistable grid 20 takes the flow fallback on 4 seeds; on oscillator
-        # grid 6 every frozen chain is reducible and 12 seeds fail the polish.
-        spec = corpus(name)
+        # grid 6 every frozen chain is reducible and 12 seeds fail the polish;
+        # the consumer cells multiply by non-unit coefficients.
         grid = SimplexGrid(spec.dimension, resolution)
         together = find_invariant(spec, grid)
         landed = {seed: r.point.probs for r in together for seed in r.basin_hint}
@@ -213,6 +222,24 @@ class TestFindInvariant:
             else:
                 assert alone.failed_seeds == 1
                 assert len(alone) == 0
+
+    @pytest.mark.parametrize(
+        "spec, resolution",
+        [
+            pytest.param(corpus("bistable"), 20, id="bistable-20"),
+            pytest.param(SKEWED_CONSUMER, 10, id="consumer-10"),
+        ],
+    )
+    def test_a_seed_alone_lands_bitwise_on_its_lockstep_point(self, spec, resolution):
+        def landings(rows):
+            m, failed = _fixed_point(spec, rows)
+            polished = iter(_newton_polish(spec, m[~failed]))
+            return [None if f else next(polished) for f in failed]
+
+        rows = SimplexGrid(spec.dimension, resolution).array
+        for k, together in enumerate(landings(rows)):
+            (alone,) = landings(rows[k : k + 1])
+            assert together is not None and np.array_equal(alone, together)
 
     def test_json_export_is_deterministic_and_complete(self):
         found = find_invariant(corpus("bistable"), SimplexGrid(2, 20))
