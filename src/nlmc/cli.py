@@ -80,10 +80,10 @@ class RunConfig:
                 raise ValueError(f"{self.command} requires --horizon")
         if self.horizon is not None and not (0.0 < self.horizon <= MAX_HORIZON):
             raise ValueError(f"horizon must lie in (0, {MAX_HORIZON:g}]")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("rtol and atol must be positive")
-        if self.sample_every is not None and self.sample_every <= 0:
-            raise ValueError("sample-every must be positive")
+        if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
+            raise ValueError("rtol and atol must be positive and finite")
+        if self.sample_every is not None and not (0.0 < self.sample_every < math.inf):
+            raise ValueError("sample-every must be positive and finite")
         if not (1 <= self.grid_resolution <= MAX_GRID_RESOLUTION):
             raise ValueError(f"grid resolution must lie in 1..{MAX_GRID_RESOLUTION}")
         if not (10 <= self.scan_resolution <= MAX_SCAN_RESOLUTION):
@@ -220,8 +220,9 @@ def reproduce(figure: str, outdir: str = ".") -> list[str]:
     if figure == "fig2":
         spec = corpus("bistable")
         runs = []
-        for start in _FIG2_STARTS:
-            trajectory = evolve(spec, (start, 1.0 - start), _FIG2_HORIZON)
+        starts = [(start, 1.0 - start) for start in _FIG2_STARTS]
+        trajectories = evolve(spec, starts, _FIG2_HORIZON)
+        for start, trajectory in zip(_FIG2_STARTS, trajectories):
             path = os.path.join(outdir, f"fig2_{start:g}.csv")
             trajectory.to_csv(path)
             written.append(path)

@@ -153,7 +153,7 @@ class GeneratorSpec:
         if arr.ndim != 2 or arr.shape[1] != self.dimension:
             raise ValueError(f"expected points of shape (n, {self.dimension}), got {arr.shape}")
         out = self._batch(arr)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise GeneratorEvaluationError(f"{self.describe()} produced non-finite rates")
         return out
 
@@ -249,7 +249,7 @@ def _compile_cells(dimension: int, cells: dict[tuple[int, int], PolynomialCell])
     idx = np.arange(dimension)
 
     def batch(points: np.ndarray) -> np.ndarray:
-        values = np.prod(points[:, None, :] ** exps[None, :, :], axis=2)
+        values = (points[:, None, :] ** exps[None, :, :]).prod(axis=2)
         q = np.einsum("nt,tk->nk", values, coeffs).reshape(-1, dimension, dimension)
         q[:, idx, idx] = -q.sum(axis=2)
         return q

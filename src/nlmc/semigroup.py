@@ -11,6 +11,7 @@ precomputed marginal flow.
 from __future__ import annotations
 
 import io
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -33,20 +34,22 @@ THINNING_GRID_RESOLUTION = 50
 THINNING_HEADROOM = 1.1
 THINNING_BLOCK = 4096    # proposals whose rates are held at once
 
-# Dormand-Prince 5(4) tableau; the last error weight belongs to the stage
-# evaluated at the fifth-order solution itself.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_DP_A_ROWS = tuple(np.array(row) for row in _DP_A)
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+# Dormand-Prince 5(4) tableau: row i holds the weights of stage i.  The last
+# stage is evaluated at the fifth-order solution itself, so its row is the
+# fifth-order weights; _DP_B4 are the embedded fourth-order weights.  Shaped
+# to broadcast against stages (7, n, S).
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])[:, :, None, None]
+_DP_B4 = np.array(
+    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+)[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -59,10 +62,11 @@ class IntegratorControls:
     max_steps: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("rtol and atol must be positive")
-        if self.sample_every is not None and self.sample_every <= 0:
-            raise ValueError("sample_every must be positive")
+        # A NaN tolerance would reject every step; chained comparisons refuse it.
+        if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
+            raise ValueError("rtol and atol must be positive and finite")
+        if self.sample_every is not None and not (0.0 < self.sample_every < math.inf):
+            raise ValueError("sample_every must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
 
@@ -74,6 +78,13 @@ class Flow:
     ``ts``/``ys``/``fs`` hold the accepted step times, the repaired states,
     and the drift at those states; ``at``/``at_many`` interpolate with the
     cubic Hermite matched to the stored derivatives.
+
+    A flow of n starts stacks its rows' knots: row i owns the knots
+    ``offsets[i]:offsets[i + 1]`` and took ``row_steps[i]`` steps with
+    largest repair ``row_drifts[i]``, while ``steps`` and ``max_drift`` are
+    the total and the largest over rows.  ``row(i)`` is row i as a flow of
+    its own; interpolation needs a one-row flow.  The row fields default to
+    the one row that ``ts`` holds.
     """
 
     generator_id: str
@@ -83,11 +94,29 @@ class Flow:
     fs: np.ndarray
     max_drift: float
     steps: int
+    offsets: tuple[int, ...] | None = None
+    row_steps: tuple[int, ...] | None = None
+    row_drifts: tuple[float, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.offsets is None:
+            object.__setattr__(self, "offsets", (0, len(self.ts)))
+            object.__setattr__(self, "row_steps", (self.steps,))
+            object.__setattr__(self, "row_drifts", (self.max_drift,))
+
+    def row(self, i: int) -> Flow:
+        start, stop = self.offsets[i], self.offsets[i + 1]
+        return Flow(
+            self.generator_id, self.horizon, self.ts[start:stop], self.ys[start:stop],
+            self.fs[start:stop], self.row_drifts[i], self.row_steps[i],
+        )
 
     def at(self, t: float) -> np.ndarray:
         return self.at_many(np.array([t]))[0]
 
     def at_many(self, times) -> np.ndarray:
+        if len(self.offsets) != 2:
+            raise ValueError("interpolate one row at a time: use flow.row(i)")
         times = np.clip(np.asarray(times, dtype=float), 0.0, self.horizon)
         right = np.clip(np.searchsorted(self.ts, times, side="right"), 1, len(self.ts) - 1)
         left = right - 1
@@ -198,13 +227,25 @@ def _as_state(m) -> np.ndarray:
     return Distribution(m).probs.copy()
 
 
+def _is_one_start(m0) -> bool:
+    return isinstance(m0, Distribution) or np.ndim(m0) == 1
+
+
 def integrate_flow(
     spec: GeneratorSpec,
     m0,
     horizon: float,
     controls: IntegratorControls | None = None,
 ) -> Flow:
-    """Integrate the marginal flow from ``m0`` over [0, horizon].
+    """Integrate the marginal flow from each start in ``m0`` over [0, horizon].
+
+    ``m0`` is one start ``(S,)`` or a stack of starts ``(n, S)``; all rows
+    step together, each with its own step size, accept/reject decision,
+    error norm, step count and stop time, and a row leaves the live set when
+    it reaches the horizon.  Stages combine element-wise in a fixed order, so
+    a row's result does not depend on the other rows of the call: one start
+    is row 0 of the same loop.  The result is one :class:`Flow` whose rows
+    are the starts (``Flow.row``); ``steps`` is their total.
 
     Adaptive Dormand-Prince 5(4): the error estimate uses the embedded
     fourth-order weights, acceptance is against rtol/atol mixed per
@@ -214,56 +255,73 @@ def integrate_flow(
     controls = controls or IntegratorControls()
     _check_horizon(horizon)
     spec.require_valid()
-    y = _as_state(m0)
-    f = spec.drift(y)
-    ts = [0.0]
-    ys = [y]
-    fs = [f]
-    max_drift = 0.0
-    t = 0.0
-    h = min(horizon, 0.01 / (1.0 + float(np.max(np.abs(f)))))
-    steps = 0
-    stages = np.empty((7, y.size))
-    while t < horizon:
-        if steps >= controls.max_steps:
-            raise IntegrationDivergedError(
-                f"no convergence within {controls.max_steps} steps at t = {t!r}"
-            )
-        final_step = t + h >= horizon
-        if final_step:
-            h = horizon - t
+    starts = [m0] if _is_one_start(m0) else list(m0)
+    if not starts:
+        raise ValueError("at least one start is required")
+    y = np.array([_as_state(m) for m in starts])
+    n = y.shape[0]
+    f = spec.drift_batch(y)
+    # The live rows, as indices of the starts; a row leaves when it reaches the horizon.
+    ids = np.arange(n)
+    t = np.zeros(n)
+    h = np.minimum(horizon, 0.01 / (1.0 + np.abs(f).max(axis=1)))
+    row_steps = np.zeros(n, dtype=int)
+    # Accepted knots as (row, t, y, f, repaired drift); y and f change in place.
+    knots = [(ids, t, y.copy(), f.copy(), np.zeros(n))]
+    floor = 1e-14 * max(1.0, horizon)
+    for step in range(controls.max_steps):
+        final = t + h >= horizon
+        h = np.where(final, horizon - t, h)
+        hc = h[:, None]
+        stages = np.empty((7, *y.shape))
         stages[0] = f
-        for i in range(1, 6):
-            yi = y + h * (_DP_A_ROWS[i] @ stages[:i])
-            stages[i] = spec.drift(yi)
-        y5 = y + h * (_DP_B5 @ stages[:6])
-        stages[6] = spec.drift(y5)
-        y4 = y + h * (_DP_B4 @ stages[:7])
-        scale = controls.atol + controls.rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
-        if err <= 1.0:
-            t = horizon if final_step else t + h
-            (y,), (drift,) = _project_array(y5[None])
-            max_drift = max(max_drift, float(drift))
-            f = spec.drift(y)
-            ts.append(t)
-            ys.append(y)
-            fs.append(f)
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
-        else:
-            factor = max(0.2, min(1.0, 0.9 * err**-0.2))
-        h *= factor
-        if h < 1e-14 * max(1.0, horizon):
-            raise IntegrationDivergedError(f"step size underflow at t = {t!r}")
-        steps += 1
+        for i in range(1, 7):
+            yi = y + hc * np.add.reduce(_DP_A[i, :i] * stages[:i])
+            stages[i] = spec.drift_batch(yi)
+        # yi is now the fifth-order solution.
+        y4 = y + hc * np.add.reduce(_DP_B4 * stages)
+        scale = controls.atol + controls.rtol * np.maximum(np.abs(y), np.abs(yi))
+        err = np.sqrt(np.add.reduce(((yi - y4) / scale) ** 2, axis=1) / y.shape[1])
+        ok = err <= 1.0
+        if ok.any():
+            t = np.where(ok, np.where(final, horizon, t + h), t)
+            y_ok, repaired = _project_array(yi[ok])
+            f_ok = spec.drift_batch(y_ok)
+            y[ok], f[ok] = y_ok, f_ok
+            knots.append((ids[ok], t[ok], y_ok, f_ok, repaired))
+        # The growth 0.9 err^-0.2 is at least 0.9 on an accepted row and below
+        # 0.9 on a rejected one, so one clip to [0.2, 5] serves both; err = 0
+        # takes the largest growth without a division by zero.
+        h = h * np.minimum(np.maximum(0.9 * np.maximum(err, 1e-300) ** -0.2, 0.2), 5.0)
+        if h.min() < floor:
+            raise IntegrationDivergedError(f"step size underflow at t = {float(t[h.argmin()])!r}")
+        done = ok & final
+        if done.any():
+            row_steps[ids[done]] = step + 1
+            live = ~done
+            ids, t, h, y, f = ids[live], t[live], h[live], y[live], f[live]
+            if ids.size == 0:
+                break
+    else:
+        raise IntegrationDivergedError(
+            f"no convergence within {controls.max_steps} steps at t = {float(t[0])!r}"
+        )
+    rows = np.concatenate([k[0] for k in knots])
+    order = np.argsort(rows, kind="stable")
+    ts, ys, fs, repairs = (np.concatenate([k[j] for k in knots])[order] for j in range(1, 5))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    row_drifts = np.maximum.reduceat(repairs, offsets[:-1])
     return Flow(
         generator_id=spec.generator_id,
         horizon=float(horizon),
-        ts=np.array(ts),
-        ys=np.array(ys),
-        fs=np.array(fs),
-        max_drift=max_drift,
-        steps=steps,
+        ts=ts,
+        ys=ys,
+        fs=fs,
+        max_drift=float(row_drifts.max()),
+        steps=int(row_steps.sum()),
+        offsets=tuple(offsets.tolist()),
+        row_steps=tuple(row_steps.tolist()),
+        row_drifts=tuple(row_drifts.tolist()),
     )
 
 
@@ -286,21 +344,25 @@ def evolve(
     m0,
     horizon: float,
     controls: IntegratorControls | None = None,
-) -> Trajectory:
-    """Marginal flow sampled every ``controls.sample_every`` (default horizon/1000)."""
+) -> Trajectory | list[Trajectory]:
+    """Marginal flow sampled every ``controls.sample_every`` (default horizon/1000).
+
+    One start ``(S,)`` gives one :class:`Trajectory`; a stack of starts
+    ``(n, S)`` gives a list with one per row, from one ``integrate_flow``
+    call.
+    """
     controls = controls or IntegratorControls()
     _check_horizon(horizon)
     times = _sample_times(horizon, controls.sample_every)
     flow = integrate_flow(spec, m0, horizon, controls)
-    states, _ = _project_array(flow.at_many(times))
-    states.flags.writeable = False
     times.flags.writeable = False
-    return Trajectory(
-        generator_id=spec.generator_id,
-        times=times,
-        states=states,
-        max_drift=flow.max_drift,
-    )
+    trajectories = []
+    for i in range(len(flow.offsets) - 1):
+        row = flow.row(i)
+        states, _ = _project_array(row.at_many(times))
+        states.flags.writeable = False
+        trajectories.append(Trajectory(spec.generator_id, times, states, row.max_drift))
+    return trajectories[0] if _is_one_start(m0) else trajectories
 
 
 @dataclass(frozen=True)

@@ -190,14 +190,15 @@ def _project_array(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A non-finite entry, or any row moved more than ``TOL_PROJECTION``, raises.
     """
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise IntegrationDivergedError("state contains non-finite entries")
+    n, s = v.shape
     u = np.sort(v, axis=1)[:, ::-1]
-    thresholds = (np.cumsum(u, axis=1) - 1.0) / np.arange(1, v.shape[1] + 1)
-    rho = v.shape[1] - 1 - np.argmax((u > thresholds)[:, ::-1], axis=1)
-    x = np.maximum(v - thresholds[np.arange(v.shape[0]), rho][:, None], 0.0)
-    drift = np.max(np.abs(v - x), axis=1)
-    worst = float(np.max(drift, initial=0.0))
+    thresholds = (u.cumsum(axis=1) - 1.0) / np.arange(1, s + 1)
+    rho = s - 1 - (u > thresholds)[:, ::-1].argmax(axis=1)
+    x = np.maximum(v - thresholds[np.arange(n), rho][:, None], 0.0)
+    drift = np.abs(v - x).max(axis=1)
+    worst = drift.max(initial=0.0)
     if worst > TOL_PROJECTION:
         raise IntegrationDivergedError(
             f"state drifted {worst:.6e} from the simplex, beyond the {TOL_PROJECTION:g} repair budget"

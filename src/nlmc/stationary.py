@@ -7,7 +7,8 @@ the marginal flow when that iteration cycles, switches to a damped Newton
 method on the chart drift when the frozen chain is reducible, and always
 finishes with a Newton polish.  All seeds advance in lockstep as the rows
 of one array, each with its own damping, line search and stopping mask;
-only the flow fallback runs one seed at a time.  Results are clustered.
+the flow fallback rides every cycling seed in one ``integrate_flow`` call.
+Results are clustered.
 """
 
 from __future__ import annotations
@@ -231,8 +232,8 @@ def _fixed_point(spec: GeneratorSpec, seeds: np.ndarray) -> tuple[np.ndarray, np
         # These rows cycle around a repeller; ride the flow instead.
         controls = IntegratorControls(rtol=1e-10, atol=1e-12)
         starts, _ = _project_array(m[cycling])
-        for i, start in zip(cycling, starts):
-            m[i] = integrate_flow(spec, start, EVOLVE_HORIZON, controls).ys[-1]
+        flow = integrate_flow(spec, starts, EVOLVE_HORIZON, controls)
+        m[cycling] = [flow.row(i).ys[-1] for i in range(cycling.size)]
         q[cycling] = spec.rates_batch(m[cycling])
         r[cycling] = _drift_norms(m[cycling], q[cycling])
         alpha[cycling] = DAMPING

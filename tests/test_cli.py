@@ -124,6 +124,32 @@ class TestSimulate:
         assert "1000000001 samples" in err
         assert "cap 1000000" in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--rtol", "nan"),
+            ("--atol", "nan"),
+            ("--rtol", "inf"),
+            ("--atol", "inf"),
+            ("--sample-every", "nan"),
+            ("--sample-every", "inf"),
+        ],
+    )
+    def test_non_finite_controls_are_refused_before_integrating(
+        self, flag, value, tmp_path, capsys, monkeypatch
+    ):
+        # A NaN tolerance rejected every step, up to a million of them.
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated with a non-finite control")
+
+        monkeypatch.setattr(nlmc.semigroup, "integrate_flow", no_integration)
+        out = tmp_path / "x.csv"
+        argv = ["simulate", "--corpus", "bistable", "--m0", "0.3,0.7", "--horizon", "5"]
+        code = main([*argv, flag, value, "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert "positive and finite" in capsys.readouterr().err
+
 
 class TestSample:
     def test_writes_jump_path_with_forced_start(self, tmp_path, monkeypatch):
@@ -483,6 +509,9 @@ class TestRunConfigValidation:
             RunConfig("simulate", rtol=0.0, **base)
         with pytest.raises(ValueError):
             RunConfig("simulate", sample_every=0.0, **base)
+        for field in ("rtol", "atol", "sample_every"):
+            with pytest.raises(ValueError, match="positive and finite"):
+                RunConfig("simulate", **{field: math.nan}, **base)
         with pytest.raises(ValueError):
             RunConfig("invariant", corpus_name="bistable", grid_resolution=500)
         with pytest.raises(ValueError):
@@ -508,9 +537,18 @@ class TestReproduce:
         assert float(m1.min()) < 0.22
         assert abs(float(m1.mean()) - 1.0 / 3.0) < 5e-3
 
-    def test_fig2_runs_split_across_the_unstable_point(self, tmp_path):
+    def test_fig2_runs_split_across_the_unstable_point(self, tmp_path, monkeypatch):
+        calls = []
+        original = nlmc.semigroup.integrate_flow
+
+        def counting(spec, m0, horizon, controls=None):
+            calls.append(len(m0))
+            return original(spec, m0, horizon, controls)
+
+        monkeypatch.setattr(nlmc.semigroup, "integrate_flow", counting)
         code = main(["reproduce", "fig2", "--outdir", str(tmp_path)])
         assert code == 0
+        assert calls == [8], "fig2 integrates its eight starts in one call"
         summary = json.loads((tmp_path / "fig2_summary.json").read_text(encoding="utf-8"))
         assert summary["horizon"] == 50.0
         runs = {run["start"]: run for run in summary["runs"]}

@@ -49,6 +49,13 @@ class TestIntegratorControls:
         with pytest.raises(ValueError):
             IntegratorControls(max_steps=0)
 
+    @pytest.mark.parametrize("field", ["rtol", "atol", "sample_every"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, field, value):
+        # A NaN tolerance would reject every step until max_steps.
+        with pytest.raises(ValueError, match="positive and finite"):
+            IntegratorControls(**{field: value})
+
 
 class TestIntegrateFlow:
     def test_two_state_constant_chain_matches_closed_form(self):
@@ -116,6 +123,69 @@ class TestIntegrateFlow:
         spec = GeneratorSpec(2, "builtin", batch, name="grid-aligned-leak")
         with pytest.raises(IntegrationDivergedError):
             evolve(spec, (0.3, 0.7), 5.0)
+
+
+FIG2_STARTS = (0.05, 0.2, 0.3, 0.45, 0.55, 0.6, 0.7, 0.9)
+
+
+class TestFlowRows:
+    @pytest.mark.parametrize(
+        "spec, starts, horizon",
+        [
+            pytest.param(corpus("bistable"), [(s, 1.0 - s) for s in FIG2_STARTS], 50.0, id="bistable-fig2"),
+            # Cells with coefficients other than 1.
+            pytest.param(
+                corpus("consumer", {"b": 2.0, "e": 3.0, "eps": 0.05, "lam": 0.5}),
+                np.random.default_rng(41).dirichlet(np.ones(3), size=5),
+                20.0,
+                id="consumer-skewed",
+            ),
+            # Rates with kinks.
+            pytest.param(
+                corpus("oscillator"),
+                [(0.5, 0.3, 0.2), *np.random.default_rng(42).dirichlet(np.ones(3), size=4)],
+                12.0,
+                id="oscillator",
+            ),
+        ],
+    )
+    def test_a_row_gets_the_same_bits_as_its_single_start_call(self, spec, starts, horizon):
+        flow = integrate_flow(spec, np.array(starts), horizon)
+        assert len(flow.offsets) == len(starts) + 1
+        assert len(set(flow.row_steps)) > 1, "rows should finish at different step counts"
+        assert flow.steps == sum(flow.row_steps)
+        assert flow.max_drift == max(flow.row_drifts)
+        for i, start in enumerate(starts):
+            alone, row = integrate_flow(spec, start, horizon), flow.row(i)
+            for name in ("ts", "ys", "fs"):
+                assert np.array_equal(getattr(row, name), getattr(alone, name))
+            assert (row.steps, row.max_drift) == (alone.steps, alone.max_drift)
+        trajectories = evolve(spec, starts, horizon)
+        assert len(trajectories) == len(starts)
+        for start, trajectory in zip(starts, trajectories):
+            alone = evolve(spec, start, horizon)
+            assert trajectory.to_csv_text() == alone.to_csv_text()
+            assert trajectory.max_drift == alone.max_drift
+
+    def test_one_start_is_a_one_row_flow(self):
+        spec = corpus("bistable")
+        flow = integrate_flow(spec, (0.3, 0.7), 5.0)
+        assert flow.offsets == (0, len(flow.ts))
+        assert (flow.row_steps, flow.row_drifts) == ((flow.steps,), (flow.max_drift,))
+        row = flow.row(0)
+        assert np.array_equal(row.ts, flow.ts) and row.steps == flow.steps
+        assert isinstance(evolve(spec, Distribution((0.3, 0.7)), 5.0), Trajectory)
+
+    def test_a_stacked_flow_interpolates_only_row_by_row(self):
+        spec = corpus("bistable")
+        flow = integrate_flow(spec, [(0.3, 0.7), (0.6, 0.4)], 5.0)
+        with pytest.raises(ValueError, match="row"):
+            flow.at(1.0)
+        assert np.array_equal(flow.row(1).at(1.0), integrate_flow(spec, (0.6, 0.4), 5.0).at(1.0))
+
+    def test_rejects_an_empty_stack(self):
+        with pytest.raises(ValueError):
+            integrate_flow(corpus("bistable"), np.empty((0, 2)), 1.0)
 
 
 class TestEvolve:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import nlmc.stationary
 from nlmc import (
     Distribution,
     ReducibleGeneratorError,
@@ -240,6 +241,20 @@ class TestFindInvariant:
         for k, together in enumerate(landings(rows)):
             (alone,) = landings(rows[k : k + 1])
             assert together is not None and np.array_equal(alone, together)
+
+    def test_the_flow_fallback_rides_every_cycling_seed_in_one_call(self, monkeypatch):
+        calls = []
+        original = nlmc.stationary.integrate_flow
+
+        def counting(spec, m0, horizon, controls=None):
+            calls.append(len(m0))
+            return original(spec, m0, horizon, controls)
+
+        monkeypatch.setattr(nlmc.stationary, "integrate_flow", counting)
+        found = find_invariant(corpus("bistable"), SimplexGrid(2, 20))
+        # One fallback round on grid 20, over the 4 seeds that cycle.
+        assert calls == [4]
+        assert len(found) == 3
 
     def test_json_export_is_deterministic_and_complete(self):
         found = find_invariant(corpus("bistable"), SimplexGrid(2, 20))
