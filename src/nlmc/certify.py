@@ -33,6 +33,7 @@ FD_STEP = 1e-6
 CHART_MARGIN = 0.02
 SCAN_MARGIN_TOL = 1e-10
 ROOT_REFINE_TOL = 1e-12
+ZERO_DRIFT_TOL = 1e-12
 DEFAULT_SCAN_RESOLUTION = 10_000
 
 CLAIM_UNIQUE = "unique-invariant-distribution"
@@ -141,6 +142,43 @@ def _defects(spec: GeneratorSpec, rows: np.ndarray) -> np.ndarray:
     return (x - points)[:, :-1]
 
 
+def _verdicts(claim: str, spec: GeneratorSpec, tolerances: dict, base_evidence: dict):
+    """The one certificate constructor of a run: ``verdict(outcome, reason, **evidence)``.
+
+    Every verdict carries ``claim``, the generator id, ``tolerances`` and
+    ``base_evidence`` extended by its own ``evidence``.
+    """
+
+    def verdict(outcome: str, reason: str, **evidence) -> Certificate:
+        return Certificate(
+            claim=claim,
+            verdict=outcome,
+            reason=reason,
+            generator_id=spec.generator_id,
+            evidence={**base_evidence, **evidence},
+            tolerances=tolerances,
+        )
+
+    return verdict
+
+
+def _sign_defect(values: np.ndarray, tol: float):
+    """Why ``values`` fail to share one sign with magnitude above ``tol``, or None.
+
+    ``("small", [weakest])`` names the first value of least magnitude when
+    that magnitude is at most ``tol``; ``("mixed", [first positive, first
+    negative])`` names the first value of each sign.
+    """
+    magnitude = np.abs(values)
+    weakest = int(np.argmin(magnitude))
+    if magnitude[weakest] <= tol:
+        return "small", [weakest]
+    signs = np.sign(values)
+    if signs.min() != signs.max():
+        return "mixed", [int(np.argmax(signs > 0)), int(np.argmax(signs < 0))]
+    return None
+
+
 def certify_unique(spec: GeneratorSpec, grid: SimplexGrid, h: float = FD_STEP) -> Certificate:
     """Certify uniqueness of the invariant distribution by a degree argument.
 
@@ -154,27 +192,24 @@ def certify_unique(spec: GeneratorSpec, grid: SimplexGrid, h: float = FD_STEP) -
         raise ValueError(
             f"grid dimension {grid.dimension} does not match generator dimension {spec.dimension}"
         )
-    tolerances = {"determinant": TOL_DET, "rate_floor": RATE_FLOOR, "fd_step": h}
-    base_evidence = {
-        "grid_resolution": grid.resolution,
-        "points_checked": len(grid),
-        "label": "grid-certified",
-    }
+    verdict = _verdicts(
+        CLAIM_UNIQUE,
+        spec,
+        {"determinant": TOL_DET, "rate_floor": RATE_FLOOR, "fd_step": h},
+        {
+            "grid_resolution": grid.resolution,
+            "points_checked": len(grid),
+            "label": "grid-certified",
+        },
+    )
     points = grid.array
     reducible = np.flatnonzero(~_irreducible(spec.rates_batch(points)))
     if reducible.size:
-        witnesses = [points[n] for n in reducible[:_WITNESS_CAP]]
-        return Certificate(
-            claim=CLAIM_UNIQUE,
-            verdict="REFUTED",
-            reason="precondition: frozen chain reducible at a grid point",
-            generator_id=spec.generator_id,
-            evidence={
-                **base_evidence,
-                "witnesses": witnesses,
-                "reducible_points": len(reducible),
-            },
-            tolerances=tolerances,
+        return verdict(
+            "REFUTED",
+            "precondition: frozen chain reducible at a grid point",
+            witnesses=[points[n] for n in reducible[:_WITNESS_CAP]],
+            reducible_points=len(reducible),
         )
 
     d = spec.dimension - 1
@@ -182,78 +217,47 @@ def certify_unique(spec: GeneratorSpec, grid: SimplexGrid, h: float = FD_STEP) -
         jacobians = _chart_jacobian(lambda rows: _defects(spec, rows), points[:, :d], h)
     except CertificateEvaluationError as exc:
         # Probes come row by row, 2d per grid point.
-        return Certificate(
-            claim=CLAIM_UNIQUE,
-            verdict="INCONCLUSIVE",
-            reason="determinant could not be evaluated at a grid point",
-            generator_id=spec.generator_id,
-            evidence={
-                **base_evidence,
-                "witnesses": [points[exc.probe // (2 * d)]],
-                "detail": str(exc),
-            },
-            tolerances=tolerances,
+        return verdict(
+            "INCONCLUSIVE",
+            "determinant could not be evaluated at a grid point",
+            witnesses=[points[exc.probe // (2 * d)]],
+            detail=str(exc),
         )
     dets = np.linalg.det(jacobians)
-    abs_dets = np.abs(dets)
-    weakest = int(np.argmin(abs_dets))
-    if abs_dets[weakest] <= TOL_DET:
-        return Certificate(
-            claim=CLAIM_UNIQUE,
-            verdict="INCONCLUSIVE",
-            reason="determinant magnitude below tolerance",
-            generator_id=spec.generator_id,
-            evidence={
-                **base_evidence,
-                "witnesses": [points[weakest]],
-                "min_abs_determinant": float(abs_dets[weakest]),
-            },
-            tolerances=tolerances,
+    defect = _sign_defect(dets, TOL_DET)
+    if defect is not None:
+        kind, at = defect
+        if kind == "small":
+            return verdict(
+                "INCONCLUSIVE",
+                "determinant magnitude below tolerance",
+                witnesses=[points[at[0]]],
+                min_abs_determinant=float(abs(dets[at[0]])),
+            )
+        return verdict(
+            "INCONCLUSIVE",
+            "determinant changes sign across the grid",
+            witnesses=[points[n] for n in at],
+            determinants=[float(dets[n]) for n in at],
         )
-    signs = np.sign(dets)
-    if signs.min() != signs.max():
-        first_pos = int(np.argmax(signs > 0))
-        first_neg = int(np.argmax(signs < 0))
-        return Certificate(
-            claim=CLAIM_UNIQUE,
-            verdict="INCONCLUSIVE",
-            reason="determinant changes sign across the grid",
-            generator_id=spec.generator_id,
-            evidence={
-                **base_evidence,
-                "witnesses": [points[first_pos], points[first_neg]],
-                "determinants": [float(dets[first_pos]), float(dets[first_neg])],
-            },
-            tolerances=tolerances,
-        )
+    sign = float(np.sign(dets[0]))
     expected = -1.0 if spec.dimension % 2 == 0 else 1.0
-    if float(signs[0]) != expected:
-        return Certificate(
-            claim=CLAIM_UNIQUE,
-            verdict="INCONCLUSIVE",
-            reason="determinant sign contradicts the degree identity",
-            generator_id=spec.generator_id,
-            evidence={
-                **base_evidence,
-                "witnesses": [points[0]],
-                "determinant_sign": float(signs[0]),
-                "expected_sign": expected,
-            },
-            tolerances=tolerances,
+    if sign != expected:
+        return verdict(
+            "INCONCLUSIVE",
+            "determinant sign contradicts the degree identity",
+            witnesses=[points[0]],
+            determinant_sign=sign,
+            expected_sign=expected,
         )
-    return Certificate(
-        claim=CLAIM_UNIQUE,
-        verdict="CERTIFIED",
-        reason="uniform determinant sign matching the degree identity",
-        generator_id=spec.generator_id,
-        evidence={
-            **base_evidence,
-            "determinant_sign": float(signs[0]),
-            "min_abs_determinant": float(abs_dets.min()),
-            "max_abs_determinant": float(abs_dets.max()),
-            "margin": float(abs_dets.min() - TOL_DET),
-        },
-        tolerances=tolerances,
+    abs_dets = np.abs(dets)
+    return verdict(
+        "CERTIFIED",
+        "uniform determinant sign matching the degree identity",
+        determinant_sign=sign,
+        min_abs_determinant=float(abs_dets.min()),
+        max_abs_determinant=float(abs_dets.max()),
+        margin=float(abs_dets.min() - TOL_DET),
     )
 
 
@@ -268,16 +272,26 @@ def scalar_drift(spec: GeneratorSpec) -> Callable[[float], float]:
     return f
 
 
-def _bisect(f: Callable[[float], float], a: float, b: float, fa: float) -> float:
-    while b - a > ROOT_REFINE_TOL:
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fa > 0) == (fm > 0):
-            a, fa = mid, fm
-        else:
-            b = mid
+def _bisect_rows(spec: GeneratorSpec, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
+    """Roots of the scalar drift in the brackets [a, b], with ``fa`` the drift at ``a``.
+
+    All brackets are halved together, one ``drift_batch`` call per halving.
+    A row stops when its width is at most ``ROOT_REFINE_TOL`` (its root is
+    the bracket's midpoint) or when the drift at a midpoint is exactly 0.0
+    (its root is that midpoint).
+    """
+    a, b, fa = a.copy(), b.copy(), fa.copy()
+    live = np.flatnonzero(b - a > ROOT_REFINE_TOL)
+    while live.size:
+        mid = 0.5 * (a[live] + b[live])
+        fm = spec.drift_batch(np.column_stack([mid, 1.0 - mid]))[:, 0]
+        right = (fa[live] > 0) == (fm > 0)
+        a[live[right]], fa[live[right]] = mid[right], fm[right]
+        b[live[~right]] = mid[~right]
+        # An exact zero collapses the bracket onto its midpoint.
+        zero = fm == 0.0
+        a[live[zero]] = b[live[zero]] = mid[zero]
+        live = live[b[live] - a[live] > ROOT_REFINE_TOL]
     return 0.5 * (a + b)
 
 
@@ -297,99 +311,52 @@ def certify_ergodic_2(
     if scan_resolution < 10:
         raise ValueError("scan_resolution must be at least 10")
     spec.require_valid()
-    tolerances = {
-        "margin": SCAN_MARGIN_TOL,
-        "root_refine": ROOT_REFINE_TOL,
-        "zero": 1e-12,
-    }
     xs = np.linspace(0.0, 1.0, scan_resolution + 1)
-    pts = np.column_stack([xs, 1.0 - xs])
-    vals = spec.drift_batch(pts)[:, 0]
-    f = scalar_drift(spec)
-    zero_atol = tolerances["zero"]
-
-    raw_roots = [float(xs[i]) for i in range(xs.size) if abs(vals[i]) <= zero_atol]
-    for i in range(xs.size - 1):
-        if abs(vals[i]) <= zero_atol or abs(vals[i + 1]) <= zero_atol:
-            continue
-        if (vals[i] > 0) != (vals[i + 1] > 0):
-            raw_roots.append(_bisect(f, float(xs[i]), float(xs[i + 1]), float(vals[i])))
-    raw_roots.sort()
-    merge_radius = 2.0 / scan_resolution
+    vals = spec.drift_batch(np.column_stack([xs, 1.0 - xs]))[:, 0]
+    near = np.abs(vals) <= ZERO_DRIFT_TOL
+    flips = np.flatnonzero(~near[:-1] & ~near[1:] & ((vals[:-1] > 0) != (vals[1:] > 0)))
+    bisected = _bisect_rows(spec, xs[flips], xs[flips + 1], vals[flips])
+    # Roots closer than ``window`` merge, and the margins skip ``window`` around the root.
+    window = 2.0 / scan_resolution
     roots: list[float] = []
-    for r in raw_roots:
-        if roots and r - roots[-1] <= merge_radius:
-            continue
-        roots.append(r)
+    for r in np.sort(np.concatenate([xs[near], bisected])).tolist():
+        if not roots or r - roots[-1] > window:
+            roots.append(r)
 
-    base_evidence = {"scan_resolution": scan_resolution, "roots": list(roots)}
+    verdict = _verdicts(
+        CLAIM_ERGODIC,
+        spec,
+        {"margin": SCAN_MARGIN_TOL, "root_refine": ROOT_REFINE_TOL, "zero": ZERO_DRIFT_TOL},
+        {"scan_resolution": scan_resolution, "roots": roots},
+    )
     if not roots:
-        return Certificate(
-            claim=CLAIM_ERGODIC,
-            verdict="INCONCLUSIVE",
-            reason="the drift scan located no rest point",
-            generator_id=spec.generator_id,
-            evidence=base_evidence,
-            tolerances=tolerances,
-        )
+        return verdict("INCONCLUSIVE", "the drift scan located no rest point")
     if len(roots) > 1:
-        return Certificate(
-            claim=CLAIM_ERGODIC,
-            verdict="REFUTED",
-            reason="uniqueness fails: the scalar drift has multiple rest points",
-            generator_id=spec.generator_id,
-            evidence={**base_evidence, "witnesses": [[r, 1.0 - r] for r in roots]},
-            tolerances=tolerances,
+        return verdict(
+            "REFUTED",
+            "uniqueness fails: the scalar drift has multiple rest points",
+            witnesses=[[r, 1.0 - r] for r in roots],
         )
     root = roots[0]
-    window = 2.0 / scan_resolution
-    left = vals[xs < root - window]
-    right = vals[xs > root + window]
     margins = []
-    if left.size:
-        if float(left.min()) <= SCAN_MARGIN_TOL:
-            x = float(xs[xs < root - window][int(np.argmin(left))])
-            return Certificate(
-                claim=CLAIM_ERGODIC,
-                verdict="INCONCLUSIVE",
-                reason="drift is not uniformly positive left of the rest point",
-                generator_id=spec.generator_id,
-                evidence={**base_evidence, "witnesses": [[x, 1.0 - x]]},
-                tolerances=tolerances,
-            )
-        margins.append(float(left.min()))
-    if right.size:
-        if float(right.max()) >= -SCAN_MARGIN_TOL:
-            x = float(xs[xs > root + window][int(np.argmax(right))])
-            return Certificate(
-                claim=CLAIM_ERGODIC,
-                verdict="INCONCLUSIVE",
-                reason="drift is not uniformly negative right of the rest point",
-                generator_id=spec.generator_id,
-                evidence={**base_evidence, "witnesses": [[x, 1.0 - x]]},
-                tolerances=tolerances,
-            )
-        margins.append(float(right.max()) * -1.0)
+    for side, sign, reason in (
+        (xs < root - window, 1.0, "drift is not uniformly positive left of the rest point"),
+        (xs > root + window, -1.0, "drift is not uniformly negative right of the rest point"),
+    ):
+        signed = sign * vals[side]
+        if signed.size:
+            weakest = int(np.argmin(signed))
+            if float(signed[weakest]) <= SCAN_MARGIN_TOL:
+                x = float(xs[side][weakest])
+                return verdict("INCONCLUSIVE", reason, witnesses=[[x, 1.0 - x]])
+            margins.append(float(signed[weakest]))
     if not margins:
-        return Certificate(
-            claim=CLAIM_ERGODIC,
-            verdict="INCONCLUSIVE",
-            reason="scan too coarse to bracket the rest point",
-            generator_id=spec.generator_id,
-            evidence=base_evidence,
-            tolerances=tolerances,
-        )
-    return Certificate(
-        claim=CLAIM_ERGODIC,
-        verdict="CERTIFIED",
-        reason="unique attracting rest point of the scalar drift",
-        generator_id=spec.generator_id,
-        evidence={
-            **base_evidence,
-            "rest_point": [root, 1.0 - root],
-            "margin": min(margins),
-        },
-        tolerances=tolerances,
+        return verdict("INCONCLUSIVE", "scan too coarse to bracket the rest point")
+    return verdict(
+        "CERTIFIED",
+        "unique attracting rest point of the scalar drift",
+        rest_point=[root, 1.0 - root],
+        margin=min(margins),
     )
 
 
@@ -398,12 +365,11 @@ class ReducedSystem:
     """Planar reduction of a three-state marginal flow on the chart (m1, m2).
 
     The third coordinate is eliminated through m3 = 1 - m1 - m2; the chart
-    extends ``chart_margin`` beyond the simplex so derivative sweeps can
+    extends ``CHART_MARGIN`` beyond the simplex so derivative sweeps can
     cover a closed neighborhood.
     """
 
     spec: GeneratorSpec
-    chart_margin: float = CHART_MARGIN
 
     def drift_batch(self, u: np.ndarray) -> np.ndarray:
         return self.spec.drift_batch(_chart_embed(u))[:, :2]
@@ -414,26 +380,23 @@ class ReducedSystem:
     def divergence_batch(self, u: np.ndarray, h: float = FD_STEP) -> np.ndarray:
         return np.trace(_chart_jacobian(self.drift_batch, u, h), axis1=1, axis2=2)
 
-    def divergence(self, u1: float, u2: float, h: float = FD_STEP) -> float:
-        return float(self.divergence_batch(np.array([[u1, u2]]), h)[0])
-
     def jacobian(self, u1: float, u2: float, h: float = FD_STEP) -> np.ndarray:
         return _chart_jacobian(self.drift_batch, np.array([[u1, u2]]), h)[0]
 
     def lattice(self, resolution: int) -> np.ndarray:
-        """Sweep points covering the chart extended by ``chart_margin``."""
-        eps = self.chart_margin
+        """Sweep points covering the chart extended by ``CHART_MARGIN``."""
+        eps = CHART_MARGIN
         vals = np.linspace(-eps, 1.0 + eps, resolution + 1)
         u1, u2 = np.meshgrid(vals, vals, indexing="ij")
         keep = (u1 + u2) <= 1.0 + eps + 1e-12
         return np.column_stack([u1[keep], u2[keep]])
 
 
-def reduced_system(spec: GeneratorSpec, chart_margin: float = CHART_MARGIN) -> ReducedSystem:
+def reduced_system(spec: GeneratorSpec) -> ReducedSystem:
     """Planar reduction of a three-state generator's marginal flow."""
     if spec.dimension != 3:
         raise ValueError("the planar reduction requires a three-state generator")
-    return ReducedSystem(spec=spec, chart_margin=chart_margin)
+    return ReducedSystem(spec=spec)
 
 
 def certify_ergodic_3(spec: GeneratorSpec, grid: SimplexGrid, h: float = FD_STEP) -> Certificate:
@@ -447,43 +410,31 @@ def certify_ergodic_3(spec: GeneratorSpec, grid: SimplexGrid, h: float = FD_STEP
     if spec.dimension != 3:
         raise ValueError("this certificate requires a three-state generator")
     spec.require_valid()
-    tolerances = {
-        "divergence": DIV_TOL,
-        "saddle": TOL_DET,
-        "invariant": TOL_INVARIANT,
-        "fd_step": h,
-    }
-    base_evidence = {
-        "grid_resolution": grid.resolution,
-        "chart_margin": CHART_MARGIN,
-    }
+    base_evidence = {"grid_resolution": grid.resolution, "chart_margin": CHART_MARGIN}
     if spec.extension == "clamped":
         base_evidence["extension_note"] = (
             "rates use a clamped extension outside their native region; "
             "derivative sweeps across the clamp boundary are one-sided"
         )
+    verdict = _verdicts(
+        CLAIM_ERGODIC,
+        spec,
+        {"divergence": DIV_TOL, "saddle": TOL_DET, "invariant": TOL_INVARIANT, "fd_step": h},
+        base_evidence,
+    )
 
     stationary = find_invariant(spec, grid)
     if len(stationary) == 0:
-        return Certificate(
-            claim=CLAIM_ERGODIC,
-            verdict="INCONCLUSIVE",
-            reason="no invariant distribution found from any seed",
-            generator_id=spec.generator_id,
-            evidence={**base_evidence, "failed_seeds": stationary.failed_seeds},
-            tolerances=tolerances,
+        return verdict(
+            "INCONCLUSIVE",
+            "no invariant distribution found from any seed",
+            failed_seeds=stationary.failed_seeds,
         )
     if len(stationary) > 1:
-        return Certificate(
-            claim=CLAIM_ERGODIC,
-            verdict="REFUTED",
-            reason="uniqueness fails: multiple invariant distributions found",
-            generator_id=spec.generator_id,
-            evidence={
-                **base_evidence,
-                "witnesses": [r.point for r in stationary],
-            },
-            tolerances=tolerances,
+        return verdict(
+            "REFUTED",
+            "uniqueness fails: multiple invariant distributions found",
+            witnesses=[r.point for r in stationary],
         )
     rest = stationary.results[0]
     rest_u = rest.point.probs[:2]
@@ -491,76 +442,52 @@ def certify_ergodic_3(spec: GeneratorSpec, grid: SimplexGrid, h: float = FD_STEP
     system = reduced_system(spec)
     sweep = system.lattice(grid.resolution)
     divergence = system.divergence_batch(sweep, h)
-    abs_div = np.abs(divergence)
-    weakest = int(np.argmin(abs_div))
     evidence = {
-        **base_evidence,
         "rest_point": rest.point,
         "rest_point_residual": rest.residual,
         "sweep_points": int(sweep.shape[0]),
     }
-    if abs_div[weakest] <= DIV_TOL:
-        return Certificate(
-            claim=CLAIM_ERGODIC,
-            verdict="INCONCLUSIVE",
-            reason="reduced-flow divergence magnitude below tolerance",
-            generator_id=spec.generator_id,
-            evidence={
+    defect = _sign_defect(divergence, DIV_TOL)
+    if defect is not None:
+        kind, at = defect
+        if kind == "small":
+            return verdict(
+                "INCONCLUSIVE",
+                "reduced-flow divergence magnitude below tolerance",
                 **evidence,
-                "witnesses": [sweep[weakest]],
-                "min_abs_divergence": float(abs_div[weakest]),
-            },
-            tolerances=tolerances,
-        )
-    signs = np.sign(divergence)
-    if signs.min() != signs.max():
-        first_pos = int(np.argmax(signs > 0))
-        first_neg = int(np.argmax(signs < 0))
-        return Certificate(
-            claim=CLAIM_ERGODIC,
-            verdict="INCONCLUSIVE",
-            reason="reduced-flow divergence changes sign on the extended chart",
-            generator_id=spec.generator_id,
-            evidence={
-                **evidence,
-                "witnesses": [sweep[first_pos], sweep[first_neg]],
-            },
-            tolerances=tolerances,
+                witnesses=[sweep[at[0]]],
+                min_abs_divergence=float(abs(divergence[at[0]])),
+            )
+        return verdict(
+            "INCONCLUSIVE",
+            "reduced-flow divergence changes sign on the extended chart",
+            **evidence,
+            witnesses=[sweep[n] for n in at],
         )
     jac = system.jacobian(float(rest_u[0]), float(rest_u[1]), h)
     det = float(np.linalg.det(jac))
     trace = float(np.trace(jac))
     discriminant = trace * trace - 4.0 * det
-    saddle_margins = []
-    if det > TOL_DET:
-        saddle_margins.append(det - TOL_DET)
-    if discriminant < -TOL_DET:
-        saddle_margins.append(-discriminant - TOL_DET)
+    saddle_margins = [value - TOL_DET for value in (det, -discriminant) if value > TOL_DET]
+    min_abs_divergence = float(np.abs(divergence).min())
     evidence.update(
-        {
-            "divergence_sign": float(signs[0]),
-            "min_abs_divergence": float(abs_div.min()),
-            "jacobian": jac,
-            "jacobian_determinant": det,
-            "jacobian_trace": trace,
-            "saddle_discriminant": discriminant,
-        }
+        divergence_sign=float(np.sign(divergence[0])),
+        min_abs_divergence=min_abs_divergence,
+        jacobian=jac,
+        jacobian_determinant=det,
+        jacobian_trace=trace,
+        saddle_discriminant=discriminant,
     )
     if not saddle_margins:
-        return Certificate(
-            claim=CLAIM_ERGODIC,
-            verdict="INCONCLUSIVE",
-            reason="rest-point linearization may be a saddle",
-            generator_id=spec.generator_id,
-            evidence={**evidence, "witnesses": [rest.point]},
-            tolerances=tolerances,
+        return verdict(
+            "INCONCLUSIVE",
+            "rest-point linearization may be a saddle",
+            **evidence,
+            witnesses=[rest.point],
         )
-    margin = min(float(abs_div.min()) - DIV_TOL, max(saddle_margins))
-    return Certificate(
-        claim=CLAIM_ERGODIC,
-        verdict="CERTIFIED",
-        reason="unique rest point, dissipative reduced flow, non-saddle linearization",
-        generator_id=spec.generator_id,
-        evidence={**evidence, "margin": margin},
-        tolerances=tolerances,
+    return verdict(
+        "CERTIFIED",
+        "unique rest point, dissipative reduced flow, non-saddle linearization",
+        **evidence,
+        margin=min(min_abs_divergence - DIV_TOL, max(saddle_margins)),
     )

@@ -20,7 +20,7 @@ import numpy as np
 from .certify import FD_STEP, certify_ergodic_2, certify_ergodic_3, certify_unique
 from .errors import NlmcError
 from .generator import CORPUS_NAMES, CORPUS_SUMMARY, GeneratorSpec, corpus, load_generator
-from .semigroup import MAX_HORIZON, IntegratorControls, evolve, sample_path
+from .semigroup import IntegratorControls, _check_horizon, evolve, sample_path
 from .simplex import SimplexGrid
 from .stationary import find_invariant
 
@@ -78,12 +78,9 @@ class RunConfig:
                 raise ValueError(f"{self.command} requires --m0")
             if self.horizon is None:
                 raise ValueError(f"{self.command} requires --horizon")
-        if self.horizon is not None and not (0.0 < self.horizon <= MAX_HORIZON):
-            raise ValueError(f"horizon must lie in (0, {MAX_HORIZON:g}]")
-        if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
-            raise ValueError("rtol and atol must be positive and finite")
-        if self.sample_every is not None and not (0.0 < self.sample_every < math.inf):
-            raise ValueError("sample-every must be positive and finite")
+        if self.horizon is not None:
+            _check_horizon(self.horizon)
+        self.controls  # the integrator's own checks refuse bad tolerances and sampling
         if not (1 <= self.grid_resolution <= MAX_GRID_RESOLUTION):
             raise ValueError(f"grid resolution must lie in 1..{MAX_GRID_RESOLUTION}")
         if not (10 <= self.scan_resolution <= MAX_SCAN_RESOLUTION):
@@ -94,6 +91,10 @@ class RunConfig:
             raise ValueError("seed must be non-negative")
         if self.command == "reproduce" and self.figure not in ("fig1", "fig2"):
             raise ValueError("reproduce requires a figure: fig1 or fig2")
+
+    @property
+    def controls(self) -> IntegratorControls:
+        return IntegratorControls(rtol=self.rtol, atol=self.atol, sample_every=self.sample_every)
 
 
 def _load_spec(config: RunConfig) -> GeneratorSpec:
@@ -135,9 +136,7 @@ def run(config: RunConfig) -> int:
         return 0
 
     spec = _load_spec(config)
-    controls = IntegratorControls(
-        rtol=config.rtol, atol=config.atol, sample_every=config.sample_every
-    )
+    controls = config.controls
     out = _out_path(config)
 
     if config.command == "simulate":

@@ -549,6 +549,11 @@ def save_generator(spec: GeneratorSpec, path) -> None:
         handle.write(generator_to_json(spec))
 
 
+def _is_json_int(value) -> bool:
+    """True for a JSON integer; ``bool`` subclasses ``int`` in Python but is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def generator_from_json(text: str) -> GeneratorSpec:
     """Parse generator JSON text, reporting position information on failure."""
     try:
@@ -564,7 +569,7 @@ def generator_from_json(text: str) -> GeneratorSpec:
     if doc.get("version") != FILE_VERSION:
         raise GeneratorFileError(f"unsupported version {doc.get('version')!r}")
     dimension = doc.get("dimension")
-    if not isinstance(dimension, int) or dimension < 1:
+    if not _is_json_int(dimension) or dimension < 1:
         raise GeneratorFileError("dimension must be a positive integer")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
@@ -577,11 +582,10 @@ def generator_from_json(text: str) -> GeneratorSpec:
         where = f"cells[{pos}]"
         if not isinstance(entry, dict):
             raise GeneratorFileError(f"{where} must be an object")
-        try:
-            i = int(entry["from"]) - 1
-            j = int(entry["to"]) - 1
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GeneratorFileError(f"{where} needs integer 'from' and 'to' fields") from exc
+        for key in ("from", "to"):
+            if not _is_json_int(entry.get(key)):
+                raise GeneratorFileError(f"{where}.{key} must be an integer")
+        i, j = entry["from"] - 1, entry["to"] - 1
         if not (0 <= i < dimension and 0 <= j < dimension):
             raise GeneratorFileError(f"{where} indices out of range 1..{dimension}")
         if i == j:
@@ -601,7 +605,7 @@ def generator_from_json(text: str) -> GeneratorSpec:
             if (
                 not isinstance(exps, list)
                 or len(exps) != dimension
-                or not all(isinstance(e, int) and e >= 0 for e in exps)
+                or not all(_is_json_int(e) and e >= 0 for e in exps)
             ):
                 raise GeneratorFileError(
                     f"{twhere}.exponents must be {dimension} non-negative integers"

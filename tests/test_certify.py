@@ -1,6 +1,7 @@
 """Uniqueness and ergodicity certificates: chart Jacobians, sweeps, verdicts."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import nlmc.certify
 from nlmc import (
     Certificate,
     CertificateEvaluationError,
+    GeneratorSpec,
     SimplexGrid,
     build_M,
     certify_ergodic_2,
@@ -253,6 +255,79 @@ class TestCertifyErgodicTwoStates:
         certificate = certify_ergodic_2(spec)
         assert certificate.verdict == "CERTIFIED"
         assert certificate.evidence["rest_point"][0] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scan", [10, 37])
+    def test_lockstep_roots_match_a_scalar_bisection(self, scan):
+        def bisect(f, a, b, fa):
+            while b - a > nlmc.certify.ROOT_REFINE_TOL:
+                mid = 0.5 * (a + b)
+                fm = f(mid)
+                if fm == 0.0:
+                    return mid
+                if (fa > 0) == (fm > 0):
+                    a, fa = mid, fm
+                else:
+                    b = mid
+            return 0.5 * (a + b)
+
+        def reference_roots(spec):
+            f = scalar_drift(spec)
+            xs = np.linspace(0.0, 1.0, scan + 1).tolist()
+            vals = [f(x) for x in xs]
+            near = [abs(v) <= nlmc.certify.ZERO_DRIFT_TOL for v in vals]
+            raw = [x for x, zero in zip(xs, near) if zero]
+            for k in range(scan):
+                if not (near[k] or near[k + 1]) and (vals[k] > 0) != (vals[k + 1] > 0):
+                    raw.append(bisect(f, xs[k], xs[k + 1], vals[k]))
+            roots = []
+            for r in sorted(raw):
+                if not roots or r - roots[-1] > 2.0 / scan:
+                    roots.append(r)
+            return roots
+
+        rng = np.random.default_rng(scan)
+        for _ in range(12):
+            # q12 = a (m1 - r)^2 + c and q21 = d m1^2 + e m1 + g give up to three roots.
+            a, r, c, d, e, g = rng.uniform([0.5, 0.0, 0.0, 0.0, 0.0, 0.0], [20, 1, 1, 3, 3, 1])
+            spec = polynomial_generator(
+                2,
+                {
+                    (0, 1): [((2, 0), a), ((1, 0), -2.0 * a * r), ((0, 0), a * r * r + c)],
+                    (1, 0): [((2, 0), d), ((1, 0), e), ((0, 0), g)],
+                },
+            )
+            roots = certify_ergodic_2(spec, scan).evidence["roots"]
+            assert roots == reference_roots(spec)
+            assert roots
+
+    @staticmethod
+    def _count_rate_calls(monkeypatch) -> list:
+        calls = []
+        original = GeneratorSpec.rates_batch
+        monkeypatch.setattr(
+            GeneratorSpec, "rates_batch", lambda self, pts: calls.append(1) or original(self, pts)
+        )
+        return calls
+
+    def test_midpoint_with_exact_zero_drift_is_the_root(self, monkeypatch):
+        # Drift 3 - 32 m1 vanishes exactly at 3/32, the midpoint of the
+        # scan bracket [1/16, 2/16], so the first halving ends the bisection.
+        spec = constant_generator([[-29.0, 29.0], [3.0, -3.0]])
+        spec.require_valid()
+        calls = self._count_rate_calls(monkeypatch)
+        certificate = certify_ergodic_2(spec, 16)
+        assert certificate.evidence["roots"] == [0.09375]
+        assert certificate.verdict == "CERTIFIED"
+        assert len(calls) == 2
+
+    def test_all_brackets_share_one_rate_call_per_halving(self, monkeypatch):
+        spec = corpus("bistable")
+        spec.require_valid()
+        calls = self._count_rate_calls(monkeypatch)
+        certificate = certify_ergodic_2(spec, 37)
+        assert len(certificate.evidence["roots"]) == 3
+        halvings = math.ceil(math.log2((1.0 / 37) / nlmc.certify.ROOT_REFINE_TOL))
+        assert len(calls) <= 1 + halvings
 
     def test_wrong_dimension_and_bad_scan_raise(self):
         with pytest.raises(ValueError):

@@ -371,6 +371,19 @@ class TestGeneratorFile:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_boolean_dimension_exits_one(self, tmp_path, capsys):
+        # "dimension": true used to pass as 1 and fail deep in the rate table.
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"format": "nlmc-generator", "version": 1, "dimension": true, "cells": []}',
+            encoding="utf-8",
+        )
+        out = tmp_path / "o.json"
+        code = main(["invariant", "--generator-file", str(bad), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = main(
             [

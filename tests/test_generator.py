@@ -464,6 +464,29 @@ class TestFileErrors:
         with pytest.raises(GeneratorFileError):
             generator_from_json(doc('[{"exponents": [1, 0], "coefficient": Infinity}]'))
 
+    def test_dimension_indices_and_exponents_must_be_json_integers(self):
+        # int() truncated 1.9 to state 1 and read the string "2" as state 2,
+        # and JSON true passed as the integer 1.
+        good = generator_to_json(corpus("bistable"))
+        cases = [
+            (good.replace('"from": 1,', '"from": 1.9,'), r"cells\[0\]\.from"),
+            (good.replace('"to": 2', '"to": "2"'), r"cells\[0\]\.to"),
+            (good.replace('"to": 1', '"to": true'), r"cells\[1\]\.to"),
+            (
+                '{"format": "nlmc-generator", "version": 1, "dimension": 2, "cells": '
+                '[{"from": 1, "to": 2, "terms": [{"exponents": [true, false], '
+                '"coefficient": 1.0}]}]}',
+                "exponents",
+            ),
+            (
+                '{"format": "nlmc-generator", "version": 1, "dimension": true, "cells": []}',
+                "dimension",
+            ),
+        ]
+        for text, needle in cases:
+            with pytest.raises(GeneratorFileError, match=needle):
+                generator_from_json(text)
+
     def test_missing_file_raises_os_error(self, tmp_path):
         with pytest.raises(OSError):
             load_generator(tmp_path / "does-not-exist.json")
