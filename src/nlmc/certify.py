@@ -304,7 +304,8 @@ def certify_ergodic_2(
     sign change by bisection, and requires exactly one root with the drift
     uniformly positive to its left and negative to its right (margins
     recorded).  Multiple roots refute ergodicity outright, since each is a
-    rest point of the marginal flow.
+    rest point of the marginal flow; the evidence lists at most
+    ``_WITNESS_CAP`` of them and then counts them all in ``root_count``.
     """
     if spec.dimension != 2:
         raise ValueError("this certificate requires a two-state generator")
@@ -323,11 +324,14 @@ def certify_ergodic_2(
         if not roots or r - roots[-1] > window:
             roots.append(r)
 
+    base = {"scan_resolution": scan_resolution, "roots": roots[:_WITNESS_CAP]}
+    if len(roots) > _WITNESS_CAP:
+        base["root_count"] = len(roots)
     verdict = _verdicts(
         CLAIM_ERGODIC,
         spec,
         {"margin": SCAN_MARGIN_TOL, "root_refine": ROOT_REFINE_TOL, "zero": ZERO_DRIFT_TOL},
-        {"scan_resolution": scan_resolution, "roots": roots},
+        base,
     )
     if not roots:
         return verdict("INCONCLUSIVE", "the drift scan located no rest point")
@@ -335,7 +339,7 @@ def certify_ergodic_2(
         return verdict(
             "REFUTED",
             "uniqueness fails: the scalar drift has multiple rest points",
-            witnesses=[[r, 1.0 - r] for r in roots],
+            witnesses=[[r, 1.0 - r] for r in base["roots"]],
         )
     root = roots[0]
     margins = []

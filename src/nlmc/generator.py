@@ -421,16 +421,17 @@ def validate(spec: GeneratorSpec, grid: SimplexGrid | None = None) -> Validation
     off_mask = ~np.eye(spec.dimension, dtype=bool)
     off_min = np.where(off_mask[None, :, :], q, np.inf).min(axis=(1, 2))
     row_worst = np.max(np.abs(q.sum(axis=2)), axis=1)
-    for n in range(points.shape[0]):
-        point = tuple(float(x) for x in points[n])
+    negative = finite & (off_min < -OFFDIAG_TOL)
+    unbalanced = finite & (row_worst > ROWSUM_TOL)
+    for n in np.flatnonzero(~finite | negative | unbalanced):
+        point = tuple(points[n].tolist())
         if not finite[n]:
             violations.append(GridViolation(point, "non-finite rates"))
-            continue
-        if off_min[n] < -OFFDIAG_TOL:
+        if negative[n]:
             violations.append(
                 GridViolation(point, f"negative off-diagonal rate {float(off_min[n]):.6e}")
             )
-        if row_worst[n] > ROWSUM_TOL:
+        if unbalanced[n]:
             violations.append(
                 GridViolation(point, f"row sum off by {float(row_worst[n]):.6e}")
             )

@@ -10,7 +10,6 @@ precomputed marginal flow.
 
 from __future__ import annotations
 
-import io
 import math
 import weakref
 from dataclasses import dataclass
@@ -158,12 +157,11 @@ class Trajectory:
 
     def to_csv_text(self) -> str:
         """CSV with header ``t,m_1,...,m_S``; floats use repeatable %.17g."""
-        out = io.StringIO()
         s = self.states.shape[1]
-        out.write("t," + ",".join(f"m_{j + 1}" for j in range(s)) + "\n")
-        for t, row in zip(self.times, self.states):
-            out.write(f"{t:.17g}," + ",".join(f"{x:.17g}" for x in row) + "\n")
-        return out.getvalue()
+        header = "t," + ",".join(f"m_{j + 1}" for j in range(s)) + "\n"
+        line = ",".join(["%.17g"] * (s + 1)) + "\n"
+        values = np.column_stack((self.times, self.states)).ravel().tolist()
+        return header + (line * self.times.size) % tuple(values)
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -204,12 +202,10 @@ class JumpPath:
         return float(np.diff(edges)[holders == state].sum())
 
     def to_csv_text(self) -> str:
-        out = io.StringIO()
-        out.write("t,state\n")
-        out.write(f"{0.0:.17g},{self.initial_state + 1}\n")
-        for t, s in zip(self.jump_times, self.states_visited):
-            out.write(f"{t:.17g},{int(s) + 1}\n")
-        return out.getvalue()
+        times = np.concatenate(([0.0], self.jump_times))
+        states = np.concatenate(([self.initial_state], self.states_visited)) + 1
+        values = np.column_stack((times, states)).ravel().tolist()
+        return "t,state\n" + ("%.17g,%d\n" * times.size) % tuple(values)
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as handle:

@@ -12,6 +12,9 @@ Three tolerance tiers are used throughout the package:
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 from .errors import IntegrationDivergedError
@@ -93,10 +96,14 @@ class SimplexGrid:
             raise ValueError("resolution must be at least 1")
         self.dimension = int(dimension)
         self.resolution = int(resolution)
-        counts = np.array(
-            list(_compositions(self.resolution, self.dimension)), dtype=float
-        )
-        arr = counts / float(self.resolution)
+        # Stars and bars: S - 1 bars among k + S - 1 slots, in lexicographic order.
+        k, bars = self.resolution, self.dimension - 1
+        count = math.comb(k + bars, bars)
+        cuts = np.full((count, bars + 2), -1, dtype=np.intp)
+        cuts[:, -1] = k + bars
+        flat = itertools.chain.from_iterable(itertools.combinations(range(k + bars), bars))
+        cuts[:, 1:-1] = np.fromiter(flat, dtype=np.intp, count=count * bars).reshape(count, bars)
+        arr = (np.diff(cuts, axis=1) - 1) / float(k)
         arr.flags.writeable = False
         self.array = arr
         self._points = None
@@ -112,16 +119,6 @@ class SimplexGrid:
 
     def __iter__(self):
         return iter(self.points)
-
-
-def _compositions(total: int, parts: int):
-    """Yield all tuples of ``parts`` non-negative integers summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head, *tail)
 
 
 def tangent_cone_member(m: Distribution, y, tol: float = TOL_CONE) -> bool:

@@ -233,6 +233,17 @@ class TestCertifyErgodicTwoStates:
             assert witness[0] == pytest.approx(root, abs=1e-9)
             assert witness[0] + witness[1] == pytest.approx(1.0, abs=1e-12)
 
+    def test_a_vanishing_drift_lists_at_most_five_roots(self):
+        # A drift that is zero on [0, 1] has a root every few scan points.
+        certificate = certify_ergodic_2(constant_generator([[0, 0], [0, 0]]), 10**6)
+        assert certificate.verdict == "REFUTED"
+        evidence = certificate.evidence
+        assert evidence["root_count"] > 5
+        assert len(evidence["roots"]) == len(evidence["witnesses"]) == 5
+        assert evidence["roots"][0] == 0.0
+        assert len(certificate.to_json_text()) < 4096
+        assert "root_count" not in certify_ergodic_2(corpus("bistable")).evidence
+
     def test_cubically_flat_rest_point_is_inconclusive(self):
         # Drift -(m1 - 1/2)^3 decays below the 1e-10 margin near the root, so
         # the one-sided sign check cannot clear its tolerance.

@@ -384,6 +384,20 @@ class TestGeneratorFile:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    def test_empty_two_state_file_is_refuted_with_capped_roots(self, tmp_path):
+        gen_path = tmp_path / "still.json"
+        gen_path.write_text(
+            '{"format": "nlmc-generator", "version": 1, "dimension": 2, "cells": []}',
+            encoding="utf-8",
+        )
+        out = tmp_path / "ergodic.json"
+        code = main(["certify-ergodic", "--generator-file", str(gen_path), "--out", str(out)])
+        assert code == 2
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["verdict"] == "REFUTED"
+        assert doc["evidence"]["root_count"] > 5
+        assert len(doc["evidence"]["roots"]) == len(doc["evidence"]["witnesses"]) == 5
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = main(
             [

@@ -303,6 +303,42 @@ class TestValidate:
         assert not report.valid
         assert any("negative" in v.message for v in report.violations)
 
+    def test_violations_match_a_point_by_point_oracle(self):
+        # Non-finite rates where m1 >= 1/2, a negative off-diagonal rate where
+        # m2 >= 1/2 and a row-sum fault where m3 >= 1/2; the faults overlap
+        # at (1/2, 0, 1/2) and (0, 1/2, 1/2).
+        def batch(points):
+            q = np.zeros((points.shape[0], 3, 3))
+            q[:, 0, 1] = q[:, 1, 2] = q[:, 2, 0] = 1.0
+            q[:, 1, 2] = np.where(points[:, 1] >= 0.5, -0.25, 1.0)
+            idx = np.arange(3)
+            q[:, idx, idx] = -q.sum(axis=2)
+            q[:, 2, 2] += np.where(points[:, 2] >= 0.5, 0.5, 0.0)
+            q[:, 0, 1] = np.where(points[:, 0] >= 0.5, np.nan, q[:, 0, 1])
+            return q
+
+        spec = GeneratorSpec(3, "builtin", batch, name="three-faults")
+        grid = SimplexGrid(3, 6)
+        expected = []
+        for row in grid.array:
+            point = tuple(float(x) for x in row)
+            (q,) = batch(row[None])
+            if not np.all(np.isfinite(q)):
+                expected.append((point, "non-finite rates"))
+                continue
+            off = min(q[i, j] for i in range(3) for j in range(3) if i != j)
+            if off < -1e-10:
+                expected.append((point, f"negative off-diagonal rate {off:.6e}"))
+            worst = max(abs(float(q[i].sum())) for i in range(3))
+            if worst > 1e-9:
+                expected.append((point, f"row sum off by {worst:.6e}"))
+
+        report = validate(spec, grid)
+        assert [(v.point, v.message) for v in report.violations] == expected
+        messages = {v.message.split(" ")[0] for v in report.violations}
+        assert messages == {"non-finite", "negative", "row"}
+        assert report.checked == len(grid)
+
     def test_grid_validation_is_grid_limited(self):
         # The leak vanishes at every multiple of 1/20, so the default grid
         # cannot see it; a grid with a different resolution can.

@@ -226,6 +226,30 @@ class TestEvolve:
         assert np.array_equal(parsed[:, 1:], traj.states)
 
 
+    def test_csv_text_matches_a_per_float_oracle(self):
+        awkward = [5e-324, -0.0, 1e-300, 1.0 / 3.0, 1e17]
+        times = np.array(awkward)
+        states = np.array([awkward[k:] + awkward[:k] for k in range(5)])[:, :3]
+        traj = Trajectory(generator_id="manual", times=times, states=states)
+        expected = "t,m_1,m_2,m_3\n" + "".join(
+            ",".join(f"{x:.17g}" for x in (t, *row)) + "\n" for t, row in zip(times, states)
+        )
+        assert traj.to_csv_text() == expected
+
+        path = JumpPath(
+            generator_id="manual",
+            seed=0,
+            horizon=1e18,
+            initial_state=2,
+            jump_times=times,
+            states_visited=np.array([0, 1, 2, 1, 0]),
+        )
+        expected = "t,state\n0,3\n" + "".join(
+            f"{t:.17g},{s + 1}\n" for t, s in zip(awkward, (0, 1, 2, 1, 0))
+        )
+        assert path.to_csv_text() == expected
+
+
 class TestInvarianceAudit:
     def test_corpus_trajectories_audit_clean(self):
         runs = (

@@ -97,6 +97,23 @@ class TestSimplexGrid:
         assert (0.0, 1.0, 0.0) in rows
         assert (0.0, 0.0, 1.0) in rows
 
+    def test_array_matches_a_recursive_composition_oracle(self):
+        def compositions(total, parts):
+            if parts == 1:
+                return [(total,)]
+            return [
+                (head, *tail)
+                for head in range(total + 1)
+                for tail in compositions(total - head, parts - 1)
+            ]
+
+        for s in range(1, 7):
+            for k in range(1, 13):
+                expected = np.array(compositions(k, s), dtype=float) / float(k)
+                arr = SimplexGrid(s, k).array
+                assert arr.dtype == expected.dtype and arr.shape == expected.shape
+                assert arr.tobytes() == expected.tobytes()
+
     def test_array_is_read_only(self):
         grid = SimplexGrid(2, 4)
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import pytest
 import nlmc.stationary
 from nlmc import (
     Distribution,
+    GeneratorSpec,
     ReducibleGeneratorError,
     SimplexGrid,
     constant_generator,
@@ -255,6 +256,44 @@ class TestFindInvariant:
         # One fallback round on grid 20, over the 4 seeds that cycle.
         assert calls == [4]
         assert len(found) == 3
+
+    def test_the_flow_fallback_rides_at_default_accuracy(self, monkeypatch):
+        steps = []
+        original = nlmc.stationary.integrate_flow
+
+        def counting(spec, m0, horizon, controls=None):
+            flow = original(spec, m0, horizon, controls)
+            steps.append(flow.steps)
+            return flow
+
+        monkeypatch.setattr(nlmc.stationary, "integrate_flow", counting)
+        found = find_invariant(corpus("bistable"), SimplexGrid(2, 20))
+        # 526 steps when the fallback asked for rtol 1e-10, atol 1e-12.
+        assert len(steps) == 1 and steps[0] <= 300
+        assert (found.seed_count, found.failed_seeds) == (21, 0)
+        assert [len(r.basin_hint) for r in found] == [10, 1, 10]
+        for result, root in zip(found, (0.25, 0.5, 0.75)):
+            assert abs(result.point[0] - root) <= 1e-15
+            assert result.residual <= 1e-15
+
+    def test_a_singular_polish_row_fails_alone(self):
+        # The drift is exactly (1, -1) where m1 >= 1/2, so the Jacobian there
+        # is zero; elsewhere it is 1 - 4 m1, with its root at m1 = 1/4.
+        def batch(points):
+            flat = points[:, 0] >= 0.5
+            q = np.empty((points.shape[0], 2, 2))
+            q[:, 0] = np.where(flat[:, None], [1.0, -1.0], [-3.0, 3.0])
+            q[:, 1] = np.where(flat[:, None], [1.0, -1.0], [1.0, -1.0])
+            return q
+
+        spec = GeneratorSpec(2, "builtin", batch, name="flat-drift")
+        rows = np.array([[0.1, 0.9], [0.9, 0.1], [0.3, 0.7]])
+        out = _newton_polish(spec, rows)
+        assert out[1] is None
+        for n in (0, 2):
+            (alone,) = _newton_polish(spec, rows[n : n + 1])
+            assert np.array_equal(out[n], alone)
+            assert abs(out[n][0] - 0.25) <= 1e-15
 
     def test_json_export_is_deterministic_and_complete(self):
         found = find_invariant(corpus("bistable"), SimplexGrid(2, 20))
