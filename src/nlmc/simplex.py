@@ -99,11 +99,9 @@ class SimplexGrid:
         # Stars and bars: S - 1 bars among k + S - 1 slots, in lexicographic order.
         k, bars = self.resolution, self.dimension - 1
         count = math.comb(k + bars, bars)
-        cuts = np.full((count, bars + 2), -1, dtype=np.intp)
-        cuts[:, -1] = k + bars
         flat = itertools.chain.from_iterable(itertools.combinations(range(k + bars), bars))
-        cuts[:, 1:-1] = np.fromiter(flat, dtype=np.intp, count=count * bars).reshape(count, bars)
-        arr = (np.diff(cuts, axis=1) - 1) / float(k)
+        cuts = np.fromiter(flat, dtype=np.intp, count=count * bars).reshape(count, bars)
+        arr = (np.diff(cuts, axis=1, prepend=-1, append=k + bars) - 1) / float(k)
         arr.flags.writeable = False
         self.array = arr
         self._points = None
