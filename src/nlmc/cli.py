@@ -1,5 +1,10 @@
 """Command-line front end: simulate, sample, search, certify, reproduce figures.
 
+Each flag is declared once, in ``_FLAGS``; ``_COMMANDS`` lists the flags of
+each subcommand, and ``build_parser`` builds the parser once per process.
+The parser only converts text: ``RunConfig`` holds every default except
+``invariant``'s grid of 20, and every check that needs no generator.
+
 Exit codes: 0 for success (including CERTIFIED verdicts), 2 when a
 certificate comes back INCONCLUSIVE or REFUTED, 1 for any error.  Given
 the same arguments (including seed), every run writes byte-identical
@@ -9,15 +14,20 @@ artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-import numpy as np
-
-from .certify import FD_STEP, certify_ergodic_2, certify_ergodic_3, certify_unique
+from .certify import (
+    DEFAULT_SCAN_RESOLUTION,
+    FD_STEP,
+    certify_ergodic_2,
+    certify_ergodic_3,
+    certify_unique,
+)
 from .errors import NlmcError
 from .generator import CORPUS_NAMES, CORPUS_SUMMARY, GeneratorSpec, corpus, load_generator
 from .semigroup import IntegratorControls, _check_horizon, evolve, sample_path
@@ -43,7 +53,7 @@ _FIG2_LIMITS = (0.25, 0.75)
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated bundle of one CLI invocation."""
+    """Validated bundle of one CLI invocation, with every default of the CLI."""
 
     command: str
     corpus_name: str | None = None
@@ -51,11 +61,11 @@ class RunConfig:
     generator_file: str | None = None
     m0: tuple[float, ...] | None = None
     horizon: float | None = None
-    rtol: float = 1e-8
-    atol: float = 1e-10
+    rtol: float = IntegratorControls.rtol
+    atol: float = IntegratorControls.atol
     sample_every: float | None = None
     grid_resolution: int = 40
-    scan_resolution: int = 10_000
+    scan_resolution: int = DEFAULT_SCAN_RESOLUTION
     fd_step: float = FD_STEP
     seed: int = 0
     initial_state: int | None = None
@@ -64,7 +74,7 @@ class RunConfig:
     figure: str | None = None
 
     def __post_init__(self) -> None:
-        if self.command not in (*_DEFAULT_OUT, "corpus-list", "reproduce"):
+        if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
         # Exactly the commands that write a default artifact read a generator.
         needs_generator = self.command in _DEFAULT_OUT
@@ -73,6 +83,8 @@ class RunConfig:
             raise ValueError("exactly one of --corpus or --generator-file is required")
         if not needs_generator and sources:
             raise ValueError(f"{self.command} takes no generator source")
+        if self.corpus_params and self.corpus_name is None:
+            raise ValueError("corpus parameters require --corpus")
         if self.command in ("simulate", "sample"):
             if self.m0 is None:
                 raise ValueError(f"{self.command} requires --m0")
@@ -112,12 +124,14 @@ def _grid(spec: GeneratorSpec, config: RunConfig) -> SimplexGrid:
     return SimplexGrid(s, k)
 
 
-def _check_m0(spec: GeneratorSpec, m0: tuple[float, ...]) -> tuple[float, ...]:
-    if len(m0) != spec.dimension:
-        raise ValueError(
-            f"--m0 has {len(m0)} entries but the generator has {spec.dimension} states"
-        )
-    return m0
+def _check_start(spec: GeneratorSpec, config: RunConfig) -> tuple[float, ...]:
+    """The run's ``--m0``, checked with ``--initial-state`` against the generator's states."""
+    s = spec.dimension
+    if len(config.m0) != s:
+        raise ValueError(f"--m0 has {len(config.m0)} entries but the generator has {s} states")
+    if config.initial_state is not None and not 0 <= config.initial_state < s:
+        raise ValueError(f"--initial-state must lie in 1..{s}, got {config.initial_state + 1}")
+    return config.m0
 
 
 def _out_path(config: RunConfig) -> str:
@@ -140,7 +154,7 @@ def run(config: RunConfig) -> int:
     out = _out_path(config)
 
     if config.command == "simulate":
-        m0 = _check_m0(spec, config.m0)
+        m0 = _check_start(spec, config)
         trajectory = evolve(spec, m0, config.horizon, controls)
         trajectory.to_csv(out)
         final = ", ".join(f"{x:.12g}" for x in trajectory.final.probs)
@@ -149,7 +163,7 @@ def run(config: RunConfig) -> int:
         return 0
 
     if config.command == "sample":
-        m0 = _check_m0(spec, config.m0)
+        m0 = _check_start(spec, config)
         path = sample_path(
             spec,
             m0,
@@ -178,17 +192,12 @@ def run(config: RunConfig) -> int:
 
     if config.command == "certify-unique":
         certificate = certify_unique(spec, _grid(spec, config), config.fd_step)
-    elif config.command == "certify-ergodic":
-        if spec.dimension == 2:
-            certificate = certify_ergodic_2(spec, config.scan_resolution)
-        elif spec.dimension == 3:
-            certificate = certify_ergodic_3(spec, _grid(spec, config), config.fd_step)
-        else:
-            raise ValueError(
-                f"ergodicity certificates support 2 or 3 states, not {spec.dimension}"
-            )
+    elif spec.dimension == 2:
+        certificate = certify_ergodic_2(spec, config.scan_resolution)
+    elif spec.dimension == 3:
+        certificate = certify_ergodic_3(spec, _grid(spec, config), config.fd_step)
     else:
-        raise ValueError(f"unknown command {config.command!r}")
+        raise ValueError(f"ergodicity certificates support 2 or 3 states, not {spec.dimension}")
 
     certificate.to_json(out)
     print(f"verdict: {certificate.verdict}")
@@ -249,39 +258,71 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_m0(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"--m0 must be comma-separated numbers, got {text!r}")
-    if len(values) < 2:
-        raise argparse.ArgumentTypeError("--m0 needs at least two entries")
-    return values
 
 
 def _parse_initial_state(text: str):
     if text == "draw":
         return None
     try:
-        value = int(text)
+        return int(text) - 1
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"--initial-state must be a 1-based state index or 'draw', got {text!r}"
         )
-    if value < 1:
-        raise argparse.ArgumentTypeError("--initial-state indices start at 1")
-    return value - 1
 
 
-def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--corpus", choices=CORPUS_NAMES, help="built-in generator name")
-    group.add_argument("--generator-file", help="path to a generator JSON file")
-    parser.add_argument("--b", type=float, help="consumer: browse-to-hold rate")
-    parser.add_argument("--e", type=float, help="consumer: crowd pressure coefficient")
-    parser.add_argument("--eps", type=float, help="consumer: baseline purchase rate")
-    parser.add_argument("--lambda", dest="lam", type=float, help="consumer: restart rate")
+# Every argument of every subcommand, declared once.  ``dest`` names the
+# RunConfig field an argument fills; the consumer parameters, whose dests
+# are no field, go to ``corpus_params``.  No entry sets a default.
+_FLAGS = {
+    "--corpus": dict(dest="corpus_name", choices=CORPUS_NAMES, help="built-in generator name"),
+    "--generator-file": dict(help="path to a generator JSON file"),
+    "--b": dict(type=float, help="consumer: browse-to-hold rate"),
+    "--e": dict(type=float, help="consumer: crowd pressure coefficient"),
+    "--eps": dict(type=float, help="consumer: baseline purchase rate"),
+    "--lambda": dict(dest="lam", type=float, help="consumer: restart rate"),
+    "--m0": dict(type=_parse_m0, help="initial distribution, comma-separated (required)"),
+    "--horizon": dict(type=float, help="time to integrate or sample up to (required)"),
+    "--rtol": dict(type=float),
+    "--atol": dict(type=float),
+    "--sample-every": dict(type=float),
+    "--seed": dict(type=int),
+    "--initial-state": dict(
+        type=_parse_initial_state,
+        help="1-based starting state, or 'draw' to sample it from m0 (default)",
+    ),
+    "--grid": dict(dest="grid_resolution", type=int),
+    "--scan": dict(dest="scan_resolution", type=int),
+    "--fd-step": dict(type=float),
+    "--out": {},
+    "--outdir": {},
+    "figure": dict(choices=("fig1", "fig2")),
+}
+
+_GENERATOR_FLAGS = "--corpus --generator-file --b --e --eps --lambda"
+
+# Each subcommand: its help line and the arguments it takes, in help order.
+_COMMANDS = {
+    "simulate": ("integrate the marginal flow and export CSV",
+                 f"{_GENERATOR_FLAGS} --m0 --horizon --rtol --atol --sample-every --out"),
+    "sample": ("sample one jump path and export CSV",
+               f"{_GENERATOR_FLAGS} --m0 --horizon --seed --initial-state --out"),
+    "invariant": ("search for invariant distributions", f"{_GENERATOR_FLAGS} --grid --out"),
+    "certify-unique": ("certify uniqueness of the invariant distribution",
+                       f"{_GENERATOR_FLAGS} --grid --fd-step --out"),
+    "certify-ergodic": ("certify strong ergodicity (2 or 3 states)",
+                        f"{_GENERATOR_FLAGS} --grid --scan --fd-step --out"),
+    "corpus-list": ("list built-in generators", ""),
+    "reproduce": ("regenerate reference-figure artifacts", "figure --outdir"),
+}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``nlmc`` parser, built from ``_FLAGS`` and ``_COMMANDS`` once per process."""
     parser = _Parser(
         prog="nlmc",
         description=(
@@ -291,94 +332,25 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="integrate the marginal flow and export CSV")
-    _add_generator_flags(p)
-    p.add_argument("--m0", type=_parse_m0, required=True, help="initial distribution, comma-separated")
-    p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--rtol", type=float, default=1e-8)
-    p.add_argument("--atol", type=float, default=1e-10)
-    p.add_argument("--sample-every", type=float, default=None)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("sample", help="sample one jump path and export CSV")
-    _add_generator_flags(p)
-    p.add_argument("--m0", type=_parse_m0, required=True)
-    p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--initial-state",
-        type=_parse_initial_state,
-        default=None,
-        help="1-based starting state, or 'draw' to sample it from m0 (default)",
-    )
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("invariant", help="search for invariant distributions")
-    _add_generator_flags(p)
-    p.add_argument("--grid", type=int, default=20, dest="grid_resolution")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("certify-unique", help="certify uniqueness of the invariant distribution")
-    _add_generator_flags(p)
-    p.add_argument("--grid", type=int, default=40, dest="grid_resolution")
-    p.add_argument("--fd-step", type=float, default=FD_STEP)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("certify-ergodic", help="certify strong ergodicity (2 or 3 states)")
-    _add_generator_flags(p)
-    p.add_argument("--grid", type=int, default=40, dest="grid_resolution")
-    p.add_argument("--scan", type=int, default=10_000, dest="scan_resolution")
-    p.add_argument("--fd-step", type=float, default=FD_STEP)
-    p.add_argument("--out", default=None)
-
-    sub.add_parser("corpus-list", help="list built-in generators")
-
-    p = sub.add_parser("reproduce", help="regenerate reference-figure artifacts")
-    p.add_argument("figure", choices=("fig1", "fig2"))
-    p.add_argument("--outdir", default=".")
-
+    for command, (help_text, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in names.split():
+            p.add_argument(name, **_FLAGS[name])
+    sub.choices["invariant"].set_defaults(grid_resolution=20)
     return parser
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    params = {}
-    for key in ("b", "e", "eps", "lam"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    if params and getattr(args, "corpus", None) is None:
-        raise ValueError("corpus parameters require --corpus")
-    fields = {
-        "command": args.command,
-        "corpus_name": getattr(args, "corpus", None),
-        "corpus_params": params,
-        "generator_file": getattr(args, "generator_file", None),
-    }
-    for name in (
-        "m0",
-        "horizon",
-        "rtol",
-        "atol",
-        "sample_every",
-        "grid_resolution",
-        "scan_resolution",
-        "fd_step",
-        "seed",
-        "initial_state",
-        "out",
-        "outdir",
-        "figure",
-    ):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            fields[name] = getattr(args, name)
-    return RunConfig(**fields)
+    """The RunConfig of parsed arguments; flags left out keep RunConfig's defaults."""
+    given = {key: value for key, value in vars(args).items() if value is not None}
+    names = {f.name for f in fields(RunConfig)}
+    params = {key: value for key, value in given.items() if key not in names}
+    return RunConfig(**{key: given[key] for key in given.keys() & names}, corpus_params=params)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0

@@ -42,7 +42,7 @@ class StationaryResult:
     point: Distribution
     residual: float
     classification: str
-    basin_hint: tuple[Distribution, ...] = ()
+    basin_hint: tuple[int, ...] = ()  # row indices, in seed order, of the seeds that reached it
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def find_invariant(spec: GeneratorSpec, seeds) -> StationarySet:
 
     ``seeds`` is a :class:`SimplexGrid` or an iterable of distributions.
     Converged points closer than ``CLUSTER_RADIUS`` in max norm are merged;
-    each cluster records the seeds that reached it.
+    each cluster records the row indices of the seeds that reached it.
     """
     spec.require_valid()
     if isinstance(seeds, SimplexGrid):
@@ -156,15 +156,15 @@ def find_invariant(spec: GeneratorSpec, seeds) -> StationarySet:
     outcomes = [None if f else next(polished) for f in failed]
 
     clusters: list[list] = []
-    for seed_arr, found in zip(rows, outcomes):
+    for index, found in enumerate(outcomes):
         if found is None:
             continue
         for cluster in clusters:
             if float(np.max(np.abs(cluster[0] - found))) <= CLUSTER_RADIUS:
-                cluster[1].append(seed_arr)
+                cluster[1].append(index)
                 break
         else:
-            clusters.append([found, [seed_arr]])
+            clusters.append([found, [index]])
 
     results = []
     for rep, hint_seeds in clusters:
@@ -174,7 +174,7 @@ def find_invariant(spec: GeneratorSpec, seeds) -> StationarySet:
                 point=point,
                 residual=residual(spec, point),
                 classification="interior" if point.probs.min() > INTERIOR_TOL else "boundary",
-                basin_hint=tuple(Distribution(s) for s in hint_seeds),
+                basin_hint=tuple(hint_seeds),
             )
         )
     results.sort(key=lambda r: tuple(r.point.probs))

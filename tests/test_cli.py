@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, argument validation."""
 
+import argparse
 import json
 import math
 
@@ -8,7 +9,7 @@ import pytest
 
 import nlmc.semigroup
 from nlmc import constant_generator, corpus, save_generator
-from nlmc.cli import MAX_GRID_POINTS, RunConfig, _grid, main, reproduce
+from nlmc.cli import MAX_GRID_POINTS, RunConfig, _grid, build_parser, main, reproduce
 
 
 def _read_csv(path):
@@ -218,6 +219,25 @@ class TestSample:
             ]
         )
         assert code == 1
+
+    def test_initial_state_out_of_range_is_named_one_based(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["sample", "--corpus", "bistable", "--m0", "0.9,0.1", "--horizon", "1.0"]
+        assert main([*argv, "--initial-state", "5", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "--initial-state must lie in 1..2, got 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "sample"])
+    def test_one_state_generator_file_runs(self, command, tmp_path):
+        gen_path = tmp_path / "one.json"
+        gen_path.write_text(
+            '{"format": "nlmc-generator", "version": 1, "dimension": 1, "cells": []}',
+            encoding="utf-8",
+        )
+        out = tmp_path / "one.csv"
+        argv = [command, "--generator-file", str(gen_path), "--m0", "1", "--horizon", "2"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[1] == "0,1"
 
     def test_oversized_thinning_run_is_refused(self, tmp_path, capsys, monkeypatch):
         # Rates of 100 over 1e6 time units would hold about 1.1e8 proposals at once.
@@ -509,6 +529,50 @@ class TestUsageErrors:
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1
         capsys.readouterr()
+
+
+class TestParser:
+    # The option strings of each subcommand besides -h and --help.
+    OPTIONS = {
+        "simulate": "--corpus --generator-file --b --e --eps --lambda --m0 --horizon"
+        " --rtol --atol --sample-every --out",
+        "sample": "--corpus --generator-file --b --e --eps --lambda --m0 --horizon"
+        " --seed --initial-state --out",
+        "invariant": "--corpus --generator-file --b --e --eps --lambda --grid --out",
+        "certify-unique": "--corpus --generator-file --b --e --eps --lambda --grid --fd-step --out",
+        "certify-ergodic": "--corpus --generator-file --b --e --eps --lambda --grid --scan"
+        " --fd-step --out",
+        "corpus-list": "",
+        "reproduce": "figure --outdir",
+    }
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_each_subcommand_takes_its_options(self):
+        parser = build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        taken = {
+            name: sorted(s for a in p._actions for s in (a.option_strings or [a.dest]))
+            for name, p in sub.choices.items()
+        }
+        assert taken == {
+            name: sorted(["-h", "--help", *opts.split()]) for name, opts in self.OPTIONS.items()
+        }
+
+    def test_defaults_do_not_leak_between_calls(self, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        unique = tmp_path / "unique.json"
+        assert main(["invariant", "--corpus", "bistable", "--out", str(first)]) == 0
+        consumer = ["--b", "1", "--e", "1", "--eps", "0.1", "--lambda", "1"]
+        argv = ["certify-unique", "--corpus", "consumer", *consumer, "--out", str(unique)]
+        assert main(argv) == 0
+        assert main(["invariant", "--corpus", "bistable", "--out", str(second)]) == 0
+        for out in (first, second):
+            assert json.loads(out.read_text(encoding="utf-8"))["seed_count"] == 21
+        doc = json.loads(unique.read_text(encoding="utf-8"))
+        assert doc["evidence"]["grid_resolution"] == 40
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestRunConfigValidation:

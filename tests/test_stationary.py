@@ -214,13 +214,13 @@ class TestFindInvariant:
         # the consumer cells multiply by non-unit coefficients.
         grid = SimplexGrid(spec.dimension, resolution)
         together = find_invariant(spec, grid)
-        landed = {seed: r.point.probs for r in together for seed in r.basin_hint}
+        landed = {index: r.point.probs for r in together for index in r.basin_hint}
         assert len(landed) + together.failed_seeds == len(grid)
-        for seed in grid.points:
+        for index, seed in enumerate(grid.points):
             alone = find_invariant(spec, [seed])
-            if seed in landed:
+            if index in landed:
                 assert alone.failed_seeds == 0
-                assert float(np.max(np.abs(alone.points[0].probs - landed[seed]))) <= 1e-12
+                assert float(np.max(np.abs(alone.points[0].probs - landed[index]))) <= 1e-12
             else:
                 assert alone.failed_seeds == 1
                 assert len(alone) == 0
