@@ -1,7 +1,7 @@
 """Command-line front end: simulate, sample, search, certify, reproduce figures.
 
 Each flag is declared once, in ``_FLAGS``; ``_COMMANDS`` lists the flags of
-each subcommand, and ``build_parser`` builds the parser once per process.
+each subcommand, and ``build_parser`` builds every subparser from the two.
 The parser only converts text: ``RunConfig`` holds every default except
 ``invariant``'s grid of 20, and every check that needs no generator.
 
@@ -14,12 +14,11 @@ artifacts.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .certify import (
     DEFAULT_SCAN_RESOLUTION,
@@ -29,7 +28,14 @@ from .certify import (
     certify_unique,
 )
 from .errors import NlmcError
-from .generator import CORPUS_NAMES, CORPUS_SUMMARY, GeneratorSpec, corpus, load_generator
+from .generator import (
+    CONSUMER_PARAMS,
+    CORPUS_NAMES,
+    CORPUS_SUMMARY,
+    GeneratorSpec,
+    corpus,
+    load_generator,
+)
 from .semigroup import IntegratorControls, _check_horizon, evolve, sample_path
 from .simplex import SimplexGrid
 from .stationary import find_invariant
@@ -275,8 +281,9 @@ def _parse_initial_state(text: str):
 
 
 # Every argument of every subcommand, declared once.  ``dest`` names the
-# RunConfig field an argument fills; the consumer parameters, whose dests
-# are no field, go to ``corpus_params``.  No entry sets a default.
+# RunConfig field an argument fills, except for the consumer parameters,
+# whose dests are ``CONSUMER_PARAMS`` and go to ``corpus_params``.  No entry
+# sets a default.
 _FLAGS = {
     "--corpus": dict(dest="corpus_name", choices=CORPUS_NAMES, help="built-in generator name"),
     "--generator-file": dict(help="path to a generator JSON file"),
@@ -320,9 +327,8 @@ _COMMANDS = {
 }
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``nlmc`` parser, built from ``_FLAGS`` and ``_COMMANDS`` once per process."""
+    """The ``nlmc`` parser, built from ``_FLAGS`` and ``_COMMANDS``."""
     parser = _Parser(
         prog="nlmc",
         description=(
@@ -343,9 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from(args: argparse.Namespace) -> RunConfig:
     """The RunConfig of parsed arguments; flags left out keep RunConfig's defaults."""
     given = {key: value for key, value in vars(args).items() if value is not None}
-    names = {f.name for f in fields(RunConfig)}
-    params = {key: value for key, value in given.items() if key not in names}
-    return RunConfig(**{key: given[key] for key in given.keys() & names}, corpus_params=params)
+    params = {key: given.pop(key) for key in CONSUMER_PARAMS if key in given}
+    return RunConfig(**given, corpus_params=params)
 
 
 def main(argv=None) -> int:

@@ -319,6 +319,7 @@ _BISTABLE_CELLS = {
 }
 
 CORPUS_NAMES = ("consumer", "oscillator", "bistable")
+CONSUMER_PARAMS = ("b", "e", "eps", "lam")
 
 CORPUS_SUMMARY = {
     "consumer": (
@@ -344,17 +345,16 @@ def corpus(name: str, params: dict | None = None) -> GeneratorSpec:
     """
     params = dict(params or {})
     if name == "consumer":
-        required = ("b", "e", "eps", "lam")
-        missing = [k for k in required if k not in params]
+        missing = [k for k in CONSUMER_PARAMS if k not in params]
         if missing:
             raise ValueError(f"consumer requires parameters {', '.join(missing)}")
-        unknown = sorted(set(params) - set(required))
+        unknown = sorted(set(params) - set(CONSUMER_PARAMS))
         if unknown:
             raise ValueError(f"consumer does not take parameters {', '.join(unknown)}")
-        values = {k: float(params[k]) for k in required}
+        values = {k: float(params[k]) for k in CONSUMER_PARAMS}
         if any(v <= 0 for v in values.values()):
             raise ValueError("consumer parameters must be positive")
-        b, e, eps, lam = (values[k] for k in required)
+        b, e, eps, lam = (values[k] for k in CONSUMER_PARAMS)
         cells = {
             (0, 1): [((0, 0, 0), b)],
             (0, 2): [((1, 0, 0), e), ((0, 0, 0), eps)],

@@ -546,9 +546,6 @@ class TestParser:
         "reproduce": "figure --outdir",
     }
 
-    def test_parser_is_built_once(self):
-        assert build_parser() is build_parser()
-
     def test_each_subcommand_takes_its_options(self):
         parser = build_parser()
         (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -559,20 +556,6 @@ class TestParser:
         assert taken == {
             name: sorted(["-h", "--help", *opts.split()]) for name, opts in self.OPTIONS.items()
         }
-
-    def test_defaults_do_not_leak_between_calls(self, tmp_path):
-        first, second = tmp_path / "first.json", tmp_path / "second.json"
-        unique = tmp_path / "unique.json"
-        assert main(["invariant", "--corpus", "bistable", "--out", str(first)]) == 0
-        consumer = ["--b", "1", "--e", "1", "--eps", "0.1", "--lambda", "1"]
-        argv = ["certify-unique", "--corpus", "consumer", *consumer, "--out", str(unique)]
-        assert main(argv) == 0
-        assert main(["invariant", "--corpus", "bistable", "--out", str(second)]) == 0
-        for out in (first, second):
-            assert json.loads(out.read_text(encoding="utf-8"))["seed_count"] == 21
-        doc = json.loads(unique.read_text(encoding="utf-8"))
-        assert doc["evidence"]["grid_resolution"] == 40
-        assert first.read_bytes() == second.read_bytes()
 
 
 class TestRunConfigValidation:
