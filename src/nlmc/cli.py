@@ -1,7 +1,8 @@
 """Command-line front end: simulate, sample, search, certify, reproduce figures.
 
 Each flag is declared once, in ``_FLAGS``; ``_COMMANDS`` lists the flags of
-each subcommand, and ``build_parser`` builds every subparser from the two.
+each subcommand.  ``main`` builds the parser from the two on every call, with
+only the invoked subcommand's flags (all seven for none, an unknown one or -h).
 The parser only converts text: ``RunConfig`` holds every default except
 ``invariant``'s grid of 20, and every check that needs no generator.
 
@@ -140,10 +141,6 @@ def _check_start(spec: GeneratorSpec, config: RunConfig) -> tuple[float, ...]:
     return config.m0
 
 
-def _out_path(config: RunConfig) -> str:
-    return config.out or _DEFAULT_OUT[config.command]
-
-
 def run(config: RunConfig) -> int:
     """Execute one validated CLI invocation; returns the process exit code."""
     if config.command == "corpus-list":
@@ -157,7 +154,7 @@ def run(config: RunConfig) -> int:
 
     spec = _load_spec(config)
     controls = config.controls
-    out = _out_path(config)
+    out = config.out or _DEFAULT_OUT[config.command]
 
     if config.command == "simulate":
         m0 = _check_start(spec, config)
@@ -327,8 +324,9 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The ``nlmc`` parser, built from ``_FLAGS`` and ``_COMMANDS``."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``nlmc`` parser, with only ``command``'s subparser when it names one."""
+    chosen = {command: _COMMANDS[command]} if command in _COMMANDS else _COMMANDS
     parser = _Parser(
         prog="nlmc",
         description=(
@@ -337,12 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
             "invariant distributions, and emit numerical certificates."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, names) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
-        for name in names.split():
-            p.add_argument(name, **_FLAGS[name])
-    sub.choices["invariant"].set_defaults(grid_resolution=20)
+    # One subparser's usage still names all seven; the full parser keeps argparse's own.
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(chosen) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, flags) in chosen.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+    if "invariant" in sub.choices:
+        sub.choices["invariant"].set_defaults(grid_resolution=20)
     return parser
 
 
@@ -354,8 +355,9 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0

@@ -246,13 +246,12 @@ def _compile_cells(dimension: int, cells: dict[tuple[int, int], PolynomialCell])
     for (i, j), cell in cells.items():
         for t in cell.terms:
             coeffs[column[t.exponents], i * dimension + j] += t.coefficient
-    idx = np.arange(dimension)
 
     def batch(points: np.ndarray) -> np.ndarray:
         values = (points[:, None, :] ** exps[None, :, :]).prod(axis=2)
-        q = np.einsum("nt,tk->nk", values, coeffs).reshape(-1, dimension, dimension)
-        q[:, idx, idx] = -q.sum(axis=2)
-        return q
+        flat = np.einsum("nt,tk->nk", values, coeffs)
+        flat[:, :: dimension + 1] = -flat.reshape(-1, dimension, dimension).sum(axis=2)
+        return flat.reshape(-1, dimension, dimension)
 
     return batch
 
@@ -308,8 +307,7 @@ def _oscillator_batch(points: np.ndarray) -> np.ndarray:
     q[:, 1, 2] = np.where(c[:, 0] >= third, (c[:, 0] - third) / c[:, 1], 0.0)
     q[:, 2, 0] = np.where(c[:, 1] >= third, (c[:, 1] - third) / c[:, 2], 0.0)
     q[:, 2, 1] = np.where(c[:, 0] <= third, (third - c[:, 0]) / c[:, 2], 0.0)
-    idx = np.arange(3)
-    q[:, idx, idx] = -q.sum(axis=2)
+    q.reshape(-1, 9)[:, ::4] = -q.sum(axis=2)  # the diagonal, through a view of the fresh array
     return q
 
 

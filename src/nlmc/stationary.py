@@ -10,6 +10,8 @@ of one array, each with its own damping, line search and stopping mask;
 the flow fallback rides every cycling seed in one ``integrate_flow`` call
 at the integrator's default accuracy, since the polish and the
 ``TOL_INVARIANT`` residual test decide every result.  Results are clustered.
+Every frozen solve and Newton step goes through one stacked-solve kernel,
+``_solve_rows``, which factorizes each matrix once.
 """
 
 from __future__ import annotations
@@ -124,12 +126,23 @@ def _frozen_solve(q: np.ndarray) -> np.ndarray:
     n, s, _ = q.shape
     a = np.swapaxes(q, 1, 2).copy()
     a[:, -1, :] = 1.0
-    b = np.zeros((n, s, 1))
+    b = np.zeros((n, s))
     b[:, -1] = 1.0
-    x = np.full((n, s), np.nan)
-    solvable = np.linalg.slogdet(a)[0] != 0.0
-    x[solvable] = np.linalg.solve(a[solvable], b[solvable])[..., 0]
-    return x
+    return _solve_rows(a, b)[0]
+
+
+def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions ``(n, S)`` of ``a[k] x = b[k]`` by one stacked solve, and the mask of solved rows.
+
+    Only a stack with a singular matrix takes ``slogdet``: rows of sign 0 are left NaN.
+    """
+    try:
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0], np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        solvable = np.linalg.slogdet(a)[0] != 0.0
+        x = np.full(b.shape, np.nan)
+        x[solvable] = np.linalg.solve(a[solvable], b[solvable][:, :, None])[:, :, 0]
+        return x, solvable
 
 
 def find_invariant(spec: GeneratorSpec, seeds) -> StationarySet:
@@ -265,10 +278,9 @@ def _newton_polish(spec: GeneratorSpec, points: np.ndarray) -> list[np.ndarray |
             break
         jac = _chart_jacobian(chart_drift, u[rows], 1e-6)
         # A singular Jacobian fails only its own row, marked NaN, not the stacked solve.
-        invertible = np.linalg.slogdet(jac)[0] != 0.0
+        delta, invertible = _solve_rows(jac, g[rows])
         u[rows[~invertible]] = np.nan
-        rows, jac = rows[invertible], jac[invertible]
-        delta = np.linalg.solve(jac, g[rows][:, :, None])[:, :, 0]
+        rows, delta = rows[invertible], delta[invertible]
         lam = np.ones(rows.size)
         improved = np.zeros(rows.size, dtype=bool)
         while True:

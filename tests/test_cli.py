@@ -558,6 +558,46 @@ class TestParser:
         }
 
 
+class TestSingleSubcommandParser:
+    @staticmethod
+    def _subparsers(parser):
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return sub.choices
+
+    @staticmethod
+    def _actions(p):
+        return [
+            (a.option_strings, a.dest, a.type, a.choices, a.default, a.help) for a in p._actions
+        ]
+
+    @pytest.mark.parametrize("command", TestParser.OPTIONS)
+    def test_builds_the_same_subparser_as_the_full_parser(self, command):
+        built = self._subparsers(build_parser(command))
+        assert list(built) == [command]
+        alone, full = built[command], self._subparsers(build_parser())[command]
+        assert self._actions(alone) == self._actions(full)
+        assert alone._defaults == full._defaults
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["bogus"],
+            ["--help"],
+            ["simulate", "--help"],
+            ["simulate", "--horizon", "x"],
+            ["simulate", "--corpus", "bistable", "extra"],
+        ],
+        ids=repr,
+    )
+    def test_main_prints_what_the_full_parser_prints(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        expected = (exc.value.code, *capsys.readouterr())
+        assert (main(argv), *capsys.readouterr()) == expected
+
+
 class TestRunConfigValidation:
     def test_generator_commands_need_exactly_one_source(self):
         with pytest.raises(ValueError):

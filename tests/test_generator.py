@@ -173,6 +173,33 @@ class TestPolynomialGenerator:
             spec.rates_batch(np.zeros((4, 3)))
 
 
+class TestStridedDiagonal:
+    @staticmethod
+    def _fancy_index_oracle(q: np.ndarray) -> np.ndarray:
+        oracle = q.copy()
+        idx = np.arange(q.shape[1])
+        oracle[:, idx, idx] = 0.0  # what the off-diagonal cells leave there
+        oracle[:, idx, idx] = -oracle.sum(axis=2)
+        return oracle
+
+    @pytest.mark.parametrize("s", range(1, 6))
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_rates_match_fancy_index_diagonal_bitwise(self, s, n):
+        rng = np.random.default_rng(100 * s + n)
+        for _ in range(5):
+            spec = polynomial_generator(s, random_polynomial_cells(rng, s))
+            q = spec.rates_batch(rng.dirichlet(np.ones(s), size=n).reshape(n, s))
+            assert q.shape == (n, s, s)
+            assert q.tobytes() == self._fancy_index_oracle(q).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_oscillator_matches_fancy_index_diagonal_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        q = corpus("oscillator").rates_batch(rng.dirichlet(np.ones(3), size=n).reshape(n, 3))
+        assert q.shape == (n, 3, 3)
+        assert q.tobytes() == self._fancy_index_oracle(q).tobytes()
+
+
 class TestGeneratorId:
     def test_builtin_ids_are_stable(self):
         assert corpus("bistable").generator_id == "builtin:bistable()"

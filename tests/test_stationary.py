@@ -19,7 +19,7 @@ from nlmc import (
     polynomial_generator,
     residual,
 )
-from nlmc.stationary import _fixed_point, _frozen_solve, _newton_polish
+from nlmc.stationary import _fixed_point, _frozen_solve, _newton_polish, _solve_rows
 
 from helpers import (
     CONSUMER_PARAMS,
@@ -125,6 +125,36 @@ class TestFrozenStationary:
         assert np.isnan(x[1]).all()
         assert np.array_equal(x[[0, 2]], _frozen_solve(np.array([single, single])))
         assert float(np.max(np.abs(x[0] - 0.25))) < 1e-15
+
+
+class TestSolveRows:
+    @staticmethod
+    def _stack(rng, n, s):
+        return rng.uniform(-1.0, 1.0, size=(n, s, s)) + s * np.eye(s), rng.normal(size=(n, s))
+
+    def test_a_regular_stack_takes_no_determinant(self, monkeypatch):
+        calls = []
+        slogdet = np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(a) or slogdet(a))
+        a, b = self._stack(np.random.default_rng(3), 6, 4)
+        x, solved = _solve_rows(a, b)
+        assert calls == []
+        assert solved.all()
+        assert np.allclose(np.einsum("nij,nj->ni", a, x), b, atol=1e-12)
+
+    def test_a_singular_matrix_leaves_only_its_row_nan(self):
+        a, b = self._stack(np.random.default_rng(4), 5, 3)
+        a[2, 1] = a[2, 0]  # two equal rows
+        x, solved = _solve_rows(a, b)
+        assert solved.tolist() == [True, True, False, True, True]
+        assert np.isnan(x[2]).all()
+        for k in (0, 1, 3, 4):
+            assert x[k].tobytes() == np.linalg.solve(a[k], b[k]).tobytes()
+
+    def test_an_empty_stack_gives_no_rows(self):
+        x, solved = _solve_rows(np.zeros((0, 3, 3)), np.zeros((0, 3)))
+        assert x.shape == (0, 3)
+        assert solved.shape == (0,)
 
 
 class TestFindInvariant:
