@@ -11,7 +11,9 @@ frozen-chain stationary distribution: a uniform nonzero sign matching the
 degree of -identity, (-1)^(S-1), rules out a second zero of f.  Ergodicity
 certificates cover two states (scalar drift with a unique attracting root)
 and three states (dissipative reduced planar flow plus a non-saddle rest
-point, which excludes cycles and homoclinic loops).
+point, which excludes cycles and homoclinic loops); the latter takes its
+uniqueness premise from the degree sweep when that certifies, else from a
+search from every grid point.
 """
 
 from __future__ import annotations
@@ -257,6 +259,7 @@ def certify_unique(spec: GeneratorSpec, grid: SimplexGrid, h: float = FD_STEP) -
         determinant_sign=sign,
         min_abs_determinant=float(abs_dets.min()),
         max_abs_determinant=float(abs_dets.max()),
+        binding_point=points[np.argmin(abs_dets)],
         margin=float(abs_dets.min() - TOL_DET),
     )
 
@@ -406,15 +409,27 @@ def reduced_system(spec: GeneratorSpec) -> ReducedSystem:
 def certify_ergodic_3(spec: GeneratorSpec, grid: SimplexGrid, h: float = FD_STEP) -> Certificate:
     """Ergodicity certificate for three states.
 
-    Requires a single invariant distribution (searched from every grid
-    point), a reduced-flow divergence of uniform sign over the extended
-    chart (which excludes periodic orbits), and a non-saddle linearization
-    at the rest point (which excludes homoclinic loops).
+    Requires, in order: a single invariant distribution, a reduced-flow
+    divergence of uniform sign over the extended chart (which excludes
+    periodic orbits; ``divergence_binding_point`` is where it is weakest),
+    and a non-saddle linearization at the rest point (which excludes
+    homoclinic loops).  Uniqueness is ``"degree"`` when :func:`certify_unique`
+    certifies on ``grid`` and a search from the six grid-2 seeds then finds
+    one distribution; else ``"search"``, from every grid point, which may
+    refute with at most ``_WITNESS_CAP`` witnesses (``invariant_count``
+    counts them all).  ``margin`` takes the divergence and saddle margins.
     """
     if spec.dimension != 3:
         raise ValueError("this certificate requires a three-state generator")
-    spec.require_valid()
-    base_evidence = {"grid_resolution": grid.resolution, "chart_margin": CHART_MARGIN}
+    unique = certify_unique(spec, grid, h)
+    premise = {"uniqueness": "degree", "uniqueness_margin": unique.evidence.get("margin")}
+    stationary = ()
+    if unique.certified:  # the corners and edge midpoints locate the one rest point
+        stationary = find_invariant(spec, SimplexGrid(3, min(2, grid.resolution)))
+    if len(stationary) != 1:
+        stationary = find_invariant(spec, grid)
+        premise = {"uniqueness": "search"}
+    base_evidence = {"grid_resolution": grid.resolution, "chart_margin": CHART_MARGIN, **premise}
     if spec.extension == "clamped":
         base_evidence["extension_note"] = (
             "rates use a clamped extension outside their native region; "
@@ -427,7 +442,6 @@ def certify_ergodic_3(spec: GeneratorSpec, grid: SimplexGrid, h: float = FD_STEP
         base_evidence,
     )
 
-    stationary = find_invariant(spec, grid)
     if len(stationary) == 0:
         return verdict(
             "INCONCLUSIVE",
@@ -435,10 +449,12 @@ def certify_ergodic_3(spec: GeneratorSpec, grid: SimplexGrid, h: float = FD_STEP
             failed_seeds=stationary.failed_seeds,
         )
     if len(stationary) > 1:
+        count = {"invariant_count": len(stationary)} if len(stationary) > _WITNESS_CAP else {}
         return verdict(
             "REFUTED",
             "uniqueness fails: multiple invariant distributions found",
-            witnesses=[r.point for r in stationary],
+            witnesses=[r.point for r in stationary.results[:_WITNESS_CAP]],
+            **count,
         )
     rest = stationary.results[0]
     rest_u = rest.point.probs[:2]
@@ -477,6 +493,7 @@ def certify_ergodic_3(spec: GeneratorSpec, grid: SimplexGrid, h: float = FD_STEP
     evidence.update(
         divergence_sign=float(np.sign(divergence[0])),
         min_abs_divergence=min_abs_divergence,
+        divergence_binding_point=sweep[np.argmin(np.abs(divergence))],
         jacobian=jac,
         jacobian_determinant=det,
         jacobian_trace=trace,

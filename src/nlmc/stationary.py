@@ -9,13 +9,15 @@ finishes with a Newton polish.  All seeds advance in lockstep as the rows
 of one array, each with its own damping, line search and stopping mask;
 the flow fallback rides every cycling seed in one ``integrate_flow`` call
 at the integrator's default accuracy, since the polish and the
-``TOL_INVARIANT`` residual test decide every result.  Results are clustered.
+``TOL_INVARIANT`` residual test decide every result.  Results are clustered
+through a cell index, so a point is compared only with nearby clusters.
 Every frozen solve and Newton step goes through one stacked-solve kernel,
 ``_solve_rows``, which factorizes each matrix once.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -168,19 +170,8 @@ def find_invariant(spec: GeneratorSpec, seeds) -> StationarySet:
     polished = iter(_newton_polish(spec, m[~failed]))
     outcomes = [None if f else next(polished) for f in failed]
 
-    clusters: list[list] = []
-    for index, found in enumerate(outcomes):
-        if found is None:
-            continue
-        for cluster in clusters:
-            if float(np.max(np.abs(cluster[0] - found))) <= CLUSTER_RADIUS:
-                cluster[1].append(index)
-                break
-        else:
-            clusters.append([found, [index]])
-
     results = []
-    for rep, hint_seeds in clusters:
+    for rep, hint_seeds in _cluster(outcomes, spec.dimension):
         point = Distribution(rep)
         results.append(
             StationaryResult(
@@ -197,6 +188,27 @@ def find_invariant(spec: GeneratorSpec, seeds) -> StationarySet:
         failed_seeds=sum(found is None for found in outcomes),
         tolerance=TOL_INVARIANT,
     )
+
+
+def _cluster(outcomes: list, dimension: int) -> list[tuple[np.ndarray, list[int]]]:
+    """Clusters ``(first point, indices)``: a point joins the earliest cluster whose first
+    point is within ``CLUSTER_RADIUS`` in max norm.  First points are filed in cells of twice
+    that side (absorbing rounding) on at most 3 coordinates, so at most 27 cells are searched."""
+    k = min(dimension - 1, 3)
+    offsets = list(itertools.product((-1, 0, 1), repeat=k))
+    clusters, cells = [], {}
+    for index, found in enumerate(outcomes):
+        if found is None:
+            continue
+        cell = np.floor(found[:k] / (2.0 * CLUSTER_RADIUS)).astype(int).tolist()
+        near = (c for o in offsets for c in cells.get(tuple(map(sum, zip(cell, o))), ()))
+        hits = [c for c in near if float(np.max(np.abs(clusters[c][0] - found))) <= CLUSTER_RADIUS]
+        if hits:
+            clusters[min(hits)][1].append(index)
+        else:
+            cells.setdefault(tuple(cell), []).append(len(clusters))
+            clusters.append((found, [index]))
+    return clusters
 
 
 def _drift_norms(m: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Uniqueness and ergodicity certificates: chart Jacobians, sweeps, verdicts."""
 
+import dataclasses
 import json
 import math
 
@@ -10,6 +11,7 @@ import nlmc.certify
 from nlmc import (
     Certificate,
     CertificateEvaluationError,
+    Distribution,
     GeneratorSpec,
     SimplexGrid,
     build_M,
@@ -18,10 +20,12 @@ from nlmc import (
     certify_unique,
     constant_generator,
     corpus,
+    find_invariant,
     polynomial_generator,
     reduced_system,
     scalar_drift,
 )
+from nlmc.stationary import StationaryResult
 
 from helpers import CONSUMER_PARAMS, bistable_scalar_drift, consumer_rest_point
 
@@ -147,6 +151,14 @@ class TestCertifyUnique:
         assert evidence["min_abs_determinant"] > 1e-8
         assert evidence["label"] == "grid-certified"
         assert evidence["points_checked"] == len(SimplexGrid(3, 12))
+
+    def test_binding_point_reproduces_the_least_determinant(self):
+        grid = SimplexGrid(3, 12)
+        evidence = certify_unique(CONSUMER, grid).evidence
+        point = evidence["binding_point"]
+        assert any(np.array_equal(point, row) for row in grid.array)
+        det = abs(float(np.linalg.det(build_M(CONSUMER, point))))
+        assert det == pytest.approx(evidence["min_abs_determinant"], rel=1e-9)
 
     def test_constant_chain_determinant_is_minus_identity(self):
         spec = constant_generator([[-2.0, 2.0, 0.0], [1.0, -2.0, 1.0], [0.5, 0.5, -1.0]])
@@ -397,6 +409,9 @@ class TestCertifyErgodicThreeStates:
         expected_det = (2.1 + 2.0 * rest[0]) * (1.1 + 2.0 * rest[1])
         assert evidence["jacobian_determinant"] == pytest.approx(expected_det, rel=1e-4)
         assert evidence["saddle_discriminant"] > 0
+        assert evidence["uniqueness"] == "degree"
+        unique = certify_unique(CONSUMER, SimplexGrid(3, 12))
+        assert evidence["uniqueness_margin"] == unique.evidence["margin"]
 
     def test_symmetric_circulant_chain_is_certified(self):
         spec = constant_generator(
@@ -408,10 +423,14 @@ class TestCertifyErgodicThreeStates:
         assert certificate.evidence["jacobian_determinant"] == pytest.approx(9.0, rel=1e-6)
         rest = np.asarray(certificate.evidence["rest_point"].probs)
         assert np.allclose(rest, 1.0 / 3.0, atol=1e-10)
+        assert certificate.evidence["uniqueness"] == "degree"
 
     def test_oscillator_clamp_artifacts_refute_uniqueness(self):
         certificate = certify_ergodic_3(corpus("oscillator"), SimplexGrid(3, 6))
         assert certificate.verdict == "REFUTED"
+        # The degree sweep refutes its own precondition, so the full search decides.
+        assert certificate.evidence["uniqueness"] == "search"
+        assert "uniqueness_margin" not in certificate.evidence
         assert "multiple invariant distributions" in certificate.reason
         assert len(certificate.evidence["witnesses"]) >= 2
         assert "extension_note" in certificate.evidence
@@ -447,3 +466,84 @@ class TestCertifyErgodicThreeStates:
     def test_wrong_dimension_raises(self):
         with pytest.raises(ValueError):
             certify_ergodic_3(corpus("bistable"), SimplexGrid(2, 10))
+
+    def test_divergence_binding_point_is_the_weakest_sweep_point(self):
+        # The divergence weakens towards the m1 corner, away from the first sweep point;
+        # the degree sweep is inconclusive at that corner, so the full search decides.
+        cells = {
+            (0, 1): [((0, 0, 0), 3.0), ((2, 0, 0), -2.0)],
+            (1, 0): [((0, 0, 0), 0.5)],
+            (1, 2): [((0, 0, 0), 1.0)],
+            (2, 0): [((0, 0, 0), 2.0)],
+        }
+        spec = polynomial_generator(3, cells)
+        certificate = certify_ergodic_3(spec, SimplexGrid(3, 12))
+        assert certificate.verdict == "CERTIFIED"
+        assert certificate.evidence["uniqueness"] == "search"
+        system = reduced_system(spec)
+        sweep = system.lattice(12)
+        divergence = np.abs(system.divergence_batch(sweep))
+        weakest = certificate.evidence["divergence_binding_point"]
+        assert np.array_equal(weakest, sweep[np.argmin(divergence)])
+        assert np.allclose(weakest, (1.02, -0.02))
+        assert certificate.evidence["min_abs_divergence"] == divergence.min()
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_a_small_search_without_one_distribution_falls_through(self, monkeypatch, count):
+        search = nlmc.certify.find_invariant
+        resolutions = []
+
+        def spy(spec, seeds):
+            resolutions.append(seeds.resolution)
+            found = search(spec, seeds)
+            if seeds.resolution > 2:
+                return found
+            corner = StationaryResult(Distribution((1.0, 0.0, 0.0)), 0.0, "boundary")
+            results = {0: (), 2: (*found.results, corner)}[count]
+            return dataclasses.replace(found, results=results)
+
+        monkeypatch.setattr(nlmc.certify, "find_invariant", spy)
+        certificate = certify_ergodic_3(CONSUMER, SimplexGrid(3, 10))
+        assert resolutions == [2, 10]
+        assert certificate.verdict == "CERTIFIED"
+        assert certificate.evidence["uniqueness"] == "search"
+        rest = certificate.evidence["rest_point"].probs
+        assert float(np.max(np.abs(rest - consumer_rest_point()))) < 1e-9
+
+    def test_a_zero_chain_lists_at_most_five_invariants(self):
+        certificate = certify_ergodic_3(constant_generator(np.zeros((3, 3))), SimplexGrid(3, 40))
+        assert certificate.verdict == "REFUTED"
+        evidence = certificate.evidence
+        assert evidence["uniqueness"] == "search"
+        assert evidence["invariant_count"] == len(SimplexGrid(3, 40)) == 861
+        assert len(evidence["witnesses"]) == 5
+        assert len(certificate.to_json_text()) < 2_000
+
+    def test_the_degree_premise_matches_the_full_search_on_random_consumer_sets(
+        self, monkeypatch
+    ):
+        rng = np.random.default_rng(11)
+        grid = SimplexGrid(3, 10)
+        for _ in range(40):
+            b, e, lam = rng.uniform(0.2, 5.0, 3)
+            params = {"b": b, "e": e, "eps": rng.uniform(0.02, 0.5), "lam": lam}
+            spec = corpus("consumer", params)
+            fast = certify_ergodic_3(spec, grid)
+            with monkeypatch.context() as patch:
+                # A degree sweep that never certifies leaves the full search to decide.
+                patch.setattr(
+                    nlmc.certify,
+                    "certify_unique",
+                    lambda spec, grid, h: Certificate(
+                        "unique-invariant-distribution", "INCONCLUSIVE", "stub", "", {}, {}
+                    ),
+                )
+                slow = certify_ergodic_3(spec, grid)
+            (found,) = find_invariant(spec, grid)
+            assert fast.evidence["uniqueness"] == "degree"
+            assert slow.evidence["uniqueness"] == "search"
+            assert fast.verdict == slow.verdict == "CERTIFIED", params
+            rest = fast.evidence["rest_point"].probs
+            assert float(np.max(np.abs(rest - found.point.probs))) <= 1e-9
+            assert float(np.max(np.abs(rest - slow.evidence["rest_point"].probs))) <= 1e-9
+            assert fast.evidence["margin"] == pytest.approx(slow.evidence["margin"], rel=1e-6)

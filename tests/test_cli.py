@@ -343,6 +343,7 @@ class TestCertifyCommands:
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["verdict"] == "CERTIFIED"
         assert doc["claim"] == "strong-ergodicity"
+        assert doc["evidence"]["uniqueness"] == "degree"
 
     def test_certify_ergodic_bistable_is_refuted(self, tmp_path):
         out = tmp_path / "ergodic.json"
@@ -360,6 +361,7 @@ class TestCertifyCommands:
         assert code == 2
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["verdict"] == "REFUTED"
+        assert doc["evidence"]["uniqueness"] == "search"
 
 
 class TestGeneratorFile:

@@ -1,6 +1,7 @@
 """Frozen-chain stationary distributions and the invariant-distribution search."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +20,14 @@ from nlmc import (
     polynomial_generator,
     residual,
 )
-from nlmc.stationary import _fixed_point, _frozen_solve, _newton_polish, _solve_rows
+from nlmc.stationary import (
+    CLUSTER_RADIUS,
+    _cluster,
+    _fixed_point,
+    _frozen_solve,
+    _newton_polish,
+    _solve_rows,
+)
 
 from helpers import (
     CONSUMER_PARAMS,
@@ -338,3 +346,81 @@ class TestFindInvariant:
         assert set(entry) == {"point", "residual", "classification", "converged_seeds"}
         again = find_invariant(corpus("bistable"), SimplexGrid(2, 20)).to_json_text()
         assert again == text
+
+
+def _first_match_clusters(outcomes):
+    """Reference clustering: compare each point with every earlier first point, in order."""
+    clusters = []
+    for index, found in enumerate(outcomes):
+        if found is None:
+            continue
+        for cluster in clusters:
+            if float(np.max(np.abs(cluster[0] - found))) <= CLUSTER_RADIUS:
+                cluster[1].append(index)
+                break
+        else:
+            clusters.append([found, [index]])
+    return clusters
+
+
+def _points_near_the_radius(rng, s: int, count: int) -> list:
+    """Points in three tight groups whose max-norm gaps straddle ``CLUSTER_RADIUS``.
+
+    Each step loses its mean, so every point keeps unit mass; every seventh step
+    starts as the radius on a single coordinate, and every fifth entry is a failed seed.
+    """
+    centres = [0.1 / s + 0.9 * random_distribution(rng, s) for _ in range(3)]
+    outcomes = []
+    for n in range(count):
+        if n % 5 == 4:
+            outcomes.append(None)
+            continue
+        step = CLUSTER_RADIUS * rng.uniform(-1.5, 1.5, s)
+        if n % 7 == 0 and s > 1:
+            step = np.zeros(s)
+            step[rng.integers(s - 1)] = CLUSTER_RADIUS * rng.choice((-1.0, 1.0))
+        outcomes.append(centres[rng.integers(3)] + step - step.mean())
+    return outcomes
+
+
+class TestClustering:
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cell_index_matches_the_first_match_loop(self, s, seed):
+        outcomes = _points_near_the_radius(np.random.default_rng(seed), s, 300)
+        expected = _first_match_clusters(outcomes)
+        got = _cluster(outcomes, s)
+        assert [indices for _, indices in got] == [indices for _, indices in expected]
+        assert all(rep is ref for (rep, _), (ref, _) in zip(got, expected))
+        if s > 1:
+            assert 3 < len(got) < 240  # the groups neither merge whole nor split apart
+
+    def test_basin_hints_follow_the_first_match_loop(self, monkeypatch):
+        outcomes = _points_near_the_radius(np.random.default_rng(7), 3, 200)
+        failed = np.array([found is None for found in outcomes])
+        monkeypatch.setattr(nlmc.stationary, "_fixed_point", lambda spec, rows: (rows, failed))
+        monkeypatch.setattr(
+            nlmc.stationary,
+            "_newton_polish",
+            lambda spec, points: [found for found in outcomes if found is not None],
+        )
+        spec = constant_generator(random_rate_matrix(np.random.default_rng(7), 3))
+        found = find_invariant(spec, [(1.0 / 3.0,) * 3] * len(outcomes))
+        expected = {
+            tuple(Distribution(rep).probs): tuple(hint)
+            for rep, hint in _first_match_clusters(outcomes)
+        }
+        assert {tuple(r.point.probs): r.basin_hint for r in found} == expected
+        assert found.failed_seeds == int(failed.sum())
+
+    def test_a_zero_chain_at_grid_80_clusters_in_under_two_seconds(self):
+        spec = constant_generator(np.zeros((3, 3)))
+        grid = SimplexGrid(3, 80)
+        spec.require_valid()
+        tic = time.perf_counter()
+        found = find_invariant(spec, grid)
+        elapsed = time.perf_counter() - tic
+        # Every grid point is invariant, so each seed is its own cluster.
+        assert len(found) == len(grid) == 3321
+        assert sorted(r.basin_hint for r in found) == [(n,) for n in range(len(grid))]
+        assert elapsed < 2.0
