@@ -29,8 +29,6 @@ from .errors import (
 from .generator import (
     GeneratorSpec,
     GridViolation,
-    PolynomialCell,
-    PolyTerm,
     RateMatrix,
     ValidationReport,
     constant_generator,
@@ -84,8 +82,6 @@ __all__ = [
     "JumpPath",
     "NlmcError",
     "NumericalError",
-    "PolyTerm",
-    "PolynomialCell",
     "RateMatrix",
     "ReducedSystem",
     "ReducibleGeneratorError",

@@ -84,34 +84,17 @@ def _argmin_offdiag(q: np.ndarray) -> tuple[int, int]:
     return flat // q.shape[0], flat % q.shape[0]
 
 
-@dataclass(frozen=True)
-class PolyTerm:
-    """One monomial: coefficient * prod_i m_i ** exponents[i]."""
-
-    exponents: tuple[int, ...]
-    coefficient: float
-
-
-@dataclass(frozen=True)
-class PolynomialCell:
-    """A polynomial off-diagonal cell, stored as a tuple of monomials."""
-
-    terms: tuple[PolyTerm, ...]
-
-    @property
-    def total_degree(self) -> int:
-        return max((sum(t.exponents) for t in self.terms), default=0)
-
-
 class GeneratorSpec:
     """A nonlinear generator: a map from distributions to conservative rate matrices.
 
-    ``kind`` is ``"builtin"`` for named corpus members and ``"polynomial"``
-    for cell-table generators.  ``extension`` records how rates behave just
-    outside the simplex: ``"analytic"`` cells evaluate anywhere, while
-    ``"clamped"`` rates freeze their arguments at a cutoff (certificates
-    quote this, since derivative estimates near the clamp boundary are
-    one-sided).
+    A name or a cell table identifies a spec: a named spec (a corpus member)
+    by its name and ``params``, an unnamed one by a digest of ``cells``,
+    which maps 0-based index pairs (i, j) to tuples of
+    ``(exponents, coefficient)`` pairs.  ``extension`` records how rates
+    behave just outside the simplex: ``"analytic"`` cells evaluate anywhere,
+    while ``"clamped"`` rates freeze their arguments at a cutoff
+    (certificates quote this, since derivative estimates near the clamp
+    boundary are one-sided).
 
     ``rates`` and ``rates_batch`` return raw arrays without conservativity
     checks, which keeps finite-difference probes at slightly off-simplex
@@ -122,23 +105,21 @@ class GeneratorSpec:
     def __init__(
         self,
         dimension: int,
-        kind: str,
         batch_rates,
         *,
         name: str | None = None,
         params: dict | None = None,
-        cells: dict[tuple[int, int], PolynomialCell] | None = None,
+        cells: dict[tuple[int, int], tuple] | None = None,
         metadata: dict | None = None,
         extension: str = "analytic",
     ) -> None:
         if dimension < 1:
             raise ValueError("dimension must be at least 1")
-        if kind not in ("builtin", "polynomial"):
-            raise ValueError(f"unknown generator kind {kind!r}")
+        if name is None and cells is None:
+            raise ValueError("a generator needs a name or a cell table to identify it")
         if extension not in ("analytic", "clamped"):
             raise ValueError(f"unknown extension {extension!r}")
         self.dimension = int(dimension)
-        self.kind = kind
         self.name = name
         self.params = dict(params or {})
         self.cells = dict(cells) if cells is not None else None
@@ -177,18 +158,18 @@ class GeneratorSpec:
         return np.einsum("ni,nij->nj", arr, self.rates_batch(arr))
 
     def describe(self) -> str:
-        if self.kind == "builtin":
+        if self.name is not None:
             return f"builtin generator {self.name!r}"
         return f"polynomial generator on {self.dimension} states"
 
     @property
     def generator_id(self) -> str:
         """Stable identifier used in exported artifacts."""
-        if self.kind == "builtin":
+        if self.name is not None:
             inside = ", ".join(f"{k}={self.params[k]!r}" for k in sorted(self.params))
             return f"builtin:{self.name}({inside})"
-        digest = hashlib.sha256(_canonical_cells_json(self).encode()).hexdigest()[:12]
-        return f"polynomial:{self.dimension}:{digest}"
+        text = json.dumps(_canonical_cells(self), sort_keys=True)
+        return f"polynomial:{self.dimension}:{hashlib.sha256(text.encode()).hexdigest()[:12]}"
 
     def require_valid(self) -> None:
         """Validate once on the default grid and cache; raise if invalid."""
@@ -205,7 +186,7 @@ class GeneratorSpec:
         return f"<GeneratorSpec {self.generator_id} dimension={self.dimension}>"
 
 
-def _normalize_cells(dimension: int, cells: dict) -> dict[tuple[int, int], PolynomialCell]:
+def _normalize_cells(dimension: int, cells: dict) -> dict[tuple[int, int], tuple]:
     out = {}
     for key, cell in cells.items():
         i, j = int(key[0]), int(key[1])
@@ -213,39 +194,36 @@ def _normalize_cells(dimension: int, cells: dict) -> dict[tuple[int, int], Polyn
             raise ValueError(f"cell index ({i}, {j}) out of range for {dimension} states")
         if i == j:
             raise ValueError(f"cell ({i}, {j}) is diagonal; diagonals are derived")
-        if not isinstance(cell, PolynomialCell):
-            cell = PolynomialCell(
-                tuple(PolyTerm(tuple(int(e) for e in exps), float(c)) for exps, c in cell)
-            )
-        for term in cell.terms:
-            if len(term.exponents) != dimension:
+        terms = tuple((tuple(int(e) for e in exps), float(c)) for exps, c in cell)
+        for exps, coefficient in terms:
+            if len(exps) != dimension:
                 raise ValueError(
-                    f"cell ({i}, {j}) has a term with {len(term.exponents)} exponents, "
+                    f"cell ({i}, {j}) has a term with {len(exps)} exponents, "
                     f"expected {dimension}"
                 )
-            if any(e < 0 for e in term.exponents):
+            if any(e < 0 for e in exps):
                 raise ValueError(f"cell ({i}, {j}) has a negative exponent")
-            if not np.isfinite(term.coefficient):
+            if not np.isfinite(coefficient):
                 raise ValueError(f"cell ({i}, {j}) has a non-finite coefficient")
-        if cell.total_degree > MAX_TOTAL_DEGREE:
+        degree = max((sum(exps) for exps, _ in terms), default=0)
+        if degree > MAX_TOTAL_DEGREE:
             raise ValueError(
-                f"cell ({i}, {j}) has total degree {cell.total_degree}, "
-                f"above the cap {MAX_TOTAL_DEGREE}"
+                f"cell ({i}, {j}) has total degree {degree}, above the cap {MAX_TOTAL_DEGREE}"
             )
-        out[(i, j)] = cell
+        out[(i, j)] = terms
     return out
 
 
-def _compile_cells(dimension: int, cells: dict[tuple[int, int], PolynomialCell]):
+def _compile_cells(dimension: int, cells: dict[tuple[int, int], tuple]):
     # Exponents (T, S) of the distinct monomials, coefficients (T, S*S).  einsum, not @:
     # BLAS takes another path for one row, so rates would depend on the batch size.
-    monomials = sorted({t.exponents for cell in cells.values() for t in cell.terms})
+    monomials = sorted({exps for terms in cells.values() for exps, _ in terms})
     column = {exps: k for k, exps in enumerate(monomials)}
     exps = np.array(monomials, dtype=float).reshape(len(monomials), dimension)
     coeffs = np.zeros((len(monomials), dimension * dimension))
-    for (i, j), cell in cells.items():
-        for t in cell.terms:
-            coeffs[column[t.exponents], i * dimension + j] += t.coefficient
+    for (i, j), terms in cells.items():
+        for monomial, coefficient in terms:
+            coeffs[column[monomial], i * dimension + j] += coefficient
 
     def batch(points: np.ndarray) -> np.ndarray:
         values = (points[:, None, :] ** exps[None, :, :]).prod(axis=2)
@@ -263,18 +241,16 @@ def polynomial_generator(
     name: str | None = None,
     params: dict | None = None,
     metadata: dict | None = None,
-    kind: str = "polynomial",
 ) -> GeneratorSpec:
     """Build a generator from off-diagonal polynomial cell tables.
 
-    ``cells`` maps 0-based index pairs (i, j), i != j, to either a
-    :class:`PolynomialCell` or an iterable of ``(exponents, coefficient)``
-    pairs.  Omitted cells are zero.
+    ``cells`` maps 0-based index pairs (i, j), i != j, to iterables of
+    ``(exponents, coefficient)`` pairs, kept in input order.  Omitted cells
+    are zero.
     """
     norm = _normalize_cells(dimension, cells)
     return GeneratorSpec(
         dimension,
-        kind,
         _compile_cells(dimension, norm),
         name=name,
         params=params,
@@ -360,17 +336,15 @@ def corpus(name: str, params: dict | None = None) -> GeneratorSpec:
             (2, 0): [((0, 0, 0), lam)],
             (2, 1): [((0, 0, 0), lam)],
         }
-        return polynomial_generator(3, cells, name="consumer", params=values, kind="builtin")
+        return polynomial_generator(3, cells, name="consumer", params=values)
     if name == "oscillator":
         if params:
             raise ValueError("oscillator takes no parameters")
-        return GeneratorSpec(
-            3, "builtin", _oscillator_batch, name="oscillator", extension="clamped"
-        )
+        return GeneratorSpec(3, _oscillator_batch, name="oscillator", extension="clamped")
     if name == "bistable":
         if params:
             raise ValueError("bistable takes no parameters")
-        return polynomial_generator(2, _BISTABLE_CELLS, name="bistable", kind="builtin")
+        return polynomial_generator(2, _BISTABLE_CELLS, name="bistable")
     raise ValueError(f"unknown corpus generator {name!r}; choose from {', '.join(CORPUS_NAMES)}")
 
 
@@ -506,23 +480,20 @@ def _irreducible(q: np.ndarray) -> np.ndarray:
     return reach.all(axis=(1, 2))
 
 
-def _canonical_cells_json(spec: GeneratorSpec) -> str:
-    if spec.cells is None:
-        raise ValueError(f"{spec.describe()} has no polynomial cell table")
-    cells = []
-    for (i, j), cell in sorted(spec.cells.items()):
-        terms = sorted(cell.terms, key=lambda t: t.exponents)
-        cells.append(
-            {
-                "from": i + 1,
-                "to": j + 1,
-                "terms": [
-                    {"exponents": list(t.exponents), "coefficient": t.coefficient}
-                    for t in terms
-                ],
-            }
-        )
-    return json.dumps(cells, sort_keys=True)
+def _canonical_cells(spec: GeneratorSpec) -> list:
+    """The cell table as JSON-ready objects: cells sorted by index pair, 1-based, and each
+    cell's terms stable-sorted by exponents alone, so duplicate monomials keep input order."""
+    return [
+        {
+            "from": i + 1,
+            "to": j + 1,
+            "terms": [
+                {"exponents": list(exps), "coefficient": coefficient}
+                for exps, coefficient in sorted(terms, key=lambda term: term[0])
+            ],
+        }
+        for (i, j), terms in sorted(spec.cells.items())
+    ]
 
 
 def generator_to_json(spec: GeneratorSpec) -> str:
@@ -538,7 +509,7 @@ def generator_to_json(spec: GeneratorSpec) -> str:
         "version": FILE_VERSION,
         "dimension": spec.dimension,
         "metadata": {str(k): spec.metadata[k] for k in sorted(spec.metadata)},
-        "cells": json.loads(_canonical_cells_json(spec)),
+        "cells": _canonical_cells(spec),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

@@ -170,17 +170,19 @@ def find_invariant(spec: GeneratorSpec, seeds) -> StationarySet:
     polished = iter(_newton_polish(spec, m[~failed]))
     outcomes = [None if f else next(polished) for f in failed]
 
-    results = []
-    for rep, hint_seeds in _cluster(outcomes, spec.dimension):
-        point = Distribution(rep)
-        results.append(
-            StationaryResult(
-                point=point,
-                residual=residual(spec, point),
-                classification="interior" if point.probs.min() > INTERIOR_TOL else "boundary",
-                basin_hint=tuple(hint_seeds),
-            )
+    clusters = _cluster(outcomes, spec.dimension)
+    points = [Distribution(rep) for rep, _ in clusters]
+    reps = np.array([point.probs for point in points]).reshape(-1, spec.dimension)
+    defects = np.max(np.abs(spec.drift_batch(reps)), axis=1)
+    results = [
+        StationaryResult(
+            point=point,
+            residual=float(defect),
+            classification="interior" if point.probs.min() > INTERIOR_TOL else "boundary",
+            basin_hint=tuple(hint_seeds),
         )
+        for point, defect, (_, hint_seeds) in zip(points, defects, clusters)
+    ]
     results.sort(key=lambda r: tuple(r.point.probs))
     return StationarySet(
         results=tuple(results),

@@ -447,6 +447,28 @@ class TestCertifyErgodicThreeStates:
         assert "below tolerance" in certificate.reason
         assert certificate.evidence["min_abs_divergence"] < 1e-8
 
+    def test_divergence_sign_change_is_inconclusive(self):
+        # The 52nd draw of random_polynomial_cells(default_rng(0), 3, max_degree=2).
+        cells = {
+            (0, 1): [((1, 0, 1), 1.548710750611983), ((1, 0, 0), 1.3553627958541783)],
+            (0, 2): [
+                ((0, 1, 0), 0.2629365756669898),
+                ((1, 0, 0), 0.4389717438996137),
+                ((1, 0, 0), 0.33734082844257574),
+            ],
+            (1, 0): [((0, 0, 0), 0.7281169670559556), ((1, 0, 0), 0.6593658140564705)],
+            (1, 2): [((0, 0, 1), 1.6507067944485139)],
+            (2, 0): [((1, 0, 0), 1.8399363626528868), ((0, 0, 1), 1.6038602091980987)],
+            (2, 1): [((0, 1, 0), 1.3455634617142487), ((0, 1, 1), 1.6206343124243308)],
+        }
+        spec = polynomial_generator(3, cells)
+        certificate = certify_ergodic_3(spec, SimplexGrid(3, 6))
+        assert certificate.verdict == "INCONCLUSIVE"
+        assert certificate.reason == "reduced-flow divergence changes sign on the extended chart"
+        witnesses = np.array(certificate.evidence["witnesses"], dtype=float)
+        divergence = reduced_system(spec).divergence_batch(witnesses)
+        assert divergence.min() < 0.0 < divergence.max()
+
     def test_saddle_linearization_is_inconclusive(self, monkeypatch):
         # Conservative frozen chains cannot produce a saddle at an isolated
         # rest point of this contracting chain, so the branch is exercised

@@ -227,6 +227,23 @@ class TestSample:
         assert not out.exists()
         assert "--initial-state must lie in 1..2, got 5" in capsys.readouterr().err
 
+    def test_initial_state_draw_is_the_default(self, tmp_path):
+        argv = ["sample", "--corpus", "bistable", "--m0", "0.4,0.6", "--horizon", "5.0"]
+        drawn, default = tmp_path / "drawn.csv", tmp_path / "default.csv"
+        assert main([*argv, "--initial-state", "draw", "--out", str(drawn)]) == 0
+        assert main([*argv, "--out", str(default)]) == 0
+        assert drawn.read_bytes() == default.read_bytes()
+
+    def test_initial_state_text_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["sample", "--corpus", "bistable", "--m0", "0.9,0.1", "--horizon", "1.0"]
+        assert main([*argv, "--initial-state", "two", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert (
+            "--initial-state must be a 1-based state index or 'draw', got 'two'"
+            in capsys.readouterr().err
+        )
+
     @pytest.mark.parametrize("command", ["simulate", "sample"])
     def test_one_state_generator_file_runs(self, command, tmp_path):
         gen_path = tmp_path / "one.json"
@@ -419,6 +436,15 @@ class TestGeneratorFile:
         assert doc["verdict"] == "REFUTED"
         assert doc["evidence"]["root_count"] > 5
         assert len(doc["evidence"]["roots"]) == len(doc["evidence"]["witnesses"]) == 5
+
+    def test_four_state_ergodicity_is_refused(self, tmp_path, capsys):
+        gen_path = tmp_path / "four.json"
+        save_generator(constant_generator(np.ones((4, 4)) - 4.0 * np.eye(4)), gen_path)
+        out = tmp_path / "ergodic.json"
+        code = main(["certify-ergodic", "--generator-file", str(gen_path), "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert "ergodicity certificates support 2 or 3 states, not 4" in capsys.readouterr().err
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = main(

@@ -162,7 +162,7 @@ class TestPolynomialGenerator:
             q[points[:, 0] > 0.5, 0, 1] = np.nan
             return q
 
-        spec = GeneratorSpec(2, "builtin", batch, name="poisoned")
+        spec = GeneratorSpec(2, batch, name="poisoned")
         assert np.allclose(spec.rates((0.4, 0.6)), 0.0)
         with pytest.raises(GeneratorEvaluationError):
             spec.rates((0.9, 0.1))
@@ -219,6 +219,22 @@ class TestGeneratorId:
         assert id_one.startswith("polynomial:2:")
         changed = {(0, 1): [((1, 0), 2.5)], (1, 0): [((0, 0), 1.0)]}
         assert polynomial_generator(2, changed).generator_id != id_one
+
+    def test_canonical_form_is_pinned(self, tmp_path):
+        # Terms sort by exponents alone: duplicate monomials keep input order, zeros stay.
+        cells = {(0, 1): [((1, 0), 2.0), ((0, 0), 0.5), ((1, 0), 0.0)], (1, 0): [((0, 1), 1.5)]}
+        spec = polynomial_generator(2, cells)
+        assert spec.generator_id == "polynomial:2:bfc8d1775f3d"
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_generator(spec, first)
+        save_generator(load_generator(first), second)
+        assert first.read_bytes() == second.read_bytes()
+        bistable = generator_from_json(generator_to_json(corpus("bistable")))
+        assert bistable.generator_id == "polynomial:2:00a7b5e18207"
+
+    def test_a_spec_needs_a_name_or_a_cell_table(self):
+        with pytest.raises(ValueError, match="name or a cell table"):
+            GeneratorSpec(2, lambda points: np.zeros((len(points), 2, 2)))
 
 
 class TestCorpus:
@@ -313,7 +329,7 @@ class TestValidate:
             q = np.tile(np.array([[-1.0, 1.2], [1.0, -1.0]]), (n, 1, 1))
             return q
 
-        spec = GeneratorSpec(2, "builtin", batch, name="leaks-mass")
+        spec = GeneratorSpec(2, batch, name="leaks-mass")
         report = validate(spec)
         assert not report.valid
         assert any("row sum off by" in v.message for v in report.violations)
@@ -325,7 +341,7 @@ class TestValidate:
             n = points.shape[0]
             return np.tile(np.array([[0.5, -0.5], [1.0, -1.0]]), (n, 1, 1))
 
-        spec = GeneratorSpec(2, "builtin", batch, name="negative-rate")
+        spec = GeneratorSpec(2, batch, name="negative-rate")
         report = validate(spec)
         assert not report.valid
         assert any("negative" in v.message for v in report.violations)
@@ -344,7 +360,7 @@ class TestValidate:
             q[:, 0, 1] = np.where(points[:, 0] >= 0.5, np.nan, q[:, 0, 1])
             return q
 
-        spec = GeneratorSpec(3, "builtin", batch, name="three-faults")
+        spec = GeneratorSpec(3, batch, name="three-faults")
         grid = SimplexGrid(3, 6)
         expected = []
         for row in grid.array:
@@ -378,7 +394,7 @@ class TestValidate:
             q[:, 1, 1] = -1.0
             return q
 
-        spec = GeneratorSpec(2, "builtin", batch, name="grid-aligned-leak")
+        spec = GeneratorSpec(2, batch, name="grid-aligned-leak")
         assert validate(spec).valid
         assert not validate(spec, SimplexGrid(2, 37)).valid
 

@@ -120,7 +120,7 @@ class TestIntegrateFlow:
             q[:, 1, 1] = -1.0
             return q
 
-        spec = GeneratorSpec(2, "builtin", batch, name="grid-aligned-leak")
+        spec = GeneratorSpec(2, batch, name="grid-aligned-leak")
         with pytest.raises(IntegrationDivergedError):
             evolve(spec, (0.3, 0.7), 5.0)
 
@@ -442,7 +442,7 @@ class TestSamplePath:
             q[:, 1, 1] = -q[:, 1, 0]
             return q
 
-        spec = GeneratorSpec(2, "builtin", batch, name="offgrid-spike")
+        spec = GeneratorSpec(2, batch, name="offgrid-spike")
         assert thinning_bound(spec) < 3.0
         path = sample_path(spec, (0.505, 0.495), horizon=1.0, seed=5)
         assert path.jump_count > 20

@@ -324,7 +324,7 @@ class TestFindInvariant:
             q[:, 1] = np.where(flat[:, None], [1.0, -1.0], [1.0, -1.0])
             return q
 
-        spec = GeneratorSpec(2, "builtin", batch, name="flat-drift")
+        spec = GeneratorSpec(2, batch, name="flat-drift")
         rows = np.array([[0.1, 0.9], [0.9, 0.1], [0.3, 0.7]])
         out = _newton_polish(spec, rows)
         assert out[1] is None
