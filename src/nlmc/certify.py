@@ -25,13 +25,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import CertificateEvaluationError
-from .generator import RATE_FLOOR, GeneratorSpec, _irreducible, irreducible_at
-from .simplex import Distribution, SimplexGrid, _chart_embed, _chart_jacobian
+from .generator import RATE_FLOOR, GeneratorSpec, _irreducible, _sweep_grid, irreducible_at
+from .simplex import FD_STEP, Distribution, SimplexGrid, _chart_embed, _chart_jacobian
 from .stationary import TOL_INVARIANT, _frozen_solve, find_invariant
 
 TOL_DET = 1e-8
 DIV_TOL = 1e-8
-FD_STEP = 1e-6
 CHART_MARGIN = 0.02
 SCAN_MARGIN_TOL = 1e-10
 ROOT_REFINE_TOL = 1e-12
@@ -190,10 +189,7 @@ def certify_unique(spec: GeneratorSpec, grid: SimplexGrid, h: float = FD_STEP) -
     sign-flipping determinant is INCONCLUSIVE.
     """
     spec.require_valid()
-    if grid.dimension != spec.dimension:
-        raise ValueError(
-            f"grid dimension {grid.dimension} does not match generator dimension {spec.dimension}"
-        )
+    grid = _sweep_grid(spec, grid)
     verdict = _verdicts(
         CLAIM_UNIQUE,
         spec,

@@ -10,6 +10,7 @@ generators may instead wrap a closed-form rate function.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -43,8 +44,7 @@ class RateMatrix:
         problems = rate_matrix_violations(q)
         if problems:
             raise GeneratorEvaluationError("; ".join(problems))
-        off = ~np.eye(q.shape[0], dtype=bool)
-        q[off] = np.maximum(q[off], 0.0)
+        np.maximum(q, 0.0, out=q, where=~np.eye(q.shape[0], dtype=bool))
         q.flags.writeable = False
         self.entries = q
 
@@ -64,10 +64,10 @@ def rate_matrix_violations(q: np.ndarray) -> list[str]:
     if not np.all(np.isfinite(q)):
         problems.append("rate matrix has non-finite entries")
         return problems
-    off = ~np.eye(q.shape[0], dtype=bool)
-    worst_off = float(q[off].min()) if q.shape[0] > 1 else 0.0
+    masked = _offdiagonal(q)
+    worst_off = float(masked.min())
     if worst_off < -OFFDIAG_TOL:
-        i, j = _argmin_offdiag(q)
+        i, j = divmod(int(np.argmin(masked)), q.shape[0])
         problems.append(f"off-diagonal entry ({i + 1},{j + 1}) = {worst_off:.6e} is negative")
     row_sums = q.sum(axis=1)
     worst_row = int(np.argmax(np.abs(row_sums)))
@@ -78,23 +78,24 @@ def rate_matrix_violations(q: np.ndarray) -> list[str]:
     return problems
 
 
-def _argmin_offdiag(q: np.ndarray) -> tuple[int, int]:
-    masked = q + np.diag(np.full(q.shape[0], np.inf))
-    flat = int(np.argmin(masked))
-    return flat // q.shape[0], flat % q.shape[0]
+def _offdiagonal(q: np.ndarray) -> np.ndarray:
+    """A copy of a stack ``(..., S, S)`` with +inf on every diagonal, for off-diagonal minima."""
+    return np.where(np.eye(q.shape[-1], dtype=bool), np.inf, q)
 
 
 class GeneratorSpec:
     """A nonlinear generator: a map from distributions to conservative rate matrices.
 
-    A name or a cell table identifies a spec: a named spec (a corpus member)
-    by its name and ``params``, an unnamed one by a digest of ``cells``,
-    which maps 0-based index pairs (i, j) to tuples of
-    ``(exponents, coefficient)`` pairs.  ``extension`` records how rates
-    behave just outside the simplex: ``"analytic"`` cells evaluate anywhere,
-    while ``"clamped"`` rates freeze their arguments at a cutoff
-    (certificates quote this, since derivative estimates near the clamp
-    boundary are one-sided).
+    A spec takes a rate function ``batch_rates``, mapping points ``(n, S)``
+    to raw rate arrays ``(n, S, S)``, or a cell table ``cells``, mapping
+    0-based index pairs (i, j), i != j, to ``(exponents, coefficient)``
+    pairs, which it checks and compiles into its rates.  A name or a cell
+    table identifies a spec: a named spec (a corpus member) by its name and
+    ``params``, an unnamed one by a digest of ``cells``.  ``extension``
+    records how rates behave just outside the simplex: ``"analytic"`` cells
+    evaluate anywhere, while ``"clamped"`` rates freeze their arguments at a
+    cutoff (certificates quote this, since derivative estimates near the
+    clamp boundary are one-sided).
 
     ``rates`` and ``rates_batch`` return raw arrays without conservativity
     checks, which keeps finite-difference probes at slightly off-simplex
@@ -105,16 +106,18 @@ class GeneratorSpec:
     def __init__(
         self,
         dimension: int,
-        batch_rates,
+        batch_rates=None,
         *,
         name: str | None = None,
         params: dict | None = None,
-        cells: dict[tuple[int, int], tuple] | None = None,
+        cells: dict | None = None,
         metadata: dict | None = None,
         extension: str = "analytic",
     ) -> None:
         if dimension < 1:
             raise ValueError("dimension must be at least 1")
+        if (batch_rates is None) == (cells is None):
+            raise ValueError("a generator takes exactly one of a rate function and a cell table")
         if name is None and cells is None:
             raise ValueError("a generator needs a name or a cell table to identify it")
         if extension not in ("analytic", "clamped"):
@@ -122,10 +125,10 @@ class GeneratorSpec:
         self.dimension = int(dimension)
         self.name = name
         self.params = dict(params or {})
-        self.cells = dict(cells) if cells is not None else None
+        self.cells = None if cells is None else _normalize_cells(self.dimension, cells)
         self.metadata = dict(metadata or {})
         self.extension = extension
-        self._batch = batch_rates
+        self._batch = batch_rates if cells is None else _compile_cells(self.dimension, self.cells)
         self._validation = None
 
     def rates_batch(self, points) -> np.ndarray:
@@ -248,26 +251,14 @@ def polynomial_generator(
     ``(exponents, coefficient)`` pairs, kept in input order.  Omitted cells
     are zero.
     """
-    norm = _normalize_cells(dimension, cells)
-    return GeneratorSpec(
-        dimension,
-        _compile_cells(dimension, norm),
-        name=name,
-        params=params,
-        cells=norm,
-        metadata=metadata,
-    )
+    return GeneratorSpec(dimension, cells=cells, name=name, params=params, metadata=metadata)
 
 
 def constant_generator(matrix) -> GeneratorSpec:
     """Wrap a constant conservative rate matrix as a (linear) generator."""
     q = RateMatrix(matrix).entries
     s = q.shape[0]
-    cells = {}
-    for i in range(s):
-        for j in range(s):
-            if i != j and q[i, j] != 0.0:
-                cells[(i, j)] = [((0,) * s, float(q[i, j]))]
+    cells = {(i, j): [((0,) * s, float(q[i, j]))] for i, j in zip(*np.nonzero(q)) if i != j}
     return polynomial_generator(s, cells)
 
 
@@ -370,28 +361,32 @@ class ValidationReport:
         return not self.violations
 
 
+def _sweep_grid(spec: GeneratorSpec, grid: SimplexGrid | None = None) -> SimplexGrid:
+    """``grid`` checked against the dimension of ``spec``, or by default the
+    resolution-``VALIDATION_RESOLUTION`` grid."""
+    if grid is None:
+        return SimplexGrid(spec.dimension, VALIDATION_RESOLUTION)
+    if grid.dimension != spec.dimension:
+        raise ValueError(
+            f"grid dimension {grid.dimension} does not match generator dimension {spec.dimension}"
+        )
+    return grid
+
+
 def validate(spec: GeneratorSpec, grid: SimplexGrid | None = None) -> ValidationReport:
     """Check conservativity of ``spec`` at every point of ``grid``.
 
     The default grid has resolution ``VALIDATION_RESOLUTION``.  Off-diagonal
     entries may dip ``OFFDIAG_TOL`` below zero and row sums may miss zero by
-    ``ROWSUM_TOL``; anything worse is reported with the offending point.
+    ``ROWSUM_TOL``; anything worse, non-finite rates included, is reported
+    with the offending point.
     """
-    if grid is None:
-        grid = SimplexGrid(spec.dimension, VALIDATION_RESOLUTION)
-    if grid.dimension != spec.dimension:
-        raise ValueError(
-            f"grid dimension {grid.dimension} does not match generator dimension {spec.dimension}"
-        )
+    grid = _sweep_grid(spec, grid)
     points = grid.array
-    try:
-        q = spec.rates_batch(points)
-    except GeneratorEvaluationError:
-        q = spec._batch(points)
+    q = spec._batch(points)
     violations = []
     finite = np.all(np.isfinite(q), axis=(1, 2))
-    off_mask = ~np.eye(spec.dimension, dtype=bool)
-    off_min = np.where(off_mask[None, :, :], q, np.inf).min(axis=(1, 2))
+    off_min = _offdiagonal(q).min(axis=(1, 2))
     row_worst = np.max(np.abs(q.sum(axis=2)), axis=1)
     negative = finite & (off_min < -OFFDIAG_TOL)
     unbalanced = finite & (row_worst > ROWSUM_TOL)
@@ -422,36 +417,22 @@ def lipschitz_estimate(spec: GeneratorSpec, grid: SimplexGrid | None = None) -> 
     between two coordinates, l1 distance 2/k).  This is a lower bound on
     the true Lipschitz constant of the cells, reported as a diagnostic.
     """
-    if grid is None:
-        grid = SimplexGrid(spec.dimension, VALIDATION_RESOLUTION)
-    if grid.dimension != spec.dimension:
-        raise ValueError(
-            f"grid dimension {grid.dimension} does not match generator dimension {spec.dimension}"
-        )
-    k = grid.resolution
-    counts = np.rint(grid.array * k).astype(int)
-    index_of = {tuple(row): n for n, row in enumerate(counts)}
-    pairs_a = []
-    pairs_b = []
-    for n, row in enumerate(counts):
-        for a in range(spec.dimension):
-            if row[a] == 0:
-                continue
-            for b in range(spec.dimension):
-                if a == b:
-                    continue
-                moved = list(row)
-                moved[a] -= 1
-                moved[b] += 1
-                other = index_of[tuple(moved)]
-                if other > n:
-                    pairs_a.append(n)
-                    pairs_b.append(other)
-    if not pairs_a:
-        return 0.0
+    grid = _sweep_grid(spec, grid)
+    k, s = grid.resolution, spec.dimension
+    # Each composition's key in base k + 1 (Python ints past int64); the grid's
+    # lexicographic order sorts the keys, and moving one unit from a to b adds
+    # place[b] - place[a].  Ordered pairs (a, b) visit every neighbor pair twice.
+    exact = np.int64 if (k + 1) ** s < 2**63 else object
+    place = np.array([(k + 1) ** (s - 1 - c) for c in range(s)], dtype=exact)
+    counts = np.rint(grid.array * k).astype(np.int64).astype(exact)
+    keys = counts @ place
     q = spec.rates_batch(grid.array)
-    diffs = np.abs(q[pairs_a] - q[pairs_b]).max(axis=(1, 2))
-    return float(diffs.max() * (k / 2.0))
+    worst = 0.0
+    for a, b in itertools.permutations(range(s), 2):
+        moved = np.flatnonzero(counts[:, a] > 0)
+        other = np.searchsorted(keys, keys[moved] + (place[b] - place[a]))
+        worst = max(worst, float(np.abs(q[moved] - q[other]).max()))
+    return worst * (k / 2.0)
 
 
 def irreducible_at(spec: GeneratorSpec, m) -> bool:

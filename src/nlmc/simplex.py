@@ -162,6 +162,9 @@ def _chart_embed(u: np.ndarray) -> np.ndarray:
     return np.concatenate([u, 1.0 - u.sum(axis=1, keepdims=True)], axis=1)
 
 
+FD_STEP = 1e-6  # the package's central-difference step h, scaled per row by (1 + ||u||_2)
+
+
 def _chart_jacobian(func, u: np.ndarray, h: float) -> np.ndarray:
     """Central-difference Jacobians ``(n, k, d)`` of ``func`` at chart rows ``u`` ``(n, d)``.
 

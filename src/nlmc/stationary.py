@@ -26,7 +26,7 @@ import numpy as np
 from .errors import NumericalError, ReducibleGeneratorError
 from .generator import GeneratorSpec, _irreducible
 from .semigroup import integrate_flow
-from .simplex import Distribution, SimplexGrid, _chart_embed, _chart_jacobian, _project_array
+from .simplex import FD_STEP, Distribution, SimplexGrid, _chart_embed, _chart_jacobian, _project_array
 
 TOL_INVARIANT = 1e-10
 FROZEN_RESIDUAL_TOL = 1e-12
@@ -260,7 +260,7 @@ def _fixed_point(spec: GeneratorSpec, seeds: np.ndarray) -> tuple[np.ndarray, np
         # These rows cycle around a repeller; ride the flow instead.
         starts, _ = _project_array(m[cycling])
         flow = integrate_flow(spec, starts, EVOLVE_HORIZON)
-        m[cycling] = [flow.row(i).ys[-1] for i in range(cycling.size)]
+        m[cycling] = flow.ys[np.array(flow.offsets[1:]) - 1]
         q[cycling] = spec.rates_batch(m[cycling])
         r[cycling] = _drift_norms(m[cycling], q[cycling])
         alpha[cycling] = DAMPING
@@ -290,7 +290,7 @@ def _newton_polish(spec: GeneratorSpec, points: np.ndarray) -> list[np.ndarray |
         rows = rows[gnorm[rows] > POLISH_TARGET]
         if rows.size == 0:
             break
-        jac = _chart_jacobian(chart_drift, u[rows], 1e-6)
+        jac = _chart_jacobian(chart_drift, u[rows], FD_STEP)
         # A singular Jacobian fails only its own row, marked NaN, not the stacked solve.
         delta, invertible = _solve_rows(jac, g[rows])
         u[rows[~invertible]] = np.nan

@@ -271,6 +271,15 @@ class TestCertifyErgodicTwoStates:
         assert certificate.verdict == "INCONCLUSIVE"
         assert "uniformly" in certificate.reason
 
+    def test_a_drift_without_a_rest_point_is_inconclusive(self):
+        # A rate into state 1 of -5e-11 passes validation (OFFDIAG_TOL is 1e-10),
+        # and the drift -m1 - 5e-11 (1 - m1) then stays below zero on [0, 1].
+        spec = polynomial_generator(2, {(0, 1): [((0, 0), 1.0)], (1, 0): [((0, 0), -5e-11)]})
+        certificate = certify_ergodic_2(spec)
+        assert certificate.verdict == "INCONCLUSIVE"
+        assert certificate.reason == "the drift scan located no rest point"
+        assert certificate.evidence["roots"] == []
+
     def test_boundary_rest_point_certifies_from_one_side(self):
         # All mass drains into state 2: the unique rest point sits at the
         # m1 = 0 vertex and only the right-hand margin exists.

@@ -437,6 +437,20 @@ class TestGeneratorFile:
         assert doc["evidence"]["root_count"] > 5
         assert len(doc["evidence"]["roots"]) == len(doc["evidence"]["witnesses"]) == 5
 
+    def test_a_negative_rate_file_is_refused_by_its_description(self, tmp_path, capsys):
+        gen_path = tmp_path / "leak.json"
+        gen_path.write_text(
+            '{"format": "nlmc-generator", "version": 1, "dimension": 2, "cells": '
+            '[{"from": 1, "to": 2, "terms": [{"exponents": [1, 0], "coefficient": -1.0}]}]}',
+            encoding="utf-8",
+        )
+        out = tmp_path / "o.json"
+        code = main(["invariant", "--generator-file", str(gen_path), "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "polynomial generator on 2 states is not conservative" in err
+
     def test_four_state_ergodicity_is_refused(self, tmp_path, capsys):
         gen_path = tmp_path / "four.json"
         save_generator(constant_generator(np.ones((4, 4)) - 4.0 * np.eye(4)), gen_path)

@@ -1,5 +1,7 @@
 """Generators: rate matrices, polynomial cells, the built-in corpus, file IO."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
@@ -75,6 +77,7 @@ class TestRateMatrix:
         assert rate_matrix_violations(np.array([[np.nan, 0.0], [0.0, 0.0]]))
         assert rate_matrix_violations(np.zeros((2, 3)))
         assert not rate_matrix_violations(np.zeros((2, 2)))
+        assert rate_matrix_violations(np.zeros((1, 1))) == []
 
 
 class TestPolynomialGenerator:
@@ -235,6 +238,17 @@ class TestGeneratorId:
     def test_a_spec_needs_a_name_or_a_cell_table(self):
         with pytest.raises(ValueError, match="name or a cell table"):
             GeneratorSpec(2, lambda points: np.zeros((len(points), 2, 2)))
+
+    def test_a_spec_takes_a_rate_function_or_a_cell_table_not_both(self):
+        # Cells given beside a rate function would name rates that are never evaluated.
+        cells = {(0, 1): [((1, 0), 2.0)]}
+        with pytest.raises(ValueError, match="exactly one"):
+            GeneratorSpec(2, lambda points: np.zeros((len(points), 2, 2)), cells=cells)
+        with pytest.raises(ValueError, match="exactly one"):
+            GeneratorSpec(2)
+        spec = GeneratorSpec(2, cells=cells)
+        assert spec.cells == {(0, 1): (((1, 0), 2.0),)}
+        assert spec.rates((0.25, 0.75)).tolist() == [[-0.5, 0.5], [0.0, 0.0]]
 
 
 class TestCorpus:
@@ -421,6 +435,54 @@ class TestLipschitzEstimate:
         value = lipschitz_estimate(spec, SimplexGrid(2, 50))
         assert value == pytest.approx(7.903333333333329, rel=1e-12)
 
+    @staticmethod
+    def _pair_loop(spec, grid):
+        # Every unordered neighbor pair, found by moving one unit between two coordinates.
+        k = grid.resolution
+        counts = np.rint(grid.array * k).astype(int)
+        index_of = {tuple(row): n for n, row in enumerate(counts)}
+        pairs = set()
+        for n, row in enumerate(counts):
+            for a in range(spec.dimension):
+                for b in range(spec.dimension):
+                    if a != b and row[a] > 0:
+                        moved = list(row)
+                        moved[a] -= 1
+                        moved[b] += 1
+                        pairs.add(tuple(sorted((n, index_of[tuple(moved)]))))
+        if not pairs:
+            return 0.0
+        first, second = np.array(sorted(pairs)).T
+        q = spec.rates_batch(grid.array)
+        return float(np.abs(q[first] - q[second]).max(axis=(1, 2)).max() * (k / 2.0))
+
+    @pytest.mark.parametrize("s", range(1, 6))
+    @pytest.mark.parametrize("resolution", [1, 7, 13, None])
+    def test_matches_the_neighbor_pair_loop(self, s, resolution):
+        rng = np.random.default_rng(10 * s + (resolution or 0))
+        grid = SimplexGrid(s, resolution or 20)
+        for _ in range(3):
+            spec = polynomial_generator(s, random_polynomial_cells(rng, s))
+            expected = self._pair_loop(spec, grid)
+            assert lipschitz_estimate(spec, grid if resolution else None) == expected
+
+    def test_keys_past_int64_match_the_neighbor_pair_loop(self):
+        # 2^64 keys of 64 states at resolution 1 do not fit int64.
+        rng = np.random.default_rng(64)
+        cells = {
+            (i, (i + 1) % 64): [(tuple(int(c == i) for c in range(64)), float(rng.uniform(0.5, 2.0)))]
+            for i in range(64)
+        }
+        spec = polynomial_generator(64, cells)
+        grid = SimplexGrid(64, 1)
+        assert lipschitz_estimate(spec, grid) == self._pair_loop(spec, grid) > 0.0
+
+
+@pytest.mark.parametrize("sweep", [validate, lipschitz_estimate])
+def test_sweeps_refuse_a_grid_of_another_dimension(sweep):
+    with pytest.raises(ValueError, match="grid dimension 2 does not match generator dimension 3"):
+        sweep(corpus("consumer", CONSUMER_PARAMS), SimplexGrid(2, 5))
+
 
 class TestIrreducibility:
     def test_consumer_is_irreducible_in_the_interior(self):
@@ -511,6 +573,12 @@ class TestFileErrors:
 
     def test_schema_violations_are_named(self):
         good = generator_to_json(corpus("bistable"))
+        doc = json.loads(good)
+        cell = doc["cells"][0]
+
+        def variant(**fields):
+            return json.dumps({**doc, **fields})
+
         cases = [
             ('"just a string"', "top level"),
             (good.replace('"nlmc-generator"', '"other-format"'), "format"),
@@ -518,6 +586,12 @@ class TestFileErrors:
             (good.replace('"dimension": 2', '"dimension": 0'), "dimension"),
             (good.replace('"from": 1', '"from": 5'), "out of range"),
             (good.replace('"from": 2', '"from": 1'), "diagonal"),
+            (variant(metadata=[]), "metadata must be an object"),
+            (variant(cells={}), "cells must be an array"),
+            (variant(cells=[1]), r"cells\[0\] must be an object"),
+            (variant(cells=[cell, cell]), r"cells\[1\] repeats cell \(1, 2\)"),
+            (variant(cells=[{**cell, "terms": {}}]), r"cells\[0\]\.terms must be an array"),
+            (variant(cells=[{**cell, "terms": [1]}]), r"cells\[0\]\.terms\[0\] must be an object"),
         ]
         for text, needle in cases:
             with pytest.raises(GeneratorFileError, match=needle):

@@ -197,6 +197,11 @@ class TestEvolve:
         default = evolve(spec, (0.9, 0.1), 1.0)
         assert len(default) == 1001
 
+    def test_a_sample_step_that_does_not_divide_the_horizon_ends_at_it(self):
+        traj = evolve(corpus("bistable"), (0.9, 0.1), 1.0, IntegratorControls(sample_every=0.3))
+        assert np.allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0], rtol=0.0, atol=1e-15)
+        assert traj.times[-1] == 1.0
+
     def test_states_are_valid_distributions(self):
         spec = corpus("consumer", CONSUMER_PARAMS)
         traj = evolve(spec, (1.0, 0.0, 0.0), 20.0)
@@ -321,6 +326,15 @@ class TestSamplePath:
         assert direct.initial_state == reused.initial_state
         assert np.array_equal(direct.jump_times, reused.jump_times)
         assert np.array_equal(direct.states_visited, reused.states_visited)
+
+    def test_a_precomputed_flow_must_match_generator_and_horizon(self):
+        spec = corpus("bistable")
+        other = integrate_flow(constant_generator([[-1.0, 1.0], [1.0, -1.0]]), (0.9, 0.1), 20.0)
+        with pytest.raises(ValueError, match="different generator"):
+            sample_path(spec, (0.9, 0.1), horizon=20.0, flow=other)
+        short = integrate_flow(spec, (0.9, 0.1), 10.0)
+        with pytest.raises(ValueError, match="shorter than"):
+            sample_path(spec, (0.9, 0.1), horizon=20.0, flow=short)
 
     def test_block_size_does_not_change_the_path(self, monkeypatch):
         spec = corpus("consumer", {"b": 2.0, "e": 3.0, "eps": 0.05, "lam": 0.5})

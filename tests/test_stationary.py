@@ -209,6 +209,8 @@ class TestFindInvariant:
         assert float(np.max(np.abs(found.points[1].probs - (0.75, 0.25)))) < 1e-9
         with pytest.raises(ValueError):
             find_invariant(spec, [])
+        with pytest.raises(ValueError, match=r"seeds of shape \(3,\) do not match dimension 2"):
+            find_invariant(spec, [(0.2, 0.3, 0.5)])
 
     def test_absorbing_state_yields_boundary_classification(self):
         spec = constant_generator([[-1.0, 1.0], [0.0, 0.0]])
