@@ -85,7 +85,7 @@ class Certificate:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(self.to_json_text())
 
 

@@ -37,7 +37,7 @@ from .generator import (
     corpus,
     load_generator,
 )
-from .semigroup import IntegratorControls, _check_horizon, evolve, sample_path
+from .semigroup import IntegratorControls, _check_horizon, _check_sample_every, evolve, sample_path
 from .simplex import SimplexGrid
 from .stationary import find_invariant
 
@@ -99,7 +99,8 @@ class RunConfig:
                 raise ValueError(f"{self.command} requires --horizon")
         if self.horizon is not None:
             _check_horizon(self.horizon)
-        self.controls  # the integrator's own checks refuse bad tolerances and sampling
+        _check_sample_every(self.sample_every)
+        self.controls  # the integrator's own check refuses bad tolerances
         if not (1 <= self.grid_resolution <= MAX_GRID_RESOLUTION):
             raise ValueError(f"grid resolution must lie in 1..{MAX_GRID_RESOLUTION}")
         if not (10 <= self.scan_resolution <= MAX_SCAN_RESOLUTION):
@@ -113,7 +114,7 @@ class RunConfig:
 
     @property
     def controls(self) -> IntegratorControls:
-        return IntegratorControls(rtol=self.rtol, atol=self.atol, sample_every=self.sample_every)
+        return IntegratorControls(rtol=self.rtol, atol=self.atol)
 
 
 def _load_spec(config: RunConfig) -> GeneratorSpec:
@@ -153,12 +154,13 @@ def run(config: RunConfig) -> int:
         return 0
 
     spec = _load_spec(config)
-    controls = config.controls
     out = config.out or _DEFAULT_OUT[config.command]
 
     if config.command == "simulate":
         m0 = _check_start(spec, config)
-        trajectory = evolve(spec, m0, config.horizon, controls)
+        trajectory = evolve(
+            spec, m0, config.horizon, config.controls, sample_every=config.sample_every
+        )
         trajectory.to_csv(out)
         final = ", ".join(f"{x:.12g}" for x in trajectory.final.probs)
         print(f"wrote {out} ({len(trajectory)} samples)")
@@ -168,12 +170,7 @@ def run(config: RunConfig) -> int:
     if config.command == "sample":
         m0 = _check_start(spec, config)
         path = sample_path(
-            spec,
-            m0,
-            initial_state=config.initial_state,
-            horizon=config.horizon,
-            seed=config.seed,
-            controls=controls,
+            spec, m0, initial_state=config.initial_state, horizon=config.horizon, seed=config.seed
         )
         path.to_csv(out)
         print(f"wrote {out} ({path.jump_count} jumps, seed {config.seed})")
@@ -241,7 +238,7 @@ def reproduce(figure: str, outdir: str = ".") -> list[str]:
             limit = min(_FIG2_LIMITS, key=lambda target: abs(final - target))
             runs.append({"start": start, "final_m1": final, "limit": limit})
         summary = os.path.join(outdir, "fig2_summary.json")
-        with open(summary, "w", encoding="utf-8") as handle:
+        with open(summary, "w", encoding="utf-8", newline="") as handle:
             handle.write(
                 json.dumps({"horizon": _FIG2_HORIZON, "runs": runs}, indent=2, sort_keys=True)
                 + "\n"

@@ -496,7 +496,7 @@ def generator_to_json(spec: GeneratorSpec) -> str:
 
 
 def save_generator(spec: GeneratorSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(generator_to_json(spec))
 
 

@@ -29,6 +29,7 @@ from .simplex import (
 
 MAX_HORIZON = 1e6
 MAX_SAMPLES = 1_000_000
+MAX_STEPS = 1_000_000    # step attempts, accepted or rejected, of one integrate_flow call
 THINNING_GRID_RESOLUTION = 50
 THINNING_HEADROOM = 1.1
 THINNING_BLOCK = 4096    # proposals whose rates are held at once
@@ -53,21 +54,15 @@ _DP_B4 = np.array(
 
 @dataclass(frozen=True)
 class IntegratorControls:
-    """Step-size and sampling knobs for the marginal-flow integrator."""
+    """Error tolerances of the marginal-flow integrator, checked on construction."""
 
     rtol: float = 1e-8
     atol: float = 1e-10
-    sample_every: float | None = None
-    max_steps: int = 1_000_000
 
     def __post_init__(self) -> None:
         # A NaN tolerance would reject every step; chained comparisons refuse it.
         if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
             raise ValueError("rtol and atol must be positive and finite")
-        if self.sample_every is not None and not (0.0 < self.sample_every < math.inf):
-            raise ValueError("sample_every must be positive and finite")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -80,10 +75,9 @@ class Flow:
 
     A flow of n starts stacks its rows' knots: row i owns the knots
     ``offsets[i]:offsets[i + 1]`` and took ``row_steps[i]`` steps with
-    largest repair ``row_drifts[i]``, while ``steps`` and ``max_drift`` are
-    the total and the largest over rows.  ``row(i)`` is row i as a flow of
-    its own; interpolation needs a one-row flow.  The row fields default to
-    the one row that ``ts`` holds.
+    largest repair ``row_drifts[i]``; ``steps`` and ``max_drift`` are the
+    total and the largest over rows.  ``row(i)`` is row i as a flow of its
+    own; interpolation needs a one-row flow.
     """
 
     generator_id: str
@@ -91,23 +85,24 @@ class Flow:
     ts: np.ndarray
     ys: np.ndarray
     fs: np.ndarray
-    max_drift: float
-    steps: int
-    offsets: tuple[int, ...] | None = None
-    row_steps: tuple[int, ...] | None = None
-    row_drifts: tuple[float, ...] | None = None
+    offsets: tuple[int, ...]
+    row_steps: tuple[int, ...]
+    row_drifts: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if self.offsets is None:
-            object.__setattr__(self, "offsets", (0, len(self.ts)))
-            object.__setattr__(self, "row_steps", (self.steps,))
-            object.__setattr__(self, "row_drifts", (self.max_drift,))
+    @property
+    def steps(self) -> int:
+        return sum(self.row_steps)
+
+    @property
+    def max_drift(self) -> float:
+        return max(self.row_drifts)
 
     def row(self, i: int) -> Flow:
         start, stop = self.offsets[i], self.offsets[i + 1]
         return Flow(
             self.generator_id, self.horizon, self.ts[start:stop], self.ys[start:stop],
-            self.fs[start:stop], self.row_drifts[i], self.row_steps[i],
+            self.fs[start:stop], (0, stop - start), self.row_steps[i : i + 1],
+            self.row_drifts[i : i + 1],
         )
 
     def at(self, t: float) -> np.ndarray:
@@ -265,7 +260,7 @@ def integrate_flow(
     # Accepted knots as (row, t, y, f, repaired drift); y and f change in place.
     knots = [(ids, t, y.copy(), f.copy(), np.zeros(n))]
     floor = 1e-14 * max(1.0, horizon)
-    for step in range(controls.max_steps):
+    for step in range(MAX_STEPS):
         final = t + h >= horizon
         h = np.where(final, horizon - t, h)
         hc = h[:, None]
@@ -300,7 +295,7 @@ def integrate_flow(
                 break
     else:
         raise IntegrationDivergedError(
-            f"no convergence within {controls.max_steps} steps at t = {float(t[0])!r}"
+            f"no convergence within {MAX_STEPS} steps at t = {float(t[0])!r}"
         )
     rows = np.concatenate([k[0] for k in knots])
     order = np.argsort(rows, kind="stable")
@@ -313,15 +308,19 @@ def integrate_flow(
         ts=ts,
         ys=ys,
         fs=fs,
-        max_drift=float(row_drifts.max()),
-        steps=int(row_steps.sum()),
         offsets=tuple(offsets.tolist()),
         row_steps=tuple(row_steps.tolist()),
         row_drifts=tuple(row_drifts.tolist()),
     )
 
 
+def _check_sample_every(sample_every: float | None) -> None:
+    if sample_every is not None and not (0.0 < sample_every < math.inf):
+        raise ValueError("sample_every must be positive and finite")
+
+
 def _sample_times(horizon: float, sample_every: float | None) -> np.ndarray:
+    _check_sample_every(sample_every)
     if sample_every is None:
         sample_every = horizon / 1000.0
     count = np.floor(horizon / sample_every + 1e-9)
@@ -340,16 +339,17 @@ def evolve(
     m0,
     horizon: float,
     controls: IntegratorControls | None = None,
+    *,
+    sample_every: float | None = None,
 ) -> Trajectory | list[Trajectory]:
-    """Marginal flow sampled every ``controls.sample_every`` (default horizon/1000).
+    """Marginal flow sampled every ``sample_every`` (default horizon/1000).
 
     One start ``(S,)`` gives one :class:`Trajectory`; a stack of starts
     ``(n, S)`` gives a list with one per row, from one ``integrate_flow``
-    call.
+    call under ``controls``.
     """
-    controls = controls or IntegratorControls()
     _check_horizon(horizon)
-    times = _sample_times(horizon, controls.sample_every)
+    times = _sample_times(horizon, sample_every)
     flow = integrate_flow(spec, m0, horizon, controls)
     times.flags.writeable = False
     trajectories = []
@@ -445,7 +445,6 @@ def sample_path(
     initial_state: int | None = None,
     horizon: float = 1.0,
     seed: int = 0,
-    controls: IntegratorControls | None = None,
     flow: Flow | None = None,
 ) -> JumpPath:
     """Sample one jump path of the chain driven by the marginal flow.
@@ -458,9 +457,11 @@ def sample_path(
     same seed with the bound doubled.  A run whose proposal count, about
     bound x horizon, would exceed ``MAX_SAMPLES`` is refused with
     ValueError, before integrating and again at each doubling.
-    ``initial_state`` is 0-based; None draws it from ``m0``.  Passing a
-    precomputed ``flow`` (covering ``horizon`` for the same generator)
-    skips re-integration.
+    ``initial_state`` is 0-based; None draws it from ``m0``.  The path
+    follows ``flow`` when given (covering ``horizon`` for the same
+    generator), else ``integrate_flow`` at the default tolerances; pass
+    ``flow=integrate_flow(spec, m0, horizon, controls)`` to sample under
+    other tolerances.
     """
     _check_horizon(horizon)
     m0_arr = _as_state(m0)
@@ -471,12 +472,11 @@ def sample_path(
     base = thinning_bound(spec)
     _check_proposals(base, horizon)
     if flow is None:
-        flow = integrate_flow(spec, m0_arr, horizon, controls)
-    else:
-        if flow.generator_id != spec.generator_id:
-            raise ValueError("flow was integrated for a different generator")
-        if flow.horizon < horizon:
-            raise ValueError(f"flow horizon {flow.horizon!r} is shorter than {horizon!r}")
+        flow = integrate_flow(spec, m0_arr, horizon)
+    elif flow.generator_id != spec.generator_id:
+        raise ValueError("flow was integrated for a different generator")
+    elif flow.horizon < horizon:
+        raise ValueError(f"flow horizon {flow.horizon!r} is shorter than {horizon!r}")
     for doubling in range(64):
         bound = base * (2.0**doubling)
         _check_proposals(bound, horizon)

@@ -86,7 +86,7 @@ class StationarySet:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(self.to_json_text())
 
 

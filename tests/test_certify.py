@@ -25,7 +25,7 @@ from nlmc import (
     reduced_system,
     scalar_drift,
 )
-from nlmc.stationary import StationaryResult
+from nlmc.stationary import StationaryResult, StationarySet
 
 from helpers import CONSUMER_PARAMS, bistable_scalar_drift, consumer_rest_point
 
@@ -549,6 +549,23 @@ class TestCertifyErgodicThreeStates:
         assert evidence["invariant_count"] == len(SimplexGrid(3, 40)) == 861
         assert len(evidence["witnesses"]) == 5
         assert len(certificate.to_json_text()) < 2_000
+
+    def test_no_invariant_from_any_seed_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(
+            nlmc.certify,
+            "certify_unique",
+            lambda spec, grid, h: Certificate(
+                "unique-invariant-distribution", "INCONCLUSIVE", "stub", "", {}, {}
+            ),
+        )
+        monkeypatch.setattr(
+            nlmc.certify, "find_invariant", lambda spec, grid: StationarySet((), 66, 66, 1e-10)
+        )
+        certificate = certify_ergodic_3(corpus("consumer", CONSUMER_PARAMS), SimplexGrid(3, 10))
+        assert certificate.verdict == "INCONCLUSIVE"
+        assert certificate.reason == "no invariant distribution found from any seed"
+        assert certificate.evidence["uniqueness"] == "search"
+        assert certificate.evidence["failed_seeds"] == 66
 
     def test_the_degree_premise_matches_the_full_search_on_random_consumer_sets(
         self, monkeypatch

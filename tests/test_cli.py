@@ -678,6 +678,8 @@ class TestRunConfigValidation:
             RunConfig("sample", seed=-1, **base)
         with pytest.raises(ValueError):
             RunConfig("reproduce", figure="fig3")
+        with pytest.raises(ValueError, match="unknown command"):
+            RunConfig("bogus")
 
 
 class TestReproduce:

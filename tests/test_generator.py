@@ -239,6 +239,14 @@ class TestGeneratorId:
         with pytest.raises(ValueError, match="name or a cell table"):
             GeneratorSpec(2, lambda points: np.zeros((len(points), 2, 2)))
 
+    @pytest.mark.parametrize(
+        "dimension, extension, message",
+        [(0, "analytic", "at least 1"), (2, "bogus", "unknown extension 'bogus'")],
+    )
+    def test_a_spec_needs_a_state_and_a_known_extension(self, dimension, extension, message):
+        with pytest.raises(ValueError, match=message):
+            GeneratorSpec(dimension, lambda points: points, name="refused", extension=extension)
+
     def test_a_spec_takes_a_rate_function_or_a_cell_table_not_both(self):
         # Cells given beside a rate function would name rates that are never evaluated.
         cells = {(0, 1): [((1, 0), 2.0)]}

@@ -44,17 +44,21 @@ class TestIntegratorControls:
             IntegratorControls(rtol=0.0)
         with pytest.raises(ValueError):
             IntegratorControls(atol=-1e-9)
-        with pytest.raises(ValueError):
-            IntegratorControls(sample_every=0.0)
-        with pytest.raises(ValueError):
-            IntegratorControls(max_steps=0)
 
-    @pytest.mark.parametrize("field", ["rtol", "atol", "sample_every"])
+    @pytest.mark.parametrize("field", ["rtol", "atol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite_values(self, field, value):
-        # A NaN tolerance would reject every step until max_steps.
+        # A NaN tolerance would reject every step until MAX_STEPS.
         with pytest.raises(ValueError, match="positive and finite"):
             IntegratorControls(**{field: value})
+
+    def test_holds_only_the_tolerances(self):
+        with pytest.raises(TypeError):
+            IntegratorControls(sample_every=0.5)
+        with pytest.raises(TypeError):
+            IntegratorControls(max_steps=10)
+        with pytest.raises(TypeError):
+            sample_path(corpus("bistable"), (0.5, 0.5), horizon=1.0, controls=TIGHT)
 
 
 class TestIntegrateFlow:
@@ -102,10 +106,11 @@ class TestIntegrateFlow:
         with pytest.raises(ValueError):
             integrate_flow(spec, (0.5, 0.5), 2e6)
 
-    def test_max_steps_exhaustion_raises(self):
+    def test_max_steps_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(nlmc.semigroup, "MAX_STEPS", 3)
         spec = corpus("oscillator")
-        with pytest.raises(IntegrationDivergedError):
-            integrate_flow(spec, (0.2, 0.4, 0.4), 10.0, IntegratorControls(max_steps=3))
+        with pytest.raises(IntegrationDivergedError, match="within 3 steps"):
+            integrate_flow(spec, (0.2, 0.4, 0.4), 10.0)
 
     def test_grid_aligned_mass_leak_is_caught_at_integration_time(self):
         # The leak vanishes at every multiple of 1/20, so grid validation
@@ -176,6 +181,17 @@ class TestFlowRows:
         assert np.array_equal(row.ts, flow.ts) and row.steps == flow.steps
         assert isinstance(evolve(spec, Distribution((0.3, 0.7)), 5.0), Trajectory)
 
+    def test_a_hand_built_flow_derives_its_totals_from_its_rows(self):
+        ts = np.array([0.0, 0.5, 1.0, 0.0, 1.0])
+        ys = np.tile([0.5, 0.5], (5, 1))
+        flow = Flow("g", 1.0, ts, ys, np.zeros((5, 2)), (0, 3, 5), (4, 2), (1e-12, 3e-12))
+        assert (flow.steps, flow.max_drift) == (6, 3e-12)
+        row = flow.row(0)
+        assert (row.offsets, row.row_steps, row.row_drifts) == ((0, 3), (4,), (1e-12,))
+        assert (row.steps, row.max_drift) == (4, 1e-12)
+        assert np.array_equal(row.ts, ts[:3])
+        assert np.array_equal(flow.row(1).at(0.5), [0.5, 0.5])
+
     def test_a_stacked_flow_interpolates_only_row_by_row(self):
         spec = corpus("bistable")
         flow = integrate_flow(spec, [(0.3, 0.7), (0.6, 0.4)], 5.0)
@@ -191,14 +207,14 @@ class TestFlowRows:
 class TestEvolve:
     def test_sampling_grid(self):
         spec = corpus("bistable")
-        traj = evolve(spec, (0.9, 0.1), 2.0, IntegratorControls(sample_every=0.5))
+        traj = evolve(spec, (0.9, 0.1), 2.0, sample_every=0.5)
         assert np.allclose(traj.times, [0.0, 0.5, 1.0, 1.5, 2.0], atol=0.0)
         assert traj.states.shape == (5, 2)
         default = evolve(spec, (0.9, 0.1), 1.0)
         assert len(default) == 1001
 
     def test_a_sample_step_that_does_not_divide_the_horizon_ends_at_it(self):
-        traj = evolve(corpus("bistable"), (0.9, 0.1), 1.0, IntegratorControls(sample_every=0.3))
+        traj = evolve(corpus("bistable"), (0.9, 0.1), 1.0, sample_every=0.3)
         assert np.allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0], rtol=0.0, atol=1e-15)
         assert traj.times[-1] == 1.0
 
@@ -216,9 +232,15 @@ class TestEvolve:
         two = evolve(spec, (0.6, 0.4), 5.0).to_csv_text()
         assert one == two
 
+    @pytest.mark.parametrize("value", [0.0, math.nan, math.inf])
+    def test_rejects_a_bad_sample_step(self, value):
+        # Unchecked, zero divides by zero and inf quietly samples only the two ends.
+        with pytest.raises(ValueError, match="positive and finite"):
+            evolve(corpus("bistable"), (0.9, 0.1), 1.0, sample_every=value)
+
     def test_csv_round_trip(self, tmp_path):
         spec = corpus("bistable")
-        traj = evolve(spec, (0.9, 0.1), 1.0, IntegratorControls(sample_every=0.25))
+        traj = evolve(spec, (0.9, 0.1), 1.0, sample_every=0.25)
         text = traj.to_csv_text()
         lines = text.strip().split("\n")
         assert lines[0] == "t,m_1,m_2"
@@ -285,6 +307,19 @@ class TestInvarianceAudit:
         messages = " | ".join(f.message for f in report.findings)
         assert "below" in messages
         assert "mass" in messages
+
+    def test_a_drift_out_of_the_simplex_is_reported(self):
+        # At the corner (0, 1) the drift m^T Q = (-1, 1) pushes m_1 below zero.
+        spec = GeneratorSpec(
+            2, lambda points: np.tile([[-1.0, 1.0], [-1.0, 1.0]], (len(points), 1, 1)),
+            name="outward",
+        )
+        trajectory = Trajectory("outward", np.array([0.0]), np.array([[0.0, 1.0]]))
+        report = flow_invariance_audit(trajectory, spec)
+        assert not report.clean
+        assert [(f.index, f.message) for f in report.findings] == [
+            (0, "drift leaves the tangent cone")
+        ]
 
 
 class TestThinningBound:
@@ -356,7 +391,7 @@ class TestSamplePath:
         # Started at its stationary law, a constant chain's marginal flow stands still.
         pi = stationary_oracle(q)
         flow = Flow(spec.generator_id, horizon, np.array([0.0, horizon]), np.stack([pi, pi]),
-                    np.zeros((2, 4)), 0.0, 1)
+                    np.zeros((2, 4)), (0, 2), (1,), (0.0,))
         tracemalloc.start()
         try:
             path = sample_path(spec, pi, horizon=horizon, seed=1, flow=flow)
