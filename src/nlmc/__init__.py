@@ -15,7 +15,6 @@ from .certify import (
     certify_ergodic_3,
     certify_unique,
     reduced_system,
-    scalar_drift,
 )
 from .errors import (
     CertificateEvaluationError,
@@ -29,7 +28,6 @@ from .errors import (
 from .generator import (
     GeneratorSpec,
     GridViolation,
-    RateMatrix,
     ValidationReport,
     constant_generator,
     corpus,
@@ -55,7 +53,7 @@ from .semigroup import (
     sample_path,
     thinning_bound,
 )
-from .simplex import Distribution, SimplexGrid, project_to_simplex, tangent_cone_member
+from .simplex import Distribution, SimplexGrid, project_to_simplex
 from .stationary import (
     StationaryResult,
     StationarySet,
@@ -82,7 +80,6 @@ __all__ = [
     "JumpPath",
     "NlmcError",
     "NumericalError",
-    "RateMatrix",
     "ReducedSystem",
     "ReducibleGeneratorError",
     "SimplexGrid",
@@ -112,8 +109,6 @@ __all__ = [
     "residual",
     "sample_path",
     "save_generator",
-    "scalar_drift",
-    "tangent_cone_member",
     "thinning_bound",
     "validate",
 ]

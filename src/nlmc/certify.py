@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import CertificateEvaluationError
 from .generator import RATE_FLOOR, GeneratorSpec, _irreducible, _sweep_grid, irreducible_at
-from .simplex import FD_STEP, Distribution, SimplexGrid, _chart_embed, _chart_jacobian
+from .simplex import FD_STEP, Distribution, SimplexGrid, _chart_embed, _chart_jacobian, _write_text
 from .stationary import TOL_INVARIANT, _frozen_solve, find_invariant
 
 TOL_DET = 1e-8
@@ -85,8 +84,7 @@ class Certificate:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(self.to_json_text())
+        _write_text(path, self.to_json_text())
 
 
 def _jsonable(value):
@@ -258,17 +256,6 @@ def certify_unique(spec: GeneratorSpec, grid: SimplexGrid, h: float = FD_STEP) -
         binding_point=points[np.argmin(abs_dets)],
         margin=float(abs_dets.min() - TOL_DET),
     )
-
-
-def scalar_drift(spec: GeneratorSpec) -> Callable[[float], float]:
-    """The drift of m_1 for a two-state generator: f(m1) = m1 Q11 + (1 - m1) Q21."""
-    if spec.dimension != 2:
-        raise ValueError("scalar drift requires a two-state generator")
-
-    def f(m1: float) -> float:
-        return float(spec.drift([m1, 1.0 - m1])[0])
-
-    return f
 
 
 def _bisect_rows(spec: GeneratorSpec, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:

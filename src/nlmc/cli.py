@@ -38,7 +38,7 @@ from .generator import (
     load_generator,
 )
 from .semigroup import IntegratorControls, _check_horizon, _check_sample_every, evolve, sample_path
-from .simplex import SimplexGrid
+from .simplex import SimplexGrid, _write_text
 from .stationary import find_invariant
 
 MAX_GRID_RESOLUTION = 200
@@ -238,11 +238,10 @@ def reproduce(figure: str, outdir: str = ".") -> list[str]:
             limit = min(_FIG2_LIMITS, key=lambda target: abs(final - target))
             runs.append({"start": start, "final_m1": final, "limit": limit})
         summary = os.path.join(outdir, "fig2_summary.json")
-        with open(summary, "w", encoding="utf-8", newline="") as handle:
-            handle.write(
-                json.dumps({"horizon": _FIG2_HORIZON, "runs": runs}, indent=2, sort_keys=True)
-                + "\n"
-            )
+        _write_text(
+            summary,
+            json.dumps({"horizon": _FIG2_HORIZON, "runs": runs}, indent=2, sort_keys=True) + "\n",
+        )
         written.append(summary)
         return written
     raise ValueError(f"unknown figure {figure!r}; choose fig1 or fig2")

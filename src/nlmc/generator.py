@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeneratorEvaluationError, GeneratorFileError
-from .simplex import Distribution, SimplexGrid
+from .simplex import Distribution, SimplexGrid, _write_text
 
 OFFDIAG_TOL = 1e-10      # off-diagonal entries may round this far below zero
 ROWSUM_TOL = 1e-9        # conservativity slack per row
@@ -27,60 +27,6 @@ VALIDATION_RESOLUTION = 20
 
 FILE_FORMAT = "nlmc-generator"
 FILE_VERSION = 1
-
-
-class RateMatrix:
-    """A conservative transition rate matrix.
-
-    Construction validates shape, finiteness, off-diagonal sign (within
-    ``OFFDIAG_TOL``) and row sums (within ``ROWSUM_TOL``), then clamps
-    off-diagonal rounding noise to zero.  The stored array is read-only.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries) -> None:
-        q = np.array(entries, dtype=float)
-        problems = rate_matrix_violations(q)
-        if problems:
-            raise GeneratorEvaluationError("; ".join(problems))
-        np.maximum(q, 0.0, out=q, where=~np.eye(q.shape[0], dtype=bool))
-        q.flags.writeable = False
-        self.entries = q
-
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
-
-    def __repr__(self) -> str:
-        return f"RateMatrix({self.entries.tolist()!r})"
-
-
-def rate_matrix_violations(q: np.ndarray) -> list[str]:
-    """List the ways a raw array fails to be a conservative rate matrix."""
-    if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] == 0:
-        return [f"rate matrix must be square and non-empty, got shape {q.shape}"]
-    problems = []
-    if not np.all(np.isfinite(q)):
-        problems.append("rate matrix has non-finite entries")
-        return problems
-    masked = _offdiagonal(q)
-    worst_off = float(masked.min())
-    if worst_off < -OFFDIAG_TOL:
-        i, j = divmod(int(np.argmin(masked)), q.shape[0])
-        problems.append(f"off-diagonal entry ({i + 1},{j + 1}) = {worst_off:.6e} is negative")
-    row_sums = q.sum(axis=1)
-    worst_row = int(np.argmax(np.abs(row_sums)))
-    if abs(float(row_sums[worst_row])) > ROWSUM_TOL:
-        problems.append(
-            f"row {worst_row + 1} sums to {float(row_sums[worst_row]):.6e}, not zero"
-        )
-    return problems
-
-
-def _offdiagonal(q: np.ndarray) -> np.ndarray:
-    """A copy of a stack ``(..., S, S)`` with +inf on every diagonal, for off-diagonal minima."""
-    return np.where(np.eye(q.shape[-1], dtype=bool), np.inf, q)
 
 
 class GeneratorSpec:
@@ -99,8 +45,7 @@ class GeneratorSpec:
 
     ``rates`` and ``rates_batch`` return raw arrays without conservativity
     checks, which keeps finite-difference probes at slightly off-simplex
-    points legal; ``eval`` wraps the result in a validated
-    :class:`RateMatrix`.
+    points legal; :func:`validate` checks conservativity on a grid.
     """
 
     def __init__(
@@ -145,10 +90,6 @@ class GeneratorSpec:
         """Raw S x S rate array at one point (no conservativity checks)."""
         arr = m.probs if isinstance(m, Distribution) else np.asarray(m, dtype=float)
         return self.rates_batch(arr[None, :])[0]
-
-    def eval(self, m: Distribution) -> RateMatrix:
-        """Validated rate matrix at ``m``."""
-        return RateMatrix(self.rates(m))
 
     def drift(self, m) -> np.ndarray:
         """Marginal drift f(m) with components f_j = sum_i m_i Q_ij(m)."""
@@ -255,10 +196,20 @@ def polynomial_generator(
 
 
 def constant_generator(matrix) -> GeneratorSpec:
-    """Wrap a constant conservative rate matrix as a (linear) generator."""
-    q = RateMatrix(matrix).entries
+    """Wrap a constant conservative rate matrix as a (linear) generator.
+
+    A matrix that is not square and non-empty raises ValueError, one that fails
+    :func:`validate`'s check GeneratorEvaluationError in its words; off-diagonal
+    rounding noise down to ``-OFFDIAG_TOL`` becomes a zero rate.
+    """
+    q = np.array(matrix, dtype=float)
+    if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] == 0:
+        raise ValueError(f"rate matrix must be square and non-empty, got shape {q.shape}")
+    problems = _problems(q[None])
+    if problems:
+        raise GeneratorEvaluationError("; ".join(message for _, message in problems))
     s = q.shape[0]
-    cells = {(i, j): [((0,) * s, float(q[i, j]))] for i, j in zip(*np.nonzero(q)) if i != j}
+    cells = {(i, j): [((0,) * s, float(q[i, j]))] for i, j in zip(*np.nonzero(q > 0.0)) if i != j}
     return polynomial_generator(s, cells)
 
 
@@ -373,40 +324,44 @@ def _sweep_grid(spec: GeneratorSpec, grid: SimplexGrid | None = None) -> Simplex
     return grid
 
 
-def validate(spec: GeneratorSpec, grid: SimplexGrid | None = None) -> ValidationReport:
-    """Check conservativity of ``spec`` at every point of ``grid``.
+def _problems(q: np.ndarray) -> list[tuple[int, str]]:
+    """Conservativity failures of a stack ``(n, S, S)``, as (index, message) in index order.
 
-    The default grid has resolution ``VALIDATION_RESOLUTION``.  Off-diagonal
-    entries may dip ``OFFDIAG_TOL`` below zero and row sums may miss zero by
-    ``ROWSUM_TOL``; anything worse, non-finite rates included, is reported
-    with the offending point.
+    Off-diagonal entries may dip ``OFFDIAG_TOL`` below zero and row sums may
+    miss zero by ``ROWSUM_TOL``; a matrix with a non-finite entry reports only that.
     """
-    grid = _sweep_grid(spec, grid)
-    points = grid.array
-    q = spec._batch(points)
-    violations = []
     finite = np.all(np.isfinite(q), axis=(1, 2))
-    off_min = _offdiagonal(q).min(axis=(1, 2))
+    off_min = np.where(np.eye(q.shape[-1], dtype=bool), np.inf, q).min(axis=(1, 2))
     row_worst = np.max(np.abs(q.sum(axis=2)), axis=1)
     negative = finite & (off_min < -OFFDIAG_TOL)
     unbalanced = finite & (row_worst > ROWSUM_TOL)
+    problems = []
     for n in np.flatnonzero(~finite | negative | unbalanced):
-        point = tuple(points[n].tolist())
         if not finite[n]:
-            violations.append(GridViolation(point, "non-finite rates"))
+            problems.append((n, "non-finite rates"))
         if negative[n]:
-            violations.append(
-                GridViolation(point, f"negative off-diagonal rate {float(off_min[n]):.6e}")
-            )
+            problems.append((n, f"negative off-diagonal rate {float(off_min[n]):.6e}"))
         if unbalanced[n]:
-            violations.append(
-                GridViolation(point, f"row sum off by {float(row_worst[n]):.6e}")
-            )
+            problems.append((n, f"row sum off by {float(row_worst[n]):.6e}"))
+    return problems
+
+
+def validate(spec: GeneratorSpec, grid: SimplexGrid | None = None) -> ValidationReport:
+    """Check conservativity of ``spec`` at every point of ``grid``.
+
+    The default grid has resolution ``VALIDATION_RESOLUTION``.  Each failure
+    of the check (see ``_problems``) is reported with the offending point.
+    """
+    grid = _sweep_grid(spec, grid)
+    points = grid.array
     return ValidationReport(
         dimension=spec.dimension,
         grid_resolution=grid.resolution,
         checked=points.shape[0],
-        violations=tuple(violations),
+        violations=tuple(
+            GridViolation(tuple(points[n].tolist()), message)
+            for n, message in _problems(spec._batch(points))
+        ),
     )
 
 
@@ -496,8 +451,7 @@ def generator_to_json(spec: GeneratorSpec) -> str:
 
 
 def save_generator(spec: GeneratorSpec, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(generator_to_json(spec))
+    _write_text(path, generator_to_json(spec))
 
 
 def _is_json_int(value) -> bool:

@@ -25,6 +25,7 @@ from .simplex import (
     SimplexGrid,
     _project_array,
     _tangent_ok,
+    _write_text,
 )
 
 MAX_HORIZON = 1e6
@@ -159,8 +160,7 @@ class Trajectory:
         return header + (line * self.times.size) % tuple(values)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(self.to_csv_text())
+        _write_text(path, self.to_csv_text())
 
 
 @dataclass(frozen=True)
@@ -203,8 +203,7 @@ class JumpPath:
         return "t,state\n" + ("%.17g,%d\n" * times.size) % tuple(values)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(self.to_csv_text())
+        _write_text(path, self.to_csv_text())
 
 
 def _check_horizon(horizon: float) -> None:
@@ -382,7 +381,6 @@ class AuditReport:
     clean: bool
     states_checked: int
     max_drift_before_repair: float
-    worst_negative_entry: float
     worst_mass_defect: float
     min_component: float
     findings: tuple[AuditFinding, ...]
@@ -397,7 +395,6 @@ def flow_invariance_audit(trajectory: Trajectory, spec: GeneratorSpec) -> AuditR
     """
     states = np.asarray(trajectory.states, dtype=float)
     findings = []
-    worst_negative = float(states.min())
     mass_defects = np.abs(states.sum(axis=1) - 1.0)
     drifts = spec.drift_batch(states)
     for n in range(states.shape[0]):
@@ -415,9 +412,8 @@ def flow_invariance_audit(trajectory: Trajectory, spec: GeneratorSpec) -> AuditR
         clean=not findings,
         states_checked=states.shape[0],
         max_drift_before_repair=float(trajectory.max_drift),
-        worst_negative_entry=min(worst_negative, 0.0),
         worst_mass_defect=float(mass_defects.max()),
-        min_component=worst_negative,
+        min_component=float(states.min()),
         findings=tuple(findings),
     )
 
@@ -458,9 +454,9 @@ def sample_path(
     bound x horizon, would exceed ``MAX_SAMPLES`` is refused with
     ValueError, before integrating and again at each doubling.
     ``initial_state`` is 0-based; None draws it from ``m0``.  The path
-    follows ``flow`` when given (covering ``horizon`` for the same
-    generator), else ``integrate_flow`` at the default tolerances; pass
-    ``flow=integrate_flow(spec, m0, horizon, controls)`` to sample under
+    follows ``flow`` when given (one row from ``m0`` for the same generator,
+    covering ``horizon``), else ``integrate_flow`` at the default tolerances;
+    pass ``flow=integrate_flow(spec, m0, horizon, controls)`` to sample under
     other tolerances.
     """
     _check_horizon(horizon)
@@ -477,6 +473,10 @@ def sample_path(
         raise ValueError("flow was integrated for a different generator")
     elif flow.horizon < horizon:
         raise ValueError(f"flow horizon {flow.horizon!r} is shorter than {horizon!r}")
+    elif len(flow.offsets) != 2:
+        raise ValueError("flow has several rows; pass one of them with flow.row(i)")
+    elif np.abs(flow.ys[0] - m0_arr).max() > TOL_RENORMALIZE:
+        raise ValueError(f"flow starts at {flow.ys[0].tolist()!r}, not at m0")
     for doubling in range(64):
         bound = base * (2.0**doubling)
         _check_proposals(bound, horizon)

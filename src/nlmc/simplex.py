@@ -119,26 +119,25 @@ class SimplexGrid:
         return iter(self.points)
 
 
-def tangent_cone_member(m: Distribution, y, tol: float = TOL_CONE) -> bool:
-    """Test whether ``y`` lies in the tangent cone of the simplex at ``m``.
+def _tangent_ok(m_arr: np.ndarray, y_arr: np.ndarray, tol: float = TOL_CONE) -> bool:
+    """Whether direction ``y_arr`` lies in the tangent cone of the simplex at ``m_arr``.
 
     A direction is tangent exactly when it conserves mass and does not push
-    any zero coordinate negative, so the test is: ``sum(y)`` within ``tol``
-    of zero, and ``y_i >= -tol`` wherever ``m_i <= TOL_MEMBERSHIP``.
+    any zero coordinate negative: ``sum(y)`` within ``tol`` of zero, and
+    ``y_i >= -tol`` wherever ``m_i <= TOL_MEMBERSHIP``.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != m.probs.shape:
-        raise ValueError(f"direction shape {y.shape} does not match point shape {m.probs.shape}")
-    return _tangent_ok(m.probs, y, tol)
-
-
-def _tangent_ok(m_arr: np.ndarray, y_arr: np.ndarray, tol: float = TOL_CONE) -> bool:
     if abs(float(y_arr.sum())) > tol:
         return False
     at_zero = m_arr <= TOL_MEMBERSHIP
     if not np.any(at_zero):
         return True
     return bool(np.all(y_arr[at_zero] >= -tol))
+
+
+def _write_text(path, text: str) -> None:
+    """Write an artifact's text as UTF-8 with LF line ends on every platform."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
 
 
 def project_to_simplex(v) -> Distribution:

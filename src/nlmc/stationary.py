@@ -26,7 +26,9 @@ import numpy as np
 from .errors import NumericalError, ReducibleGeneratorError
 from .generator import GeneratorSpec, _irreducible
 from .semigroup import integrate_flow
-from .simplex import FD_STEP, Distribution, SimplexGrid, _chart_embed, _chart_jacobian, _project_array
+from .simplex import (
+    FD_STEP, Distribution, SimplexGrid, _chart_embed, _chart_jacobian, _project_array, _write_text,
+)
 
 TOL_INVARIANT = 1e-10
 FROZEN_RESIDUAL_TOL = 1e-12
@@ -86,8 +88,7 @@ class StationarySet:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(self.to_json_text())
+        _write_text(path, self.to_json_text())
 
 
 def residual(spec: GeneratorSpec, m) -> float:

@@ -23,13 +23,18 @@ from nlmc import (
     find_invariant,
     polynomial_generator,
     reduced_system,
-    scalar_drift,
 )
 from nlmc.stationary import StationaryResult, StationarySet
 
 from helpers import CONSUMER_PARAMS, bistable_scalar_drift, consumer_rest_point
 
 CONSUMER = corpus("consumer", CONSUMER_PARAMS)
+
+
+def _m1_drift(spec, m1) -> np.ndarray:
+    """Drift of m_1 of a two-state generator at each m_1 of ``m1``."""
+    m1 = np.asarray(m1, dtype=float)
+    return spec.drift_batch(np.column_stack([m1, 1.0 - m1]))[:, 0]
 
 
 def _bistable_chart_slope(m1: float) -> float:
@@ -219,11 +224,9 @@ class TestCertifyUnique:
 
 class TestCertifyErgodicTwoStates:
     def test_scalar_drift_matches_direct_evaluation(self):
-        f = scalar_drift(corpus("bistable"))
-        for m1 in np.linspace(0.0, 1.0, 21):
-            assert f(float(m1)) == pytest.approx(bistable_scalar_drift(float(m1)), abs=1e-12)
-        with pytest.raises(ValueError):
-            scalar_drift(CONSUMER)
+        m1 = np.linspace(0.0, 1.0, 21)
+        for x, drift in zip(m1, _m1_drift(corpus("bistable"), m1)):
+            assert drift == pytest.approx(bistable_scalar_drift(float(x)), abs=1e-12)
 
     def test_contracting_chain_is_certified(self):
         spec = constant_generator([[-2.0, 2.0], [1.0, -1.0]])
@@ -264,9 +267,8 @@ class TestCertifyErgodicTwoStates:
             (1, 0): [((0, 0), 0.125), ((1, 0), 0.2), ((2, 0), 0.2)],
         }
         spec = polynomial_generator(2, cells)
-        f = scalar_drift(spec)
-        for m1 in (0.0, 0.25, 0.5, 0.75, 1.0):
-            assert f(m1) == pytest.approx(-((m1 - 0.5) ** 3), abs=1e-15)
+        m1 = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        assert np.allclose(_m1_drift(spec, m1), -((m1 - 0.5) ** 3), rtol=0.0, atol=1e-15)
         certificate = certify_ergodic_2(spec)
         assert certificate.verdict == "INCONCLUSIVE"
         assert "uniformly" in certificate.reason
@@ -303,7 +305,9 @@ class TestCertifyErgodicTwoStates:
             return 0.5 * (a + b)
 
         def reference_roots(spec):
-            f = scalar_drift(spec)
+            def f(x):
+                return float(_m1_drift(spec, [x])[0])
+
             xs = np.linspace(0.0, 1.0, scan + 1).tolist()
             vals = [f(x) for x in xs]
             near = [abs(v) <= nlmc.certify.ZERO_DRIFT_TOL for v in vals]

@@ -10,7 +10,6 @@ from nlmc import (
     GeneratorEvaluationError,
     GeneratorFileError,
     GeneratorSpec,
-    RateMatrix,
     SimplexGrid,
     constant_generator,
     corpus,
@@ -23,7 +22,7 @@ from nlmc import (
     save_generator,
     validate,
 )
-from nlmc.generator import CORPUS_NAMES, RATE_FLOOR, _irreducible, rate_matrix_violations
+from nlmc.generator import CORPUS_NAMES, RATE_FLOOR, _irreducible
 
 from helpers import (
     CONSUMER_PARAMS,
@@ -45,39 +44,62 @@ ROW_CASES = [
 
 
 class TestRateMatrix:
+    """``constant_generator``'s check of the one rate matrix it wraps."""
+
     def test_accepts_conservative_matrix(self):
-        q = RateMatrix([[-1.0, 1.0], [2.0, -2.0]])
-        assert q.dimension == 2
-        assert np.allclose(q.entries, [[-1.0, 1.0], [2.0, -2.0]])
+        spec = constant_generator([[-1.0, 1.0], [2.0, -2.0]])
+        assert spec.dimension == 2
+        assert np.allclose(spec.rates((0.3, 0.7)), [[-1.0, 1.0], [2.0, -2.0]])
 
     def test_clamps_offdiagonal_rounding_noise(self):
-        q = RateMatrix([[1e-13, -1e-13], [2.0, -2.0]])
-        assert q.entries[0, 1] == 0.0
+        spec = constant_generator([[1e-13, -1e-13], [2.0, -2.0]])
+        assert (0, 1) not in spec.cells
+        assert spec.rates((0.5, 0.5))[0, 1] == 0.0
+        assert spec.generator_id == constant_generator([[0.0, 0.0], [2.0, -2.0]]).generator_id
 
-    def test_entries_are_read_only(self):
-        q = RateMatrix([[-1.0, 1.0], [1.0, -1.0]])
-        with pytest.raises(ValueError):
-            q.entries[0, 1] = 5.0
+    def test_later_edits_of_the_matrix_do_not_reach_the_rates(self):
+        q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        spec = constant_generator(q)
+        q[0, 1] = 5.0
+        assert spec.rates((0.5, 0.5))[0, 1] == 1.0
 
     def test_rejects_negative_offdiagonal(self):
         with pytest.raises(GeneratorEvaluationError):
-            RateMatrix([[0.5, -0.5], [1.0, -1.0]])
+            constant_generator([[0.5, -0.5], [1.0, -1.0]])
 
     def test_rejects_nonzero_row_sum(self):
         with pytest.raises(GeneratorEvaluationError):
-            RateMatrix([[-1.0, 1.1], [1.0, -1.0]])
+            constant_generator([[-1.0, 1.1], [1.0, -1.0]])
 
     def test_violation_messages_name_the_problem(self):
-        bad = np.array([[0.5, -0.5], [1.0, -1.0]])
-        messages = rate_matrix_violations(bad)
-        assert any("negative" in msg for msg in messages)
-        bad = np.array([[-1.0, 1.2], [1.0, -1.0]])
-        messages = rate_matrix_violations(bad)
-        assert any("sums to" in msg for msg in messages)
-        assert rate_matrix_violations(np.array([[np.nan, 0.0], [0.0, 0.0]]))
-        assert rate_matrix_violations(np.zeros((2, 3)))
-        assert not rate_matrix_violations(np.zeros((2, 2)))
-        assert rate_matrix_violations(np.zeros((1, 1))) == []
+        with pytest.raises(GeneratorEvaluationError, match="negative off-diagonal rate"):
+            constant_generator([[0.5, -0.5], [1.0, -1.0]])
+        with pytest.raises(GeneratorEvaluationError, match="row sum off by"):
+            constant_generator([[-1.0, 1.2], [1.0, -1.0]])
+        with pytest.raises(GeneratorEvaluationError, match="^non-finite rates$"):
+            constant_generator([[np.nan, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="square and non-empty"):
+            constant_generator(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="square and non-empty"):
+            constant_generator(np.zeros((0, 0)))
+        assert constant_generator(np.zeros((2, 2))).cells == {}
+        assert constant_generator(np.zeros((1, 1))).dimension == 1
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            pytest.param([[0.5, -0.5], [1.0, -1.0]], id="negative-offdiagonal"),
+            pytest.param([[-1.0, 1.1], [1.0, -1.0]], id="row-sum"),
+            pytest.param([[np.nan, 0.0], [0.0, 0.0]], id="nan"),
+        ],
+    )
+    def test_refusal_words_the_failure_as_validate_does(self, q):
+        q = np.array(q)
+        spec = GeneratorSpec(2, lambda p: np.broadcast_to(q, (len(p), 2, 2)).copy(), name="fixed")
+        first = validate(spec, SimplexGrid(2, 1)).violations[0]
+        with pytest.raises(GeneratorEvaluationError) as refused:
+            constant_generator(q)
+        assert str(refused.value) == first.message
 
 
 class TestPolynomialGenerator:
@@ -157,7 +179,7 @@ class TestPolynomialGenerator:
             m = random_distribution(rng, 3)
             assert np.allclose(spec.rates(m), q, atol=1e-14)
             assert np.allclose(spec.drift(m), m @ q, atol=1e-14)
-        assert isinstance(spec.eval(SimplexGrid(3, 2).points[0]), RateMatrix)
+        assert validate(spec).valid
 
     def test_non_finite_rates_raise(self):
         def batch(points):

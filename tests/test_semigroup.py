@@ -290,7 +290,7 @@ class TestInvarianceAudit:
             assert report.clean
             assert report.states_checked == len(traj)
             assert report.findings == ()
-            assert report.worst_negative_entry >= -1e-9
+            assert report.min_component >= -1e-9
             assert report.worst_mass_defect <= 1e-9
 
     def test_fabricated_violations_are_reported(self):
@@ -302,7 +302,7 @@ class TestInvarianceAudit:
         )
         assert not report.clean
         assert report.states_checked == 2
-        assert report.worst_negative_entry == pytest.approx(-0.2)
+        assert report.min_component == pytest.approx(-0.2)
         assert report.worst_mass_defect == pytest.approx(0.01)
         messages = " | ".join(f.message for f in report.findings)
         assert "below" in messages
@@ -370,6 +370,19 @@ class TestSamplePath:
         short = integrate_flow(spec, (0.9, 0.1), 10.0)
         with pytest.raises(ValueError, match="shorter than"):
             sample_path(spec, (0.9, 0.1), horizon=20.0, flow=short)
+
+    def test_a_precomputed_flow_must_start_at_m0(self):
+        # From (0.05, 0.95) the bistable flow settles at m1 = 0.25, from (0.95, 0.05) at 0.75.
+        spec = corpus("bistable")
+        elsewhere = integrate_flow(spec, (0.05, 0.95), 20.0)
+        with pytest.raises(ValueError, match="not at m0"):
+            sample_path(spec, (0.95, 0.05), horizon=20.0, flow=elsewhere)
+
+    def test_a_precomputed_flow_must_have_one_row(self):
+        spec = corpus("bistable")
+        stacked = integrate_flow(spec, [(0.95, 0.05), (0.05, 0.95)], 20.0)
+        with pytest.raises(ValueError, match="several rows"):
+            sample_path(spec, (0.95, 0.05), horizon=20.0, flow=stacked)
 
     def test_block_size_does_not_change_the_path(self, monkeypatch):
         spec = corpus("consumer", {"b": 2.0, "e": 3.0, "eps": 0.05, "lam": 0.5})
