@@ -14,7 +14,6 @@ from .certify import (
     certify_ergodic_2,
     certify_ergodic_3,
     certify_unique,
-    reduced_system,
 )
 from .errors import (
     CertificateEvaluationError,
@@ -105,7 +104,6 @@ __all__ = [
     "load_generator",
     "polynomial_generator",
     "project_to_simplex",
-    "reduced_system",
     "residual",
     "sample_path",
     "save_generator",

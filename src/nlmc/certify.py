@@ -25,7 +25,9 @@ import numpy as np
 
 from .errors import CertificateEvaluationError
 from .generator import RATE_FLOOR, GeneratorSpec, _irreducible, _sweep_grid, irreducible_at
-from .simplex import FD_STEP, Distribution, SimplexGrid, _chart_embed, _chart_jacobian, _write_text
+from .simplex import (
+    FD_STEP, Distribution, SimplexGrid, _chart_drift, _chart_embed, _chart_jacobian, _write_text,
+)
 from .stationary import TOL_INVARIANT, _frozen_solve, find_invariant
 
 TOL_DET = 1e-8
@@ -161,24 +163,28 @@ def _verdicts(claim: str, spec: GeneratorSpec, tolerances: dict, base_evidence: 
     return verdict
 
 
-def _sign_defect(values: np.ndarray, tol: float):
-    """Why ``values`` fail to share one sign with magnitude above ``tol``, or None.
+def _sign_failure(verdict, values, points, tol, name, key, where, **evidence):
+    """The INCONCLUSIVE verdict when ``values`` at ``points`` fail to share one sign, else None.
 
-    ``("small", [weakest])`` names the first value of least magnitude when
-    that magnitude is at most ``tol``; ``("mixed", [first positive, first
-    negative])`` names the first value of each sign.
+    The first weakest value fails when its magnitude, ``min_abs_<key>``, is at
+    most ``tol``; else the first positive and first negative values, ``<key>s``.
     """
     magnitude = np.abs(values)
     weakest = int(np.argmin(magnitude))
-    if magnitude[weakest] <= tol:
-        return "small", [weakest]
     signs = np.sign(values)
-    if signs.min() != signs.max():
-        return "mixed", [int(np.argmax(signs > 0)), int(np.argmax(signs < 0))]
-    return None
+    if magnitude[weakest] <= tol:
+        at, reason = [weakest], "magnitude below tolerance"
+        found = {f"min_abs_{key}": float(magnitude[weakest])}
+    elif signs.min() != signs.max():
+        at, reason = [int(np.argmax(signs > 0)), int(np.argmax(signs < 0))], f"changes sign {where}"
+        found = {f"{key}s": [float(values[n]) for n in at]}
+    else:
+        return None
+    witnesses = [points[n] for n in at]
+    return verdict("INCONCLUSIVE", f"{name} {reason}", **evidence, witnesses=witnesses, **found)
 
 
-def certify_unique(spec: GeneratorSpec, grid: SimplexGrid, h: float = FD_STEP) -> Certificate:
+def certify_unique(spec: GeneratorSpec, grid: SimplexGrid) -> Certificate:
     """Certify uniqueness of the invariant distribution by a degree argument.
 
     Sweeps det M over the grid.  All determinants sharing the sign
@@ -191,7 +197,7 @@ def certify_unique(spec: GeneratorSpec, grid: SimplexGrid, h: float = FD_STEP) -
     verdict = _verdicts(
         CLAIM_UNIQUE,
         spec,
-        {"determinant": TOL_DET, "rate_floor": RATE_FLOOR, "fd_step": h},
+        {"determinant": TOL_DET, "rate_floor": RATE_FLOOR, "fd_step": FD_STEP},
         {
             "grid_resolution": grid.resolution,
             "points_checked": len(grid),
@@ -210,7 +216,7 @@ def certify_unique(spec: GeneratorSpec, grid: SimplexGrid, h: float = FD_STEP) -
 
     d = spec.dimension - 1
     try:
-        jacobians = _chart_jacobian(lambda rows: _defects(spec, rows), points[:, :d], h)
+        jacobians = _chart_jacobian(lambda rows: _defects(spec, rows), points[:, :d], FD_STEP)
     except CertificateEvaluationError as exc:
         # Probes come row by row, 2d per grid point.
         return verdict(
@@ -220,22 +226,11 @@ def certify_unique(spec: GeneratorSpec, grid: SimplexGrid, h: float = FD_STEP) -
             detail=str(exc),
         )
     dets = np.linalg.det(jacobians)
-    defect = _sign_defect(dets, TOL_DET)
-    if defect is not None:
-        kind, at = defect
-        if kind == "small":
-            return verdict(
-                "INCONCLUSIVE",
-                "determinant magnitude below tolerance",
-                witnesses=[points[at[0]]],
-                min_abs_determinant=float(abs(dets[at[0]])),
-            )
-        return verdict(
-            "INCONCLUSIVE",
-            "determinant changes sign across the grid",
-            witnesses=[points[n] for n in at],
-            determinants=[float(dets[n]) for n in at],
-        )
+    failure = _sign_failure(
+        verdict, dets, points, TOL_DET, "determinant", "determinant", "across the grid"
+    )
+    if failure is not None:
+        return failure
     sign = float(np.sign(dets[0]))
     expected = -1.0 if spec.dimension % 2 == 0 else 1.0
     if sign != expected:
@@ -270,7 +265,7 @@ def _bisect_rows(spec: GeneratorSpec, a: np.ndarray, b: np.ndarray, fa: np.ndarr
     live = np.flatnonzero(b - a > ROOT_REFINE_TOL)
     while live.size:
         mid = 0.5 * (a[live] + b[live])
-        fm = spec.drift_batch(np.column_stack([mid, 1.0 - mid]))[:, 0]
+        fm = _chart_drift(spec, mid[:, None])[:, 0]
         right = (fa[live] > 0) == (fm > 0)
         a[live[right]], fa[live[right]] = mid[right], fm[right]
         b[live[~right]] = mid[~right]
@@ -299,7 +294,7 @@ def certify_ergodic_2(
         raise ValueError("scan_resolution must be at least 10")
     spec.require_valid()
     xs = np.linspace(0.0, 1.0, scan_resolution + 1)
-    vals = spec.drift_batch(np.column_stack([xs, 1.0 - xs]))[:, 0]
+    vals = _chart_drift(spec, xs[:, None])[:, 0]
     near = np.abs(vals) <= ZERO_DRIFT_TOL
     flips = np.flatnonzero(~near[:-1] & ~near[1:] & ((vals[:-1] > 0) != (vals[1:] > 0)))
     bisected = _bisect_rows(spec, xs[flips], xs[flips + 1], vals[flips])
@@ -360,17 +355,21 @@ class ReducedSystem:
 
     spec: GeneratorSpec
 
+    def __post_init__(self) -> None:
+        if self.spec.dimension != 3:
+            raise ValueError("the planar reduction requires a three-state generator")
+
     def drift_batch(self, u: np.ndarray) -> np.ndarray:
-        return self.spec.drift_batch(_chart_embed(u))[:, :2]
+        return _chart_drift(self.spec, u)
 
     def drift(self, u1: float, u2: float) -> np.ndarray:
         return self.drift_batch(np.array([[u1, u2]]))[0]
 
-    def divergence_batch(self, u: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-        return np.trace(_chart_jacobian(self.drift_batch, u, h), axis1=1, axis2=2)
+    def divergence_batch(self, u: np.ndarray) -> np.ndarray:
+        return np.trace(_chart_jacobian(self.drift_batch, u, FD_STEP), axis1=1, axis2=2)
 
-    def jacobian(self, u1: float, u2: float, h: float = FD_STEP) -> np.ndarray:
-        return _chart_jacobian(self.drift_batch, np.array([[u1, u2]]), h)[0]
+    def jacobian(self, u1: float, u2: float) -> np.ndarray:
+        return _chart_jacobian(self.drift_batch, np.array([[u1, u2]]), FD_STEP)[0]
 
     def lattice(self, resolution: int) -> np.ndarray:
         """Sweep points covering the chart extended by ``CHART_MARGIN``."""
@@ -381,14 +380,7 @@ class ReducedSystem:
         return np.column_stack([u1[keep], u2[keep]])
 
 
-def reduced_system(spec: GeneratorSpec) -> ReducedSystem:
-    """Planar reduction of a three-state generator's marginal flow."""
-    if spec.dimension != 3:
-        raise ValueError("the planar reduction requires a three-state generator")
-    return ReducedSystem(spec=spec)
-
-
-def certify_ergodic_3(spec: GeneratorSpec, grid: SimplexGrid, h: float = FD_STEP) -> Certificate:
+def certify_ergodic_3(spec: GeneratorSpec, grid: SimplexGrid) -> Certificate:
     """Ergodicity certificate for three states.
 
     Requires, in order: a single invariant distribution, a reduced-flow
@@ -403,7 +395,7 @@ def certify_ergodic_3(spec: GeneratorSpec, grid: SimplexGrid, h: float = FD_STEP
     """
     if spec.dimension != 3:
         raise ValueError("this certificate requires a three-state generator")
-    unique = certify_unique(spec, grid, h)
+    unique = certify_unique(spec, grid)
     premise = {"uniqueness": "degree", "uniqueness_margin": unique.evidence.get("margin")}
     stationary = ()
     if unique.certified:  # the corners and edge midpoints locate the one rest point
@@ -420,7 +412,7 @@ def certify_ergodic_3(spec: GeneratorSpec, grid: SimplexGrid, h: float = FD_STEP
     verdict = _verdicts(
         CLAIM_ERGODIC,
         spec,
-        {"divergence": DIV_TOL, "saddle": TOL_DET, "invariant": TOL_INVARIANT, "fd_step": h},
+        {"divergence": DIV_TOL, "saddle": TOL_DET, "invariant": TOL_INVARIANT, "fd_step": FD_STEP},
         base_evidence,
     )
 
@@ -441,32 +433,21 @@ def certify_ergodic_3(spec: GeneratorSpec, grid: SimplexGrid, h: float = FD_STEP
     rest = stationary.results[0]
     rest_u = rest.point.probs[:2]
 
-    system = reduced_system(spec)
+    system = ReducedSystem(spec)
     sweep = system.lattice(grid.resolution)
-    divergence = system.divergence_batch(sweep, h)
+    divergence = system.divergence_batch(sweep)
     evidence = {
         "rest_point": rest.point,
         "rest_point_residual": rest.residual,
         "sweep_points": int(sweep.shape[0]),
     }
-    defect = _sign_defect(divergence, DIV_TOL)
-    if defect is not None:
-        kind, at = defect
-        if kind == "small":
-            return verdict(
-                "INCONCLUSIVE",
-                "reduced-flow divergence magnitude below tolerance",
-                **evidence,
-                witnesses=[sweep[at[0]]],
-                min_abs_divergence=float(abs(divergence[at[0]])),
-            )
-        return verdict(
-            "INCONCLUSIVE",
-            "reduced-flow divergence changes sign on the extended chart",
-            **evidence,
-            witnesses=[sweep[n] for n in at],
-        )
-    jac = system.jacobian(float(rest_u[0]), float(rest_u[1]), h)
+    failure = _sign_failure(
+        verdict, divergence, sweep, DIV_TOL, "reduced-flow divergence", "divergence",
+        "on the extended chart", **evidence,
+    )
+    if failure is not None:
+        return failure
+    jac = system.jacobian(float(rest_u[0]), float(rest_u[1]))
     det = float(np.linalg.det(jac))
     trace = float(np.trace(jac))
     discriminant = trace * trace - 4.0 * det

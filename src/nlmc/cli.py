@@ -21,13 +21,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .certify import (
-    DEFAULT_SCAN_RESOLUTION,
-    FD_STEP,
-    certify_ergodic_2,
-    certify_ergodic_3,
-    certify_unique,
-)
+from .certify import DEFAULT_SCAN_RESOLUTION, certify_ergodic_2, certify_ergodic_3, certify_unique
 from .errors import NlmcError
 from .generator import (
     CONSUMER_PARAMS,
@@ -73,7 +67,6 @@ class RunConfig:
     sample_every: float | None = None
     grid_resolution: int = 40
     scan_resolution: int = DEFAULT_SCAN_RESOLUTION
-    fd_step: float = FD_STEP
     seed: int = 0
     initial_state: int | None = None
     out: str | None = None
@@ -105,8 +98,6 @@ class RunConfig:
             raise ValueError(f"grid resolution must lie in 1..{MAX_GRID_RESOLUTION}")
         if not (10 <= self.scan_resolution <= MAX_SCAN_RESOLUTION):
             raise ValueError(f"scan resolution must lie in 10..{MAX_SCAN_RESOLUTION}")
-        if not (0.0 < self.fd_step <= 1e-2):
-            raise ValueError("fd-step must lie in (0, 0.01]")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.command == "reproduce" and self.figure not in ("fig1", "fig2"):
@@ -191,11 +182,11 @@ def run(config: RunConfig) -> int:
         return 0
 
     if config.command == "certify-unique":
-        certificate = certify_unique(spec, _grid(spec, config), config.fd_step)
+        certificate = certify_unique(spec, _grid(spec, config))
     elif spec.dimension == 2:
         certificate = certify_ergodic_2(spec, config.scan_resolution)
     elif spec.dimension == 3:
-        certificate = certify_ergodic_3(spec, _grid(spec, config), config.fd_step)
+        certificate = certify_ergodic_3(spec, _grid(spec, config))
     else:
         raise ValueError(f"ergodicity certificates support 2 or 3 states, not {spec.dimension}")
 
@@ -296,7 +287,6 @@ _FLAGS = {
     ),
     "--grid": dict(dest="grid_resolution", type=int),
     "--scan": dict(dest="scan_resolution", type=int),
-    "--fd-step": dict(type=float),
     "--out": {},
     "--outdir": {},
     "figure": dict(choices=("fig1", "fig2")),
@@ -312,9 +302,9 @@ _COMMANDS = {
                f"{_GENERATOR_FLAGS} --m0 --horizon --seed --initial-state --out"),
     "invariant": ("search for invariant distributions", f"{_GENERATOR_FLAGS} --grid --out"),
     "certify-unique": ("certify uniqueness of the invariant distribution",
-                       f"{_GENERATOR_FLAGS} --grid --fd-step --out"),
+                       f"{_GENERATOR_FLAGS} --grid --out"),
     "certify-ergodic": ("certify strong ergodicity (2 or 3 states)",
-                        f"{_GENERATOR_FLAGS} --grid --scan --fd-step --out"),
+                        f"{_GENERATOR_FLAGS} --grid --scan --out"),
     "corpus-list": ("list built-in generators", ""),
     "reproduce": ("regenerate reference-figure artifacts", "figure --outdir"),
 }

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeneratorEvaluationError, GeneratorFileError
-from .simplex import Distribution, SimplexGrid, _write_text
+from .simplex import Distribution, SimplexGrid, _is_int, _write_text
 
 OFFDIAG_TOL = 1e-10      # off-diagonal entries may round this far below zero
 ROWSUM_TOL = 1e-9        # conservativity slack per row
@@ -59,8 +59,8 @@ class GeneratorSpec:
         metadata: dict | None = None,
         extension: str = "analytic",
     ) -> None:
-        if dimension < 1:
-            raise ValueError("dimension must be at least 1")
+        if not _is_int(dimension) or dimension < 1:
+            raise ValueError(f"dimension must be an integer of at least 1, got {dimension!r}")
         if (batch_rates is None) == (cells is None):
             raise ValueError("a generator takes exactly one of a rate function and a cell table")
         if name is None and cells is None:
@@ -454,11 +454,6 @@ def save_generator(spec: GeneratorSpec, path) -> None:
     _write_text(path, generator_to_json(spec))
 
 
-def _is_json_int(value) -> bool:
-    """True for a JSON integer; ``bool`` subclasses ``int`` in Python but is not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def generator_from_json(text: str) -> GeneratorSpec:
     """Parse generator JSON text, reporting position information on failure."""
     try:
@@ -474,7 +469,7 @@ def generator_from_json(text: str) -> GeneratorSpec:
     if doc.get("version") != FILE_VERSION:
         raise GeneratorFileError(f"unsupported version {doc.get('version')!r}")
     dimension = doc.get("dimension")
-    if not _is_json_int(dimension) or dimension < 1:
+    if not _is_int(dimension) or dimension < 1:
         raise GeneratorFileError("dimension must be a positive integer")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
@@ -488,7 +483,7 @@ def generator_from_json(text: str) -> GeneratorSpec:
         if not isinstance(entry, dict):
             raise GeneratorFileError(f"{where} must be an object")
         for key in ("from", "to"):
-            if not _is_json_int(entry.get(key)):
+            if not _is_int(entry.get(key)):
                 raise GeneratorFileError(f"{where}.{key} must be an integer")
         i, j = entry["from"] - 1, entry["to"] - 1
         if not (0 <= i < dimension and 0 <= j < dimension):
@@ -510,7 +505,7 @@ def generator_from_json(text: str) -> GeneratorSpec:
             if (
                 not isinstance(exps, list)
                 or len(exps) != dimension
-                or not all(_is_json_int(e) and e >= 0 for e in exps)
+                or not all(_is_int(e) and e >= 0 for e in exps)
             ):
                 raise GeneratorFileError(
                     f"{twhere}.exponents must be {dimension} non-negative integers"

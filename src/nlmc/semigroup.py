@@ -23,6 +23,7 @@ from .simplex import (
     TOL_RENORMALIZE,
     Distribution,
     SimplexGrid,
+    _is_int,
     _project_array,
     _tangent_ok,
     _write_text,
@@ -453,7 +454,7 @@ def sample_path(
     same seed with the bound doubled.  A run whose proposal count, about
     bound x horizon, would exceed ``MAX_SAMPLES`` is refused with
     ValueError, before integrating and again at each doubling.
-    ``initial_state`` is 0-based; None draws it from ``m0``.  The path
+    ``initial_state`` is a 0-based integer; None draws it from ``m0``.  The path
     follows ``flow`` when given (one row from ``m0`` for the same generator,
     covering ``horizon``), else ``integrate_flow`` at the default tolerances;
     pass ``flow=integrate_flow(spec, m0, horizon, controls)`` to sample under
@@ -462,8 +463,8 @@ def sample_path(
     _check_horizon(horizon)
     m0_arr = _as_state(m0)
     s = spec.dimension
-    if initial_state is not None and not (0 <= int(initial_state) < s):
-        raise ValueError(f"initial_state must lie in 0..{s - 1}, got {initial_state!r}")
+    if initial_state is not None and not (_is_int(initial_state) and 0 <= initial_state < s):
+        raise ValueError(f"initial_state must be an integer in 0..{s - 1}, got {initial_state!r}")
     spec.require_valid()
     base = thinning_bound(spec)
     _check_proposals(base, horizon)

@@ -90,10 +90,9 @@ class SimplexGrid:
     __slots__ = ("dimension", "resolution", "array", "_points")
 
     def __init__(self, dimension: int, resolution: int) -> None:
-        if dimension < 1:
-            raise ValueError("dimension must be at least 1")
-        if resolution < 1:
-            raise ValueError("resolution must be at least 1")
+        for name, value in (("dimension", dimension), ("resolution", resolution)):
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         self.dimension = int(dimension)
         self.resolution = int(resolution)
         # Stars and bars: S - 1 bars among k + S - 1 slots, in lexicographic order.
@@ -117,6 +116,11 @@ class SimplexGrid:
 
     def __iter__(self):
         return iter(self.points)
+
+
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer; ``bool`` subclasses ``int`` but is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _tangent_ok(m_arr: np.ndarray, y_arr: np.ndarray, tol: float = TOL_CONE) -> bool:
@@ -159,6 +163,11 @@ def _chart_embed(u: np.ndarray) -> np.ndarray:
     """Lift chart rows ``(n, S-1)`` to points ``(n, S)`` through m_S = 1 - sum(u)."""
     u = np.asarray(u, dtype=float)
     return np.concatenate([u, 1.0 - u.sum(axis=1, keepdims=True)], axis=1)
+
+
+def _chart_drift(spec, u: np.ndarray) -> np.ndarray:
+    """The first S-1 components ``(n, S-1)`` of ``spec``'s drift at chart rows ``u``."""
+    return spec.drift_batch(_chart_embed(u))[:, :-1]
 
 
 FD_STEP = 1e-6  # the package's central-difference step h, scaled per row by (1 + ||u||_2)

@@ -27,7 +27,8 @@ from .errors import NumericalError, ReducibleGeneratorError
 from .generator import GeneratorSpec, _irreducible
 from .semigroup import integrate_flow
 from .simplex import (
-    FD_STEP, Distribution, SimplexGrid, _chart_embed, _chart_jacobian, _project_array, _write_text,
+    FD_STEP, Distribution, SimplexGrid, _chart_drift, _chart_embed, _chart_jacobian, _project_array,
+    _write_text,
 )
 
 TOL_INVARIANT = 1e-10
@@ -278,20 +279,15 @@ def _newton_polish(spec: GeneratorSpec, points: np.ndarray) -> list[np.ndarray |
     own line search; the result of a row is None when its Jacobian turns
     singular or it fails to meet tolerance.
     """
-    s = spec.dimension
-    u = np.array(points[:, : s - 1], dtype=float)
-
-    def chart_drift(rows: np.ndarray) -> np.ndarray:
-        return spec.drift_batch(_chart_embed(rows))[:, : s - 1]
-
-    g = chart_drift(u)
+    u = np.array(points[:, :-1], dtype=float)
+    g = _chart_drift(spec, u)
     gnorm = np.max(np.abs(g), axis=1, initial=0.0)
     rows = np.arange(u.shape[0])
     for _ in range(NEWTON_STEPS):
         rows = rows[gnorm[rows] > POLISH_TARGET]
         if rows.size == 0:
             break
-        jac = _chart_jacobian(chart_drift, u[rows], FD_STEP)
+        jac = _chart_jacobian(lambda probes: _chart_drift(spec, probes), u[rows], FD_STEP)
         # A singular Jacobian fails only its own row, marked NaN, not the stacked solve.
         delta, invertible = _solve_rows(jac, g[rows])
         u[rows[~invertible]] = np.nan
@@ -304,7 +300,7 @@ def _newton_polish(spec: GeneratorSpec, points: np.ndarray) -> list[np.ndarray |
                 break
             trial = u[rows[trying]] - lam[trying, None] * delta[trying]
             near = np.max(np.abs(trial), axis=1) <= 10.0
-            gt = chart_drift(trial[near])
+            gt = _chart_drift(spec, trial[near])
             gt_norm = np.max(np.abs(gt), axis=1, initial=0.0)
             better = gt_norm < gnorm[rows[trying[near]]]
             won = trying[near][better]

@@ -135,7 +135,7 @@ def test_criterion_4_irreducible_but_not_ergodic():
 
 def test_criterion_5_uniqueness_certificate():
     tic = time.perf_counter()
-    certificate = certify_unique(CONSUMER, SimplexGrid(3, 40), 1e-6)
+    certificate = certify_unique(CONSUMER, SimplexGrid(3, 40))
     elapsed = time.perf_counter() - tic
     min_det = certificate.evidence.get("min_abs_determinant", 0.0)
     certified = certificate.verdict == "CERTIFIED" and min_det > 1e-8

@@ -13,6 +13,7 @@ from nlmc import (
     CertificateEvaluationError,
     Distribution,
     GeneratorSpec,
+    ReducedSystem,
     SimplexGrid,
     build_M,
     certify_ergodic_2,
@@ -22,7 +23,6 @@ from nlmc import (
     corpus,
     find_invariant,
     polynomial_generator,
-    reduced_system,
 )
 from nlmc.stationary import StationaryResult, StationarySet
 
@@ -374,7 +374,7 @@ class TestCertifyErgodicTwoStates:
 
 class TestReducedSystem:
     def test_planar_drift_agrees_with_the_full_flow(self):
-        system = reduced_system(CONSUMER)
+        system = ReducedSystem(CONSUMER)
         rng = np.random.default_rng(43)
         for _ in range(20):
             u = rng.dirichlet(np.ones(3))[:2]
@@ -385,14 +385,14 @@ class TestReducedSystem:
     def test_divergence_matches_analytic_value(self):
         # For the consumer generator div f = -(b + eps + e) - ... reduces to
         # -3.2 - 2 (u1 + u2) at the default parameters.
-        system = reduced_system(CONSUMER)
+        system = ReducedSystem(CONSUMER)
         pts = np.array([[0.2, 0.3], [0.0, 0.0], [0.5, 0.4], [-0.02, 1.0]])
         values = system.divergence_batch(pts)
         expected = -3.2 - 2.0 * pts.sum(axis=1)
         assert np.allclose(values, expected, atol=1e-6)
 
     def test_jacobian_matches_analytic_value(self):
-        system = reduced_system(CONSUMER)
+        system = ReducedSystem(CONSUMER)
         rest = consumer_rest_point()
         jac = system.jacobian(float(rest[0]), float(rest[1]))
         expected = np.array(
@@ -401,13 +401,13 @@ class TestReducedSystem:
         assert np.allclose(jac, expected, atol=1e-6)
 
     def test_lattice_covers_the_extended_chart(self):
-        system = reduced_system(CONSUMER)
+        system = ReducedSystem(CONSUMER)
         sweep = system.lattice(10)
         assert float(sweep.min()) == pytest.approx(-0.02, abs=1e-12)
         assert float(sweep.max()) == pytest.approx(1.02, abs=1e-12)
         assert float((sweep[:, 0] + sweep[:, 1]).max()) <= 1.02 + 1e-9
         with pytest.raises(ValueError):
-            reduced_system(corpus("bistable"))
+            ReducedSystem(corpus("bistable"))
 
 
 class TestCertifyErgodicThreeStates:
@@ -479,8 +479,9 @@ class TestCertifyErgodicThreeStates:
         assert certificate.verdict == "INCONCLUSIVE"
         assert certificate.reason == "reduced-flow divergence changes sign on the extended chart"
         witnesses = np.array(certificate.evidence["witnesses"], dtype=float)
-        divergence = reduced_system(spec).divergence_batch(witnesses)
-        assert divergence.min() < 0.0 < divergence.max()
+        divergence = ReducedSystem(spec).divergence_batch(witnesses)
+        assert certificate.evidence["divergences"] == divergence.tolist()
+        assert divergence[0] > 0.0 > divergence[1]
 
     def test_saddle_linearization_is_inconclusive(self, monkeypatch):
         # Conservative frozen chains cannot produce a saddle at an isolated
@@ -515,7 +516,7 @@ class TestCertifyErgodicThreeStates:
         certificate = certify_ergodic_3(spec, SimplexGrid(3, 12))
         assert certificate.verdict == "CERTIFIED"
         assert certificate.evidence["uniqueness"] == "search"
-        system = reduced_system(spec)
+        system = ReducedSystem(spec)
         sweep = system.lattice(12)
         divergence = np.abs(system.divergence_batch(sweep))
         weakest = certificate.evidence["divergence_binding_point"]
@@ -558,7 +559,7 @@ class TestCertifyErgodicThreeStates:
         monkeypatch.setattr(
             nlmc.certify,
             "certify_unique",
-            lambda spec, grid, h: Certificate(
+            lambda spec, grid: Certificate(
                 "unique-invariant-distribution", "INCONCLUSIVE", "stub", "", {}, {}
             ),
         )
@@ -586,7 +587,7 @@ class TestCertifyErgodicThreeStates:
                 patch.setattr(
                     nlmc.certify,
                     "certify_unique",
-                    lambda spec, grid, h: Certificate(
+                    lambda spec, grid: Certificate(
                         "unique-invariant-distribution", "INCONCLUSIVE", "stub", "", {}, {}
                     ),
                 )

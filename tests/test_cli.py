@@ -581,9 +581,9 @@ class TestParser:
         "sample": "--corpus --generator-file --b --e --eps --lambda --m0 --horizon"
         " --seed --initial-state --out",
         "invariant": "--corpus --generator-file --b --e --eps --lambda --grid --out",
-        "certify-unique": "--corpus --generator-file --b --e --eps --lambda --grid --fd-step --out",
+        "certify-unique": "--corpus --generator-file --b --e --eps --lambda --grid --out",
         "certify-ergodic": "--corpus --generator-file --b --e --eps --lambda --grid --scan"
-        " --fd-step --out",
+        " --out",
         "corpus-list": "",
         "reproduce": "figure --outdir",
     }
@@ -672,7 +672,7 @@ class TestRunConfigValidation:
             RunConfig("invariant", corpus_name="bistable", grid_resolution=500)
         with pytest.raises(ValueError):
             RunConfig("certify-ergodic", corpus_name="bistable", scan_resolution=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             RunConfig("certify-unique", corpus_name="bistable", fd_step=0.5)
         with pytest.raises(ValueError):
             RunConfig("sample", seed=-1, **base)

@@ -263,7 +263,12 @@ class TestGeneratorId:
 
     @pytest.mark.parametrize(
         "dimension, extension, message",
-        [(0, "analytic", "at least 1"), (2, "bogus", "unknown extension 'bogus'")],
+        [
+            (0, "analytic", "at least 1"),
+            (2.5, "analytic", "must be an integer"),
+            (True, "analytic", "must be an integer"),
+            (2, "bogus", "unknown extension 'bogus'"),
+        ],
     )
     def test_a_spec_needs_a_state_and_a_known_extension(self, dimension, extension, message):
         with pytest.raises(ValueError, match=message):

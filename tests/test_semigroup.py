@@ -439,6 +439,15 @@ class TestSamplePath:
         with pytest.raises(ValueError):
             sample_path(spec, (0.5, 0.5), horizon=0.0)
 
+    @pytest.mark.parametrize("state", [1.7, "1", True])
+    def test_initial_state_must_be_an_integer(self, state):
+        with pytest.raises(ValueError, match="must be an integer"):
+            sample_path(corpus("bistable"), (0.5, 0.5), initial_state=state, horizon=5.0)
+
+    def test_initial_state_may_be_a_numpy_integer(self):
+        path = sample_path(corpus("bistable"), (0.1, 0.9), initial_state=np.int64(1), horizon=5.0)
+        assert path.initial_state == 1 and type(path.initial_state) is int
+
     def test_state_at_and_occupation_on_manual_path(self):
         path = JumpPath(
             generator_id="manual",

@@ -124,6 +124,16 @@ class TestSimplexGrid:
         with pytest.raises(ValueError):
             SimplexGrid(2, 0)
 
+    @pytest.mark.parametrize("dimension, resolution", [(3, 2.5), (2, True), (2, "2"), (2.0, 3)])
+    def test_refuses_a_size_that_is_not_an_integer(self, dimension, resolution):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SimplexGrid(dimension, resolution)
+
+    def test_takes_numpy_integers(self):
+        grid = SimplexGrid(np.int64(3), np.int32(2))
+        assert (grid.dimension, grid.resolution, len(grid)) == (3, 2, 6)
+        assert type(grid.dimension) is int and type(grid.resolution) is int
+
 
 class TestTangentCone:
     def test_vertex_allows_outflow_only(self):
