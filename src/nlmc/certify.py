@@ -109,9 +109,12 @@ def build_M(spec: GeneratorSpec, m, h: float = FD_STEP) -> np.ndarray:
     """Chart Jacobian of f(m) = x(m) - m by central differences.
 
     Works on the chart u = (m_1, ..., m_{S-1}); the step is ``h`` scaled by
-    (1 + ||u||).  Requires the frozen chain to be irreducible at ``m`` and
-    at every probe point, else :class:`CertificateEvaluationError`.
+    (1 + ||u||) and must be positive and finite, else ``ValueError``.
+    Requires the frozen chain to be irreducible at ``m`` and at every probe
+    point, else :class:`CertificateEvaluationError`.
     """
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"finite-difference step h={h!r} must be positive and finite")
     arr = m.probs if isinstance(m, Distribution) else np.asarray(m, dtype=float)
     s = spec.dimension
     if arr.shape != (s,):

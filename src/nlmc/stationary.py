@@ -7,10 +7,12 @@ the marginal flow when that iteration cycles, switches to a damped Newton
 method on the chart drift when the frozen chain is reducible, and always
 finishes with a Newton polish.  All seeds advance in lockstep as the rows
 of one array, each with its own damping, line search and stopping mask;
-the flow fallback rides every cycling seed in one ``integrate_flow`` call
-at the integrator's default accuracy, since the polish and the
-``TOL_INVARIANT`` residual test decide every result.  Results are clustered
-through a cell index, so a point is compared only with nearby clusters.
+the fixed-point loop hands a row to the polish once its defect is at most
+``HANDOFF_DEFECT``, and the flow fallback rides every cycling seed in one
+``integrate_flow`` call at the loose ``FALLBACK_CONTROLS``, since it only
+has to carry a seed off its cycle and the polish and the ``TOL_INVARIANT``
+residual test decide every result.  Results are clustered through a cell
+index, so a point is compared only with nearby clusters.
 Every frozen solve and Newton step goes through one stacked-solve kernel,
 ``_solve_rows``, which factorizes each matrix once.
 """
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import NumericalError, ReducibleGeneratorError
 from .generator import GeneratorSpec, _irreducible
-from .semigroup import integrate_flow
+from .semigroup import IntegratorControls, integrate_flow
 from .simplex import (
     FD_STEP, Distribution, SimplexGrid, _chart_drift, _chart_embed, _chart_jacobian, _project_array,
     _write_text,
@@ -40,6 +42,8 @@ MAX_ITERATIONS = 200     # damped fixed-point steps per seed
 DAMPING = 0.5            # initial weight of x(m) in each fixed-point step
 EVOLVE_HORIZON = 50.0    # flow time ridden when the fixed-point iteration cycles
 NEWTON_STEPS = 40        # Newton steps of the final polish
+HANDOFF_DEFECT = 1e-6    # fixed-point defect at which the Newton polish takes a row over
+FALLBACK_CONTROLS = IntegratorControls(rtol=1e-5, atol=1e-8)  # accuracy of the flow fallback
 
 
 @dataclass(frozen=True)
@@ -225,7 +229,8 @@ def _fixed_point(spec: GeneratorSpec, seeds: np.ndarray) -> tuple[np.ndarray, np
 
     Returns the final rows and the mask of rows whose frozen solve broke
     down.  Each row keeps its own damping and stops on its own: when its
-    defect meets ``TOL_INVARIANT``, when its frozen chain turns reducible
+    defect is at most ``HANDOFF_DEFECT`` (the quadratic Newton polish
+    finishes it to ``POLISH_TARGET``), when its frozen chain turns reducible
     (the Newton polish takes over), or when it cycles again after its one
     flow fallback.
     """
@@ -237,7 +242,7 @@ def _fixed_point(spec: GeneratorSpec, seeds: np.ndarray) -> tuple[np.ndarray, np
     fell_back = np.zeros(m.shape[0], dtype=bool)
     rows = np.arange(m.shape[0])
     for _ in range(MAX_ITERATIONS):
-        rows = rows[r[rows] > TOL_INVARIANT]
+        rows = rows[r[rows] > HANDOFF_DEFECT]
         rows = rows[_irreducible(q[rows])]
         if rows.size == 0:
             break
@@ -261,7 +266,7 @@ def _fixed_point(spec: GeneratorSpec, seeds: np.ndarray) -> tuple[np.ndarray, np
             continue
         # These rows cycle around a repeller; ride the flow instead.
         starts, _ = _project_array(m[cycling])
-        flow = integrate_flow(spec, starts, EVOLVE_HORIZON)
+        flow = integrate_flow(spec, starts, EVOLVE_HORIZON, FALLBACK_CONTROLS)
         m[cycling] = flow.ys[np.array(flow.offsets[1:]) - 1]
         q[cycling] = spec.rates_batch(m[cycling])
         r[cycling] = _drift_norms(m[cycling], q[cycling])

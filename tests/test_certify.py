@@ -142,6 +142,11 @@ class TestBuildM:
         with pytest.raises(ValueError):
             build_M(CONSUMER, (0.5, 0.5))
 
+    @pytest.mark.parametrize("h", [0.0, -1e-6, float("nan"), float("inf")])
+    def test_a_step_that_is_not_positive_and_finite_raises(self, h):
+        with pytest.raises(ValueError, match="positive and finite"):
+            build_M(corpus("bistable"), (0.3, 0.7), h)
+
 
 class TestCertifyUnique:
     def test_consumer_is_certified(self):

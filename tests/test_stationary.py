@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 import nlmc.stationary
 from nlmc import (
@@ -20,8 +21,11 @@ from nlmc import (
     polynomial_generator,
     residual,
 )
+from nlmc.generator import _irreducible
 from nlmc.stationary import (
     CLUSTER_RADIUS,
+    HANDOFF_DEFECT,
+    TOL_INVARIANT,
     _cluster,
     _fixed_point,
     _frozen_solve,
@@ -297,7 +301,7 @@ class TestFindInvariant:
         assert calls == [4]
         assert len(found) == 3
 
-    def test_the_flow_fallback_rides_at_default_accuracy(self, monkeypatch):
+    def test_the_flow_fallback_rides_at_fallback_accuracy(self, monkeypatch):
         steps = []
         original = nlmc.stationary.integrate_flow
 
@@ -308,13 +312,73 @@ class TestFindInvariant:
 
         monkeypatch.setattr(nlmc.stationary, "integrate_flow", counting)
         found = find_invariant(corpus("bistable"), SimplexGrid(2, 20))
-        # 526 steps when the fallback asked for rtol 1e-10, atol 1e-12.
-        assert len(steps) == 1 and steps[0] <= 300
+        # 136 steps at FALLBACK_CONTROLS (rtol 1e-5, atol 1e-8); 278 at the
+        # integrator's defaults and 526 at rtol 1e-10, atol 1e-12.
+        assert len(steps) == 1 and steps[0] <= 150
         assert (found.seed_count, found.failed_seeds) == (21, 0)
         assert [len(r.basin_hint) for r in found] == [10, 1, 10]
         for result, root in zip(found, (0.25, 0.5, 0.75)):
             assert abs(result.point[0] - root) <= 1e-15
             assert result.residual <= 1e-15
+
+    @pytest.mark.parametrize(
+        "spec, resolution",
+        [
+            pytest.param(corpus("bistable"), 20, id="bistable-20"),
+            pytest.param(SKEWED_CONSUMER, 10, id="consumer-10"),
+            pytest.param(corpus("oscillator"), 6, id="oscillator-6"),
+        ],
+    )
+    def test_the_fixed_point_hands_its_rows_to_the_polish(self, spec, resolution):
+        grid = SimplexGrid(spec.dimension, resolution)
+        m, failed = _fixed_point(spec, grid.array)
+        defects = np.max(np.abs(spec.drift_batch(m)), axis=1)
+        handed = defects <= HANDOFF_DEFECT
+        reducible = ~_irreducible(spec.rates_batch(m))
+        # A row stops early only where its frozen chain turns reducible: no
+        # row of these grids stalls after its flow fallback.
+        assert np.all((handed | reducible)[~failed])
+        assert all(point is not None for point in _newton_polish(spec, m[handed & ~failed]))
+        found = find_invariant(spec, grid)
+        assert len(found) > 0
+        for result in found:
+            assert result.residual <= TOL_INVARIANT
+
+    def test_two_state_points_are_the_roots_numpy_finds(self):
+        def herding_cell(rng, target):
+            # A base rate, so the chain is irreducible, plus terms that grow
+            # with the share of the target state, so some specs are bistable.
+            terms = [((0, 0), float(rng.uniform(0.1, 1.0)))]
+            for _ in range(int(rng.integers(1, 3))):
+                exponents = [0, 0]
+                exponents[target] = int(rng.integers(1, 4))
+                exponents[1 - target] = int(rng.integers(0, 2))
+                terms.append((tuple(exponents), float(rng.uniform(0.5, 10.0))))
+            return terms
+
+        # The chart m = (m1, 1 - m1) as polynomials in m1.
+        m1, m2 = Polynomial([0.0, 1.0]), Polynomial([1.0, -1.0])
+
+        def rate(terms):
+            return sum((c * m1**a * m2**b for (a, b), c in terms), Polynomial([0.0]))
+
+        rng = np.random.default_rng(2024)
+        multistable = 0
+        for _ in range(40):
+            cells = {(0, 1): herding_cell(rng, 1), (1, 0): herding_cell(rng, 0)}
+            drift = m2 * rate(cells[(1, 0)]) - m1 * rate(cells[(0, 1)])
+            roots = np.roots(drift.coef[::-1])
+            roots = roots[np.abs(roots.imag) <= 1e-9].real
+            roots = roots[(roots >= 0.0) & (roots <= 1.0)]
+            multistable += len(roots) == 3
+            found = find_invariant(polynomial_generator(2, cells), SimplexGrid(2, 20))
+            landed = np.array([r.point[0] for r in found])
+            assert found.failed_seeds == 0
+            for point in landed:
+                assert np.min(np.abs(roots - point)) <= 1e-12
+            for root in roots[drift.deriv()(roots) < 0.0]:
+                assert np.min(np.abs(landed - root)) <= 1e-12
+        assert multistable >= 2
 
     def test_a_singular_polish_row_fails_alone(self):
         # The drift is exactly (1, -1) where m1 >= 1/2, so the Jacobian there
