@@ -26,7 +26,8 @@ import numpy as np
 from .errors import CertificateEvaluationError
 from .generator import RATE_FLOOR, GeneratorSpec, _irreducible, _sweep_grid, irreducible_at
 from .simplex import (
-    FD_STEP, Distribution, SimplexGrid, _chart_drift, _chart_embed, _chart_jacobian, _write_text,
+    FD_STEP, Distribution, SimplexGrid, _chart_drift, _chart_embed, _chart_jacobian, _is_int,
+    _write_text,
 )
 from .stationary import TOL_INVARIANT, _frozen_solve, find_invariant
 
@@ -293,8 +294,10 @@ def certify_ergodic_2(
     """
     if spec.dimension != 2:
         raise ValueError("this certificate requires a two-state generator")
-    if scan_resolution < 10:
-        raise ValueError("scan_resolution must be at least 10")
+    if not (_is_int(scan_resolution) and scan_resolution >= 10):
+        raise ValueError(
+            f"scan_resolution must be an integer of at least 10, got {scan_resolution!r}"
+        )
     spec.require_valid()
     xs = np.linspace(0.0, 1.0, scan_resolution + 1)
     vals = _chart_drift(spec, xs[:, None])[:, 0]

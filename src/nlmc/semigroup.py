@@ -11,7 +11,6 @@ precomputed marginal flow.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,6 @@ import numpy as np
 from .errors import IntegrationDivergedError
 from .generator import GeneratorSpec
 from .simplex import (
-    TOL_MEMBERSHIP,
     TOL_RENORMALIZE,
     Distribution,
     SimplexGrid,
@@ -34,7 +32,7 @@ MAX_SAMPLES = 1_000_000
 MAX_STEPS = 1_000_000    # step attempts, accepted or rejected, of one integrate_flow call
 THINNING_GRID_RESOLUTION = 50
 THINNING_HEADROOM = 1.1
-THINNING_BLOCK = 4096    # proposals whose rates are held at once
+THINNING_BLOCK = 4096    # proposals, or bound-grid points, whose rates are held at once
 
 # Dormand-Prince 5(4) tableau: row i holds the weights of stage i.  The last
 # stage is evaluated at the fifth-order solution itself, so its row is the
@@ -184,7 +182,7 @@ class JumpPath:
         return self.jump_times.size
 
     def state_at(self, t: float) -> int:
-        if t < 0 or t > self.horizon:
+        if not 0.0 <= t <= self.horizon:
             raise ValueError(f"time {t!r} outside [0, {self.horizon!r}]")
         idx = int(np.searchsorted(self.jump_times, t, side="right"))
         if idx == 0:
@@ -419,21 +417,15 @@ def flow_invariance_audit(trajectory: Trajectory, spec: GeneratorSpec) -> AuditR
     )
 
 
-_THINNING_CACHE: weakref.WeakKeyDictionary[GeneratorSpec, float] = weakref.WeakKeyDictionary()
-
-
 def thinning_bound(spec: GeneratorSpec) -> float:
-    """Dominating jump rate: 1.1 * max exit rate over a resolution-50 grid."""
-    cached = _THINNING_CACHE.get(spec)
-    if cached is not None:
-        return cached
-    grid = SimplexGrid(spec.dimension, THINNING_GRID_RESOLUTION)
-    q = spec.rates_batch(grid.array)
+    """Dominating jump rate: 1.1 * max exit rate over a resolution-50 grid, a block at a time."""
+    points = SimplexGrid(spec.dimension, THINNING_GRID_RESOLUTION).array
     idx = np.arange(spec.dimension)
-    bound = float(THINNING_HEADROOM * np.max(-q[:, idx, idx])) if spec.dimension > 1 else 0.0
-    bound = max(bound, 0.0)
-    _THINNING_CACHE[spec] = bound
-    return bound
+    exits = max(
+        float(np.max(-spec.rates_batch(points[k : k + THINNING_BLOCK])[:, idx, idx]))
+        for k in range(0, len(points), THINNING_BLOCK)
+    )
+    return max(THINNING_HEADROOM * exits if spec.dimension > 1 else 0.0, 0.0)
 
 
 def sample_path(
@@ -465,6 +457,8 @@ def sample_path(
     s = spec.dimension
     if initial_state is not None and not (_is_int(initial_state) and 0 <= initial_state < s):
         raise ValueError(f"initial_state must be an integer in 0..{s - 1}, got {initial_state!r}")
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     spec.require_valid()
     base = thinning_bound(spec)
     _check_proposals(base, horizon)
@@ -495,7 +489,7 @@ def sample_path(
             times, visited = path
             return JumpPath(
                 generator_id=spec.generator_id,
-                seed=seed,
+                seed=int(seed),
                 horizon=float(horizon),
                 initial_state=start,
                 jump_times=times,

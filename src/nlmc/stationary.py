@@ -1,20 +1,19 @@
 """Frozen-chain stationary distributions and invariant-distribution search.
 
 A distribution m is invariant when its own drift vanishes: m^T Q(m) = 0.
-The search runs a damped fixed-point iteration on m -> x(m), where x(m) is
-the stationary distribution of the frozen chain Q(m), falls back to riding
-the marginal flow when that iteration cycles, switches to a damped Newton
-method on the chart drift when the frozen chain is reducible, and always
-finishes with a Newton polish.  All seeds advance in lockstep as the rows
-of one array, each with its own damping, line search and stopping mask;
-the fixed-point loop hands a row to the polish once its defect is at most
-``HANDOFF_DEFECT``, and the flow fallback rides every cycling seed in one
-``integrate_flow`` call at the loose ``FALLBACK_CONTROLS``, since it only
-has to carry a seed off its cycle and the polish and the ``TOL_INVARIANT``
-residual test decide every result.  Results are clustered through a cell
-index, so a point is compared only with nearby clusters.
-Every frozen solve and Newton step goes through one stacked-solve kernel,
-``_solve_rows``, which factorizes each matrix once.
+The search runs four phases, each once, over all seeds as the rows of one
+array, each row with its own damping, line search and stopping mask: a
+damped fixed-point iteration on m -> x(m), where x(m) is the stationary
+distribution of the frozen chain Q(m), which stops a row once its defect is
+at most ``HANDOFF_DEFECT``; one ``integrate_flow`` call at the loose
+``FALLBACK_CONTROLS`` that rides every stalled (cycling) row off its cycle;
+the fixed-point iteration again from the flow's end states; and a damped
+Newton polish on the chart drift, which also takes over the rows whose
+frozen chain is reducible.  The polish and the ``TOL_INVARIANT`` residual
+test decide every result.  Results are clustered through a cell index, so a
+point is compared only with nearby clusters.  Every frozen solve and Newton
+step goes through one stacked-solve kernel, ``_solve_rows``, which
+factorizes each matrix once.
 """
 
 from __future__ import annotations
@@ -172,10 +171,7 @@ def find_invariant(spec: GeneratorSpec, seeds) -> StationarySet:
     if rows.shape[1:] != (spec.dimension,):
         raise ValueError(f"seeds of shape {rows.shape[1:]} do not match dimension {spec.dimension}")
 
-    m, failed = _fixed_point(spec, rows)
-    polished = iter(_newton_polish(spec, m[~failed]))
-    outcomes = [None if f else next(polished) for f in failed]
-
+    outcomes = _land(spec, rows)
     clusters = _cluster(outcomes, spec.dimension)
     points = [Distribution(rep) for rep, _ in clusters]
     reps = np.array([point.probs for point in points]).reshape(-1, spec.dimension)
@@ -224,22 +220,21 @@ def _drift_norms(m: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.max(np.abs(np.einsum("ni,nij->nj", m, q)), axis=1)
 
 
-def _fixed_point(spec: GeneratorSpec, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fixed_point(spec: GeneratorSpec, seeds: np.ndarray) -> tuple[np.ndarray, ...]:
     """Damped fixed-point iteration m -> x(m) from all seed rows in lockstep.
 
-    Returns the final rows and the mask of rows whose frozen solve broke
-    down.  Each row keeps its own damping and stops on its own: when its
-    defect is at most ``HANDOFF_DEFECT`` (the quadratic Newton polish
-    finishes it to ``POLISH_TARGET``), when its frozen chain turns reducible
-    (the Newton polish takes over), or when it cycles again after its one
-    flow fallback.
+    Returns the final rows and the masks of the rows that failed and stalled.
+    Each row keeps its own damping and stops on exactly one rule: its defect
+    is at most ``HANDOFF_DEFECT``, its frozen chain turns reducible, its
+    frozen solve is singular (failed), or it stalls, with damping below 1e-3
+    and no descent, as a row cycling around a repeller does.
     """
     m = np.array(seeds, dtype=float)
     q = spec.rates_batch(m)
     r = _drift_norms(m, q)
     alpha = np.full(m.shape[0], DAMPING)
     failed = np.zeros(m.shape[0], dtype=bool)
-    fell_back = np.zeros(m.shape[0], dtype=bool)
+    stalled = np.zeros(m.shape[0], dtype=bool)
     rows = np.arange(m.shape[0])
     for _ in range(MAX_ITERATIONS):
         rows = rows[r[rows] > HANDOFF_DEFECT]
@@ -259,20 +254,27 @@ def _fixed_point(spec: GeneratorSpec, seeds: np.ndarray) -> tuple[np.ndarray, np
         m[up], q[up], r[up] = candidate[better], q_cand[better], r_cand[better]
         alpha[up] = np.minimum(1.0, 1.25 * alpha[up])
         alpha[rows[~better]] *= 0.5
-        stalled = ~better & (alpha[rows] < 1e-3)
-        cycling = rows[stalled & ~fell_back[rows]]
-        rows = rows[~(stalled & fell_back[rows])]
-        if cycling.size == 0:
-            continue
-        # These rows cycle around a repeller; ride the flow instead.
-        starts, _ = _project_array(m[cycling])
+        stops = ~better & (alpha[rows] < 1e-3)
+        stalled[rows[stops]] = True
+        rows = rows[~stops]
+    return m, failed, stalled
+
+
+def _land(spec: GeneratorSpec, seeds: np.ndarray) -> list[np.ndarray | None]:
+    """Each seed row's invariant point, or None where it failed.
+
+    The rows that stall in the fixed-point iteration ride the flow together in
+    one ``integrate_flow`` call and iterate once more from its end states; a
+    row that stalls again stops where it is.  Every row that did not fail
+    then takes the Newton polish.
+    """
+    m, failed, stalled = _fixed_point(spec, seeds)
+    if stalled.any():
+        starts, _ = _project_array(m[stalled])
         flow = integrate_flow(spec, starts, EVOLVE_HORIZON, FALLBACK_CONTROLS)
-        m[cycling] = flow.ys[np.array(flow.offsets[1:]) - 1]
-        q[cycling] = spec.rates_batch(m[cycling])
-        r[cycling] = _drift_norms(m[cycling], q[cycling])
-        alpha[cycling] = DAMPING
-        fell_back[cycling] = True
-    return m, failed
+        m[stalled], failed[stalled], _ = _fixed_point(spec, flow.ys[np.array(flow.offsets[1:]) - 1])
+    polished = iter(_newton_polish(spec, m[~failed]))
+    return [None if f else next(polished) for f in failed]
 
 
 def _newton_polish(spec: GeneratorSpec, points: np.ndarray) -> list[np.ndarray | None]:

@@ -376,6 +376,16 @@ class TestCertifyErgodicTwoStates:
         with pytest.raises(ValueError):
             certify_ergodic_2(corpus("bistable"), scan_resolution=5)
 
+    @pytest.mark.parametrize("scan", [1e4, 10.5, True, "37"])
+    def test_scan_resolution_must_be_an_integer(self, scan):
+        with pytest.raises(ValueError, match="must be an integer"):
+            certify_ergodic_2(corpus("bistable"), scan_resolution=scan)
+
+    def test_scan_resolution_may_be_a_numpy_integer(self):
+        spec = corpus("bistable")
+        by_numpy = certify_ergodic_2(spec, np.int64(37))
+        assert by_numpy.to_json_text() == certify_ergodic_2(spec, 37).to_json_text()
+
 
 class TestReducedSystem:
     def test_planar_drift_agrees_with_the_full_flow(self):

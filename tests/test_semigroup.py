@@ -444,6 +444,16 @@ class TestSamplePath:
         with pytest.raises(ValueError, match="must be an integer"):
             sample_path(corpus("bistable"), (0.5, 0.5), initial_state=state, horizon=5.0)
 
+    @pytest.mark.parametrize("seed", [True, 1.5, "1"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="must be an integer"):
+            sample_path(corpus("bistable"), (0.5, 0.5), horizon=5.0, seed=seed)
+
+    def test_seed_may_be_a_numpy_integer(self):
+        path = sample_path(corpus("bistable"), (0.1, 0.9), horizon=5.0, seed=np.int64(4))
+        same = sample_path(corpus("bistable"), (0.1, 0.9), horizon=5.0, seed=4)
+        assert np.array_equal(path.jump_times, same.jump_times) and type(path.seed) is int
+
     def test_initial_state_may_be_a_numpy_integer(self):
         path = sample_path(corpus("bistable"), (0.1, 0.9), initial_state=np.int64(1), horizon=5.0)
         assert path.initial_state == 1 and type(path.initial_state) is int
@@ -469,6 +479,8 @@ class TestSamplePath:
             path.state_at(-0.1)
         with pytest.raises(ValueError):
             path.state_at(3.1)
+        with pytest.raises(ValueError):
+            path.state_at(float("nan"))
 
     def test_csv_uses_one_based_states(self):
         path = JumpPath(

@@ -29,6 +29,7 @@ from nlmc.stationary import (
     _cluster,
     _fixed_point,
     _frozen_solve,
+    _land,
     _newton_polish,
     _solve_rows,
 )
@@ -277,14 +278,9 @@ class TestFindInvariant:
         ],
     )
     def test_a_seed_alone_lands_bitwise_on_its_lockstep_point(self, spec, resolution):
-        def landings(rows):
-            m, failed = _fixed_point(spec, rows)
-            polished = iter(_newton_polish(spec, m[~failed]))
-            return [None if f else next(polished) for f in failed]
-
         rows = SimplexGrid(spec.dimension, resolution).array
-        for k, together in enumerate(landings(rows)):
-            (alone,) = landings(rows[k : k + 1])
+        for k, together in enumerate(_land(spec, rows)):
+            (alone,) = _land(spec, rows[k : k + 1])
             assert together is not None and np.array_equal(alone, together)
 
     def test_the_flow_fallback_rides_every_cycling_seed_in_one_call(self, monkeypatch):
@@ -329,22 +325,32 @@ class TestFindInvariant:
             pytest.param(corpus("oscillator"), 6, id="oscillator-6"),
         ],
     )
-    def test_the_fixed_point_hands_its_rows_to_the_polish(self, spec, resolution):
+    def test_the_fixed_point_hands_its_rows_to_the_polish(self, spec, resolution, monkeypatch):
+        passes = []
+
+        def recording(spec, rows):
+            m, failed, stalled = _fixed_point(spec, rows)
+            passes.append((m.copy(), failed.copy(), stalled.copy()))
+            return m, failed, stalled
+
+        monkeypatch.setattr(nlmc.stationary, "_fixed_point", recording)
         grid = SimplexGrid(spec.dimension, resolution)
-        m, failed = _fixed_point(spec, grid.array)
-        defects = np.max(np.abs(spec.drift_batch(m)), axis=1)
-        handed = defects <= HANDOFF_DEFECT
-        reducible = ~_irreducible(spec.rates_batch(m))
-        # A row stops early only where its frozen chain turns reducible: no
-        # row of these grids stalls after its flow fallback.
-        assert np.all((handed | reducible)[~failed])
-        assert all(point is not None for point in _newton_polish(spec, m[handed & ~failed]))
+        _land(spec, grid.array)
+        assert 1 <= len(passes) <= 2
+        for n, (m, failed, stalled) in enumerate(passes):
+            handed = np.max(np.abs(spec.drift_batch(m)), axis=1) <= HANDOFF_DEFECT
+            reducible = ~_irreducible(spec.rates_batch(m))
+            # Every row stops on one of the four rules, and no row of these
+            # grids stalls again after its ride on the flow.
+            assert np.all(handed | reducible | failed | stalled)
+            assert n == 0 or not stalled.any()
+            assert all(point is not None for point in _newton_polish(spec, m[handed & ~failed]))
         found = find_invariant(spec, grid)
         assert len(found) > 0
         for result in found:
             assert result.residual <= TOL_INVARIANT
 
-    def test_two_state_points_are_the_roots_numpy_finds(self):
+    def test_two_state_points_are_the_roots_numpy_finds(self, monkeypatch):
         def herding_cell(rng, target):
             # A base rate, so the chain is irreducible, plus terms that grow
             # with the share of the target state, so some specs are bistable.
@@ -362,9 +368,18 @@ class TestFindInvariant:
         def rate(terms):
             return sum((c * m1**a * m2**b for (a, b), c in terms), Polynomial([0.0]))
 
+        calls = []
+        original = nlmc.stationary.integrate_flow
+
+        def counting(spec, m0, horizon, controls=None):
+            calls[-1] += 1
+            return original(spec, m0, horizon, controls)
+
+        monkeypatch.setattr(nlmc.stationary, "integrate_flow", counting)
         rng = np.random.default_rng(2024)
         multistable = 0
         for _ in range(40):
+            calls.append(0)
             cells = {(0, 1): herding_cell(rng, 1), (1, 0): herding_cell(rng, 0)}
             drift = m2 * rate(cells[(1, 0)]) - m1 * rate(cells[(0, 1)])
             roots = np.roots(drift.coef[::-1])
@@ -379,6 +394,8 @@ class TestFindInvariant:
             for root in roots[drift.deriv()(roots) < 0.0]:
                 assert np.min(np.abs(landed - root)) <= 1e-12
         assert multistable >= 2
+        # The rows that stall ride the flow together, in at most one call per search.
+        assert max(calls) <= 1
 
     def test_a_singular_polish_row_fails_alone(self):
         # The drift is exactly (1, -1) where m1 >= 1/2, so the Jacobian there
@@ -464,12 +481,7 @@ class TestClustering:
     def test_basin_hints_follow_the_first_match_loop(self, monkeypatch):
         outcomes = _points_near_the_radius(np.random.default_rng(7), 3, 200)
         failed = np.array([found is None for found in outcomes])
-        monkeypatch.setattr(nlmc.stationary, "_fixed_point", lambda spec, rows: (rows, failed))
-        monkeypatch.setattr(
-            nlmc.stationary,
-            "_newton_polish",
-            lambda spec, points: [found for found in outcomes if found is not None],
-        )
+        monkeypatch.setattr(nlmc.stationary, "_land", lambda spec, rows: outcomes)
         spec = constant_generator(random_rate_matrix(np.random.default_rng(7), 3))
         found = find_invariant(spec, [(1.0 / 3.0,) * 3] * len(outcomes))
         expected = {
