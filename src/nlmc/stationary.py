@@ -1,19 +1,16 @@
 """Frozen-chain stationary distributions and invariant-distribution search.
 
 A distribution m is invariant when its own drift vanishes: m^T Q(m) = 0.
-The search runs four phases, each once, over all seeds as the rows of one
-array, each row with its own damping, line search and stopping mask: a
-damped fixed-point iteration on m -> x(m), where x(m) is the stationary
-distribution of the frozen chain Q(m), which stops a row once its defect is
-at most ``HANDOFF_DEFECT``; one ``integrate_flow`` call at the loose
-``FALLBACK_CONTROLS`` that rides every stalled (cycling) row off its cycle;
-the fixed-point iteration again from the flow's end states; and a damped
-Newton polish on the chart drift, which also takes over the rows whose
-frozen chain is reducible.  The polish and the ``TOL_INVARIANT`` residual
-test decide every result.  Results are clustered through a cell index, so a
-point is compared only with nearby clusters.  Every frozen solve and Newton
-step goes through one stacked-solve kernel, ``_solve_rows``, which
-factorizes each matrix once.
+The search is a damped Newton iteration on the chart drift from every seed,
+over all seeds as the rows of one array, each row with its own line search.
+The rows it cannot land, as where Newton leaves the simplex, ride the flow
+together from their seeds in one ``integrate_flow`` call at the loose
+``FALLBACK_CONTROLS`` and take Newton once more from where the ride ends.
+Newton lands unstable invariants as well as attractors, and it and the
+``TOL_INVARIANT`` residual test decide every result.  Results are clustered
+through a cell index, so a point is compared only with nearby clusters.
+Every frozen solve and Newton step goes through one stacked-solve kernel,
+``_solve_rows``, which factorizes each matrix once.
 """
 
 from __future__ import annotations
@@ -37,11 +34,8 @@ FROZEN_RESIDUAL_TOL = 1e-12
 CLUSTER_RADIUS = 1e-6
 INTERIOR_TOL = 1e-8
 POLISH_TARGET = 1e-13
-MAX_ITERATIONS = 200     # damped fixed-point steps per seed
-DAMPING = 0.5            # initial weight of x(m) in each fixed-point step
-EVOLVE_HORIZON = 50.0    # flow time ridden when the fixed-point iteration cycles
-NEWTON_STEPS = 40        # Newton steps of the final polish
-HANDOFF_DEFECT = 1e-6    # fixed-point defect at which the Newton polish takes a row over
+EVOLVE_HORIZON = 50.0    # flow time ridden by the seeds Newton cannot land
+NEWTON_STEPS = 40        # Newton steps of each polish
 FALLBACK_CONTROLS = IntegratorControls(rtol=1e-5, atol=1e-8)  # accuracy of the flow fallback
 
 
@@ -215,66 +209,21 @@ def _cluster(outcomes: list, dimension: int) -> list[tuple[np.ndarray, list[int]
     return clusters
 
 
-def _drift_norms(m: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row defects ||m^T Q(m)||_inf of points ``(n, S)`` with their rates ``(n, S, S)``."""
-    return np.max(np.abs(np.einsum("ni,nij->nj", m, q)), axis=1)
-
-
-def _fixed_point(spec: GeneratorSpec, seeds: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Damped fixed-point iteration m -> x(m) from all seed rows in lockstep.
-
-    Returns the final rows and the masks of the rows that failed and stalled.
-    Each row keeps its own damping and stops on exactly one rule: its defect
-    is at most ``HANDOFF_DEFECT``, its frozen chain turns reducible, its
-    frozen solve is singular (failed), or it stalls, with damping below 1e-3
-    and no descent, as a row cycling around a repeller does.
-    """
-    m = np.array(seeds, dtype=float)
-    q = spec.rates_batch(m)
-    r = _drift_norms(m, q)
-    alpha = np.full(m.shape[0], DAMPING)
-    failed = np.zeros(m.shape[0], dtype=bool)
-    stalled = np.zeros(m.shape[0], dtype=bool)
-    rows = np.arange(m.shape[0])
-    for _ in range(MAX_ITERATIONS):
-        rows = rows[r[rows] > HANDOFF_DEFECT]
-        rows = rows[_irreducible(q[rows])]
-        if rows.size == 0:
-            break
-        x = _frozen_solve(q[rows])
-        solved = np.all(np.isfinite(x), axis=1)
-        failed[rows[~solved]] = True
-        rows, x = rows[solved], x[solved]
-        a = alpha[rows, None]
-        candidate = (1.0 - a) * m[rows] + a * x
-        q_cand = spec.rates_batch(candidate)
-        r_cand = _drift_norms(candidate, q_cand)
-        better = r_cand < r[rows]
-        up = rows[better]
-        m[up], q[up], r[up] = candidate[better], q_cand[better], r_cand[better]
-        alpha[up] = np.minimum(1.0, 1.25 * alpha[up])
-        alpha[rows[~better]] *= 0.5
-        stops = ~better & (alpha[rows] < 1e-3)
-        stalled[rows[stops]] = True
-        rows = rows[~stops]
-    return m, failed, stalled
-
-
 def _land(spec: GeneratorSpec, seeds: np.ndarray) -> list[np.ndarray | None]:
     """Each seed row's invariant point, or None where it failed.
 
-    The rows that stall in the fixed-point iteration ride the flow together in
-    one ``integrate_flow`` call and iterate once more from its end states; a
-    row that stalls again stops where it is.  Every row that did not fail
-    then takes the Newton polish.
+    Every row takes the Newton polish from its seed.  The rows it cannot land
+    ride the flow together from their seeds, in one ``integrate_flow`` call,
+    and take the polish once more from where the ride ends.
     """
-    m, failed, stalled = _fixed_point(spec, seeds)
-    if stalled.any():
-        starts, _ = _project_array(m[stalled])
-        flow = integrate_flow(spec, starts, EVOLVE_HORIZON, FALLBACK_CONTROLS)
-        m[stalled], failed[stalled], _ = _fixed_point(spec, flow.ys[np.array(flow.offsets[1:]) - 1])
-    polished = iter(_newton_polish(spec, m[~failed]))
-    return [None if f else next(polished) for f in failed]
+    out = _newton_polish(spec, seeds)
+    lost = [n for n, found in enumerate(out) if found is None]
+    if lost:
+        flow = integrate_flow(spec, seeds[lost], EVOLVE_HORIZON, FALLBACK_CONTROLS)
+        ends = flow.ys[np.array(flow.offsets[1:]) - 1]
+        for n, found in zip(lost, _newton_polish(spec, ends)):
+            out[n] = found
+    return out
 
 
 def _newton_polish(spec: GeneratorSpec, points: np.ndarray) -> list[np.ndarray | None]:

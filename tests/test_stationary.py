@@ -1,5 +1,6 @@
 """Frozen-chain stationary distributions and the invariant-distribution search."""
 
+import itertools
 import json
 import time
 
@@ -21,13 +22,11 @@ from nlmc import (
     polynomial_generator,
     residual,
 )
-from nlmc.generator import _irreducible
+from nlmc.certify import build_M
 from nlmc.stationary import (
     CLUSTER_RADIUS,
-    HANDOFF_DEFECT,
     TOL_INVARIANT,
     _cluster,
-    _fixed_point,
     _frozen_solve,
     _land,
     _newton_polish,
@@ -44,6 +43,39 @@ from helpers import (
 )
 
 SKEWED_CONSUMER = corpus("consumer", {"b": 2.0, "e": 3.0, "eps": 0.05, "lam": 0.5})
+
+
+def _herding_cell(rng, target):
+    # A base rate, so the chain is irreducible, plus terms that grow
+    # with the share of the target state, so some specs are bistable.
+    terms = [((0, 0), float(rng.uniform(0.1, 1.0)))]
+    for _ in range(int(rng.integers(1, 3))):
+        exponents = [0, 0]
+        exponents[target] = int(rng.integers(1, 4))
+        exponents[1 - target] = int(rng.integers(0, 2))
+        terms.append((tuple(exponents), float(rng.uniform(0.5, 10.0))))
+    return terms
+
+
+def _two_state_herding_cells(count: int) -> list[dict]:
+    """The first ``count`` two-state herding cell tables drawn from rng 2024."""
+    rng = np.random.default_rng(2024)
+    return [{(0, 1): _herding_cell(rng, 1), (1, 0): _herding_cell(rng, 0)} for _ in range(count)]
+
+
+# Newton leaves the simplex from 3 of this spec's grid-20 seeds, so they ride the flow.
+RIDING_HERDING = polynomial_generator(2, _two_state_herding_cells(2)[1])
+
+
+def _three_state_herding(rng):
+    """Rates q_ij = a + c m_j^k into every state j, with a, c and k drawn once per spec."""
+    a, c, k = float(rng.uniform(0.05, 0.5)), float(rng.uniform(1.0, 12.0)), int(rng.integers(1, 4))
+    cells = {}
+    for i, j in itertools.permutations(range(3), 2):
+        exponents = [0, 0, 0]
+        exponents[j] = k
+        cells[(i, j)] = [((0, 0, 0), a), (tuple(exponents), c)]
+    return polynomial_generator(3, cells)
 
 
 class TestResidual:
@@ -181,7 +213,20 @@ class TestFindInvariant:
             assert result.classification == "interior"
         assert found.seed_count == 21
         assert found.failed_seeds == 0
-        assert [len(r.basin_hint) for r in found] == [10, 1, 10]
+        # Newton lands the repeller 1/2 from the 5 seeds around it.
+        assert [len(r.basin_hint) for r in found] == [8, 5, 8]
+        for result, target in zip(found, expected):
+            assert abs(result.point[0] - target[0]) <= 1e-15
+            assert result.residual <= 1e-15
+
+    def test_bistable_is_complete_at_every_grid(self):
+        # Newton lands the repeller 1/2 from the seeds around it, also on the
+        # odd grids, where no seed sits on it.
+        for resolution in range(4, 41):
+            found = find_invariant(corpus("bistable"), SimplexGrid(2, resolution))
+            assert len(found) == 3 and found.failed_seeds == 0, resolution
+            for result, root in zip(found, (0.25, 0.5, 0.75)):
+                assert abs(result.point[0] - root) <= 1e-12, resolution
 
     def test_stable_rest_points_are_reproduced_by_the_flow(self):
         spec = corpus("bistable")
@@ -254,9 +299,9 @@ class TestFindInvariant:
         ],
     )
     def test_a_seed_alone_lands_where_it_lands_in_lockstep(self, spec, resolution):
-        # Bistable grid 20 takes the flow fallback on 4 seeds; on oscillator
-        # grid 6 every frozen chain is reducible and 12 seeds fail the polish;
-        # the consumer cells multiply by non-unit coefficients.
+        # Newton lands every bistable seed; on oscillator grid 6, 12 seeds
+        # ride the flow before they land; the consumer cells multiply by
+        # non-unit coefficients.
         grid = SimplexGrid(spec.dimension, resolution)
         together = find_invariant(spec, grid)
         landed = {index: r.point.probs for r in together for index in r.basin_hint}
@@ -292,10 +337,10 @@ class TestFindInvariant:
             return original(spec, m0, horizon, controls)
 
         monkeypatch.setattr(nlmc.stationary, "integrate_flow", counting)
-        found = find_invariant(corpus("bistable"), SimplexGrid(2, 20))
-        # One fallback round on grid 20, over the 4 seeds that cycle.
-        assert calls == [4]
-        assert len(found) == 3
+        found = find_invariant(RIDING_HERDING, SimplexGrid(2, 20))
+        # One ride, over the 3 seeds from which Newton leaves the simplex.
+        assert calls == [3]
+        assert (found.seed_count, found.failed_seeds) == (21, 0)
 
     def test_the_flow_fallback_rides_at_fallback_accuracy(self, monkeypatch):
         steps = []
@@ -307,61 +352,45 @@ class TestFindInvariant:
             return flow
 
         monkeypatch.setattr(nlmc.stationary, "integrate_flow", counting)
-        found = find_invariant(corpus("bistable"), SimplexGrid(2, 20))
-        # 136 steps at FALLBACK_CONTROLS (rtol 1e-5, atol 1e-8); 278 at the
-        # integrator's defaults and 526 at rtol 1e-10, atol 1e-12.
-        assert len(steps) == 1 and steps[0] <= 150
+        found = find_invariant(RIDING_HERDING, SimplexGrid(2, 20))
+        # 210 steps at FALLBACK_CONTROLS (rtol 1e-5, atol 1e-8); 346 at the
+        # integrator's defaults and 643 at rtol 1e-10, atol 1e-12.
+        assert len(steps) == 1 and steps[0] <= 230
         assert (found.seed_count, found.failed_seeds) == (21, 0)
-        assert [len(r.basin_hint) for r in found] == [10, 1, 10]
-        for result, root in zip(found, (0.25, 0.5, 0.75)):
-            assert abs(result.point[0] - root) <= 1e-15
-            assert result.residual <= 1e-15
+        assert [len(r.basin_hint) for r in found] == [21]
+        assert found.results[0].residual <= 1e-15
 
     @pytest.mark.parametrize(
-        "spec, resolution",
+        "spec, resolution, rides",
         [
-            pytest.param(corpus("bistable"), 20, id="bistable-20"),
-            pytest.param(SKEWED_CONSUMER, 10, id="consumer-10"),
-            pytest.param(corpus("oscillator"), 6, id="oscillator-6"),
+            pytest.param(corpus("bistable"), 20, 0, id="bistable-20"),
+            pytest.param(SKEWED_CONSUMER, 10, 0, id="consumer-10"),
+            pytest.param(corpus("oscillator"), 6, 1, id="oscillator-6"),
         ],
     )
-    def test_the_fixed_point_hands_its_rows_to_the_polish(self, spec, resolution, monkeypatch):
-        passes = []
+    def test_only_the_seeds_newton_cannot_land_ride_the_flow(
+        self, spec, resolution, rides, monkeypatch
+    ):
+        ridden = []
+        original = nlmc.stationary.integrate_flow
 
-        def recording(spec, rows):
-            m, failed, stalled = _fixed_point(spec, rows)
-            passes.append((m.copy(), failed.copy(), stalled.copy()))
-            return m, failed, stalled
+        def recording(spec, m0, horizon, controls=None):
+            ridden.append(np.array(m0))
+            return original(spec, m0, horizon, controls)
 
-        monkeypatch.setattr(nlmc.stationary, "_fixed_point", recording)
+        monkeypatch.setattr(nlmc.stationary, "integrate_flow", recording)
         grid = SimplexGrid(spec.dimension, resolution)
-        _land(spec, grid.array)
-        assert 1 <= len(passes) <= 2
-        for n, (m, failed, stalled) in enumerate(passes):
-            handed = np.max(np.abs(spec.drift_batch(m)), axis=1) <= HANDOFF_DEFECT
-            reducible = ~_irreducible(spec.rates_batch(m))
-            # Every row stops on one of the four rules, and no row of these
-            # grids stalls again after its ride on the flow.
-            assert np.all(handed | reducible | failed | stalled)
-            assert n == 0 or not stalled.any()
-            assert all(point is not None for point in _newton_polish(spec, m[handed & ~failed]))
+        lost = [n for n, found in enumerate(_newton_polish(spec, grid.array)) if found is None]
         found = find_invariant(spec, grid)
-        assert len(found) > 0
+        assert len(ridden) == rides
+        # The ride starts from the seeds themselves, and only from those Newton did not land.
+        for starts in ridden:
+            assert np.array_equal(starts, grid.array[lost])
+        assert found.failed_seeds == 0
         for result in found:
             assert result.residual <= TOL_INVARIANT
 
     def test_two_state_points_are_the_roots_numpy_finds(self, monkeypatch):
-        def herding_cell(rng, target):
-            # A base rate, so the chain is irreducible, plus terms that grow
-            # with the share of the target state, so some specs are bistable.
-            terms = [((0, 0), float(rng.uniform(0.1, 1.0)))]
-            for _ in range(int(rng.integers(1, 3))):
-                exponents = [0, 0]
-                exponents[target] = int(rng.integers(1, 4))
-                exponents[1 - target] = int(rng.integers(0, 2))
-                terms.append((tuple(exponents), float(rng.uniform(0.5, 10.0))))
-            return terms
-
         # The chart m = (m1, 1 - m1) as polynomials in m1.
         m1, m2 = Polynomial([0.0, 1.0]), Polynomial([1.0, -1.0])
 
@@ -376,11 +405,9 @@ class TestFindInvariant:
             return original(spec, m0, horizon, controls)
 
         monkeypatch.setattr(nlmc.stationary, "integrate_flow", counting)
-        rng = np.random.default_rng(2024)
         multistable = 0
-        for _ in range(40):
+        for cells in _two_state_herding_cells(40):
             calls.append(0)
-            cells = {(0, 1): herding_cell(rng, 1), (1, 0): herding_cell(rng, 0)}
             drift = m2 * rate(cells[(1, 0)]) - m1 * rate(cells[(0, 1)])
             roots = np.roots(drift.coef[::-1])
             roots = roots[np.abs(roots.imag) <= 1e-9].real
@@ -391,11 +418,27 @@ class TestFindInvariant:
             assert found.failed_seeds == 0
             for point in landed:
                 assert np.min(np.abs(roots - point)) <= 1e-12
-            for root in roots[drift.deriv()(roots) < 0.0]:
+            # Every root is found, the repellers between the attractors too.
+            for root in roots:
                 assert np.min(np.abs(landed - root)) <= 1e-12
         assert multistable >= 2
-        # The rows that stall ride the flow together, in at most one call per search.
+        # The rows Newton cannot land ride the flow together, in at most one call per search.
         assert max(calls) <= 1
+
+    def test_three_state_index_sums_match_the_degree(self):
+        # Where every frozen chain is irreducible, the Brouwer indices sign det M
+        # of the invariants sum to (-1)^(S-1) = +1; a search that misses a
+        # saddle reads +2 or +3.
+        rng = np.random.default_rng(11)
+        multiple = 0
+        for _ in range(30):
+            spec = _three_state_herding(rng)
+            found = find_invariant(spec, SimplexGrid(3, 10))
+            assert found.failed_seeds == 0
+            signs = [np.sign(np.linalg.det(build_M(spec, result.point))) for result in found]
+            assert sum(signs) == 1.0
+            multiple += len(found) > 1
+        assert multiple >= 10
 
     def test_a_singular_polish_row_fails_alone(self):
         # The drift is exactly (1, -1) where m1 >= 1/2, so the Jacobian there
