@@ -32,7 +32,6 @@ from .generator import (
     corpus,
     generator_from_json,
     generator_to_json,
-    irreducible_at,
     lipschitz_estimate,
     load_generator,
     polynomial_generator,
@@ -40,19 +39,16 @@ from .generator import (
     validate,
 )
 from .semigroup import (
-    AuditFinding,
-    AuditReport,
     Flow,
     IntegratorControls,
     JumpPath,
     Trajectory,
     evolve,
-    flow_invariance_audit,
     integrate_flow,
     sample_path,
     thinning_bound,
 )
-from .simplex import Distribution, SimplexGrid, project_to_simplex
+from .simplex import Distribution, SimplexGrid
 from .stationary import (
     StationaryResult,
     StationarySet,
@@ -64,8 +60,6 @@ from .stationary import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditFinding",
-    "AuditReport",
     "Certificate",
     "CertificateEvaluationError",
     "Distribution",
@@ -94,16 +88,13 @@ __all__ = [
     "corpus",
     "evolve",
     "find_invariant",
-    "flow_invariance_audit",
     "frozen_stationary",
     "generator_from_json",
     "generator_to_json",
     "integrate_flow",
-    "irreducible_at",
     "lipschitz_estimate",
     "load_generator",
     "polynomial_generator",
-    "project_to_simplex",
     "residual",
     "sample_path",
     "save_generator",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateEvaluationError
-from .generator import RATE_FLOOR, GeneratorSpec, _irreducible, _sweep_grid, irreducible_at
+from .generator import RATE_FLOOR, GeneratorSpec, _irreducible, _sweep_grid
 from .simplex import (
     FD_STEP, Distribution, SimplexGrid, _chart_drift, _chart_embed, _chart_jacobian, _is_int,
     _write_text,
@@ -120,7 +120,7 @@ def build_M(spec: GeneratorSpec, m, h: float = FD_STEP) -> np.ndarray:
     s = spec.dimension
     if arr.shape != (s,):
         raise ValueError(f"point of shape {arr.shape} does not match dimension {s}")
-    if not irreducible_at(spec, arr):
+    if not _irreducible(spec.rates(arr)[None])[0]:
         raise CertificateEvaluationError(
             f"frozen chain is reducible at {tuple(float(x) for x in arr)}"
         )

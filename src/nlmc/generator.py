@@ -390,15 +390,6 @@ def lipschitz_estimate(spec: GeneratorSpec, grid: SimplexGrid | None = None) -> 
     return worst * (k / 2.0)
 
 
-def irreducible_at(spec: GeneratorSpec, m) -> bool:
-    """Whether the frozen chain Q(m) is irreducible.
-
-    Edges are rates strictly above ``RATE_FLOOR``; the test is strong
-    connectivity of the resulting directed graph.
-    """
-    return bool(_irreducible(spec.rates(m)[None])[0])
-
-
 def _irreducible(q: np.ndarray) -> np.ndarray:
     """Strong connectivity of every rate graph in a stack ``(n, S, S)``, as ``(n,)`` bools.
 

@@ -1,4 +1,4 @@
-"""Marginal-flow integration, invariance auditing, and jump-path sampling.
+"""Marginal-flow integration and jump-path sampling.
 
 The marginal flow solves dm/dt = f(m) with f_j(m) = sum_i m_i Q_ij(m).
 Integration uses an embedded Dormand-Prince 5(4) pair with adaptive steps;
@@ -23,7 +23,6 @@ from .simplex import (
     SimplexGrid,
     _is_int,
     _project_array,
-    _tangent_ok,
     _write_text,
 )
 
@@ -130,9 +129,8 @@ class Flow:
 class Trajectory:
     """States of the marginal flow sampled on a fixed time grid.
 
-    Rows of ``states`` are kept exactly as produced so that audits can see
-    them; use ``state`` or ``final`` for validated :class:`Distribution`
-    views.
+    Rows of ``states`` are the projected samples, kept as raw arrays; use
+    ``state`` or ``final`` for validated :class:`Distribution` views.
     """
 
     generator_id: str
@@ -357,64 +355,6 @@ def evolve(
         states.flags.writeable = False
         trajectories.append(Trajectory(spec.generator_id, times, states, row.max_drift))
     return trajectories[0] if _is_one_start(m0) else trajectories
-
-
-@dataclass(frozen=True)
-class AuditFinding:
-    """One invariance failure at a sampled trajectory state."""
-
-    index: int
-    time: float
-    message: str
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    """Outcome of checking a trajectory against simplex invariance.
-
-    ``clean`` means every sampled state is on the simplex (within
-    integrator-noise tolerances) and the drift at that state lies in the
-    tangent cone, so the flow never tried to leave.
-    """
-
-    clean: bool
-    states_checked: int
-    max_drift_before_repair: float
-    worst_mass_defect: float
-    min_component: float
-    findings: tuple[AuditFinding, ...]
-
-
-def flow_invariance_audit(trajectory: Trajectory, spec: GeneratorSpec) -> AuditReport:
-    """Audit every sampled state of ``trajectory`` for simplex invariance.
-
-    Checks per state: entries at least -``TOL_RENORMALIZE``, mass within
-    ``TOL_RENORMALIZE`` of one, and drift membership in the tangent cone at
-    that state.
-    """
-    states = np.asarray(trajectory.states, dtype=float)
-    findings = []
-    mass_defects = np.abs(states.sum(axis=1) - 1.0)
-    drifts = spec.drift_batch(states)
-    for n in range(states.shape[0]):
-        t = float(trajectory.times[n])
-        row = states[n]
-        ok_entries = float(row.min()) >= -TOL_RENORMALIZE
-        ok_mass = float(mass_defects[n]) <= TOL_RENORMALIZE
-        if not ok_entries:
-            findings.append(AuditFinding(n, t, f"entry {float(row.min()):.6e} below -{TOL_RENORMALIZE:g}"))
-        if not ok_mass:
-            findings.append(AuditFinding(n, t, f"mass off by {float(mass_defects[n]):.6e}"))
-        if ok_entries and ok_mass and not _tangent_ok(np.maximum(row, 0.0), drifts[n]):
-            findings.append(AuditFinding(n, t, "drift leaves the tangent cone"))
-    return AuditReport(
-        clean=not findings,
-        states_checked=states.shape[0],
-        max_drift_before_repair=float(trajectory.max_drift),
-        worst_mass_defect=float(mass_defects.max()),
-        min_component=float(states.min()),
-        findings=tuple(findings),
-    )
 
 
 def thinning_bound(spec: GeneratorSpec) -> float:

@@ -1,4 +1,4 @@
-"""Probability-simplex primitives: points, lattice grids, projection, tangent cone.
+"""Probability-simplex primitives: points, lattice grids, projection, the chart.
 
 Three tolerance tiers are used throughout the package:
 
@@ -22,7 +22,6 @@ from .errors import IntegrationDivergedError
 TOL_MEMBERSHIP = 1e-12
 TOL_RENORMALIZE = 1e-9
 TOL_PROJECTION = 1e-6
-TOL_CONE = 1e-10
 
 
 class Distribution:
@@ -123,40 +122,10 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _tangent_ok(m_arr: np.ndarray, y_arr: np.ndarray, tol: float = TOL_CONE) -> bool:
-    """Whether direction ``y_arr`` lies in the tangent cone of the simplex at ``m_arr``.
-
-    A direction is tangent exactly when it conserves mass and does not push
-    any zero coordinate negative: ``sum(y)`` within ``tol`` of zero, and
-    ``y_i >= -tol`` wherever ``m_i <= TOL_MEMBERSHIP``.
-    """
-    if abs(float(y_arr.sum())) > tol:
-        return False
-    at_zero = m_arr <= TOL_MEMBERSHIP
-    if not np.any(at_zero):
-        return True
-    return bool(np.all(y_arr[at_zero] >= -tol))
-
-
 def _write_text(path, text: str) -> None:
     """Write an artifact's text as UTF-8 with LF line ends on every platform."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
-
-
-def project_to_simplex(v) -> Distribution:
-    """Euclidean projection onto the simplex (sorted-threshold algorithm).
-
-    Only small drift is repaired: if the input is farther than
-    ``TOL_PROJECTION`` away in max norm, the caller's integration has
-    genuinely left the simplex and :class:`IntegrationDivergedError` is
-    raised instead of silently rewriting the state.
-    """
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"projection needs a non-empty 1-d vector, got shape {arr.shape}")
-    (x,), _ = _project_array(arr[None])
-    return Distribution(x)
 
 
 def _chart_embed(u: np.ndarray) -> np.ndarray:

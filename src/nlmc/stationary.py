@@ -100,7 +100,8 @@ def frozen_stationary(spec: GeneratorSpec, m) -> Distribution:
 
     Requires irreducibility at ``m`` (otherwise the stationary set is not a
     single point and :class:`ReducibleGeneratorError` is raised).  The
-    linear solve must reproduce x Q(m) = 0 to within 1e-12.
+    linear solve must reproduce x Q(m) = 0 to within 1e-12 times the
+    largest rate magnitude, or 1e-12 where every rate is at most 1.
     """
     arr = m.probs if isinstance(m, Distribution) else np.asarray(m, dtype=float)
     q = spec.rates(arr)
@@ -110,10 +111,9 @@ def frozen_stationary(spec: GeneratorSpec, m) -> Distribution:
         )
     x = _frozen_solve(q[None])[0]
     defect = float(np.max(np.abs(x @ q)))
-    if defect > FROZEN_RESIDUAL_TOL:
-        raise NumericalError(
-            f"frozen stationary solve left residual {defect:.3e} > {FROZEN_RESIDUAL_TOL:g}"
-        )
+    allowed = FROZEN_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(q))))
+    if defect > allowed:
+        raise NumericalError(f"frozen stationary solve left residual {defect:.3e} > {allowed:g}")
     return Distribution(x)
 
 

@@ -1,8 +1,9 @@
 """Independent oracles and builders shared by the test suite.
 
 Everything here is computed without touching the package internals:
-projection by bisection on the dual threshold, stationary distributions by
-a dense null space, matrix exponentials, and naive monomial evaluation.
+projection by bisection on the dual threshold, simplex invariance by the
+tangent-cone condition, stationary distributions by a dense null space,
+matrix exponentials, and naive monomial evaluation.
 Values frozen in the tests were produced by these oracles.
 """
 
@@ -72,6 +73,19 @@ def projection_oracle(v) -> np.ndarray:
         else:
             hi = theta
     return np.maximum(v - 0.5 * (lo + hi), 0.0)
+
+
+def stays_in_simplex(states, drifts) -> bool:
+    """Whether every state is on the simplex and its drift lies in the tangent cone there.
+
+    On the simplex: entries at least -1e-9 and mass within 1e-9 of one.  In the
+    tangent cone: the drift conserves mass to 1e-10 and pushes no zero
+    coordinate (at most 1e-12) below -1e-10, so the flow cannot leave.
+    """
+    m, y = np.atleast_2d(states), np.atleast_2d(drifts)
+    on_simplex = (m.min(axis=1) >= -1e-9) & (np.abs(m.sum(axis=1) - 1.0) <= 1e-9)
+    tangent = (np.abs(y.sum(axis=1)) <= 1e-10) & ((m > 1e-12) | (y >= -1e-10)).all(axis=1)
+    return bool((on_simplex & tangent).all())
 
 
 def stationary_oracle(q: np.ndarray) -> np.ndarray:

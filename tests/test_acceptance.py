@@ -22,11 +22,10 @@ from nlmc import (
     corpus,
     evolve,
     find_invariant,
-    flow_invariance_audit,
     integrate_flow,
-    irreducible_at,
     sample_path,
 )
+from nlmc.generator import _irreducible
 
 from helpers import (
     CONSUMER_PARAMS,
@@ -34,6 +33,7 @@ from helpers import (
     expm_oracle,
     random_rate_matrix,
     stationary_oracle,
+    stays_in_simplex,
 )
 
 CONSUMER = corpus("consumer", CONSUMER_PARAMS)
@@ -118,8 +118,9 @@ def test_criterion_4_irreducible_but_not_ergodic():
         and len(certificate.evidence["witnesses"]) == 3
     )
     rng = np.random.default_rng(41)
-    checked = [irreducible_at(spec, rng.dirichlet(np.ones(2))) for _ in range(100)]
-    irreducible = all(checked)
+    points = np.array([rng.dirichlet(np.ones(2)) for _ in range(100)])
+    checked = _irreducible(spec.rates_batch(points))
+    irreducible = bool(checked.all())
     ok = refuted and irreducible
     _record(
         4,
@@ -236,8 +237,8 @@ def test_criterion_8_property_suites():
     )
     audits_clean = True
     for spec, m0, horizon in runs:
-        report = flow_invariance_audit(evolve(spec, m0, horizon), spec)
-        audits_clean = audits_clean and report.clean
+        states = evolve(spec, m0, horizon).states
+        audits_clean = audits_clean and stays_in_simplex(states, spec.drift_batch(states))
 
     # Second-order finite differences: halving the step shrinks the error
     # by ~4; require at least 3.5 at random smooth interior points.

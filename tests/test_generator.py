@@ -15,7 +15,6 @@ from nlmc import (
     corpus,
     generator_from_json,
     generator_to_json,
-    irreducible_at,
     lipschitz_estimate,
     load_generator,
     polynomial_generator,
@@ -523,23 +522,22 @@ class TestIrreducibility:
     def test_consumer_is_irreducible_in_the_interior(self):
         spec = corpus("consumer", CONSUMER_PARAMS)
         rng = np.random.default_rng(17)
-        for _ in range(50):
-            assert irreducible_at(spec, random_distribution(rng, 3))
+        points = np.array([random_distribution(rng, 3) for _ in range(50)])
+        assert _irreducible(spec.rates_batch(points)).all()
 
     def test_bistable_is_irreducible_everywhere(self):
         spec = corpus("bistable")
-        for m in SimplexGrid(2, 10).points:
-            assert irreducible_at(spec, m)
+        assert _irreducible(spec.rates_batch(SimplexGrid(2, 10).array)).all()
 
     def test_oscillator_frozen_chain_is_reducible(self):
         spec = corpus("oscillator")
-        center = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-        assert not irreducible_at(spec, center)
+        center = np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
+        assert not _irreducible(spec.rates(center)[None])[0]
 
     def test_block_structure_is_reducible(self):
         q = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
         spec = constant_generator(q)
-        assert not irreducible_at(spec, (0.3, 0.3, 0.4))
+        assert not _irreducible(spec.rates(np.array([0.3, 0.3, 0.4]))[None])[0]
 
     def test_batched_kernel_matches_strong_components_oracle(self):
         def cycle(last_rate):

@@ -1,4 +1,4 @@
-"""Marginal-flow integration, dense output, invariance audits, jump-path sampling."""
+"""Marginal-flow integration, dense output, simplex invariance, jump-path sampling."""
 
 import gc
 import math
@@ -21,14 +21,19 @@ from nlmc import (
     constant_generator,
     corpus,
     evolve,
-    flow_invariance_audit,
     integrate_flow,
     polynomial_generator,
     sample_path,
     thinning_bound,
 )
 
-from helpers import CONSUMER_PARAMS, expm_oracle, random_rate_matrix, stationary_oracle
+from helpers import (
+    CONSUMER_PARAMS,
+    expm_oracle,
+    random_rate_matrix,
+    stationary_oracle,
+    stays_in_simplex,
+)
 
 TIGHT = IntegratorControls(rtol=1e-10, atol=1e-12)
 
@@ -286,40 +291,7 @@ class TestInvarianceAudit:
         )
         for spec, m0, horizon in runs:
             traj = evolve(spec, m0, horizon)
-            report = flow_invariance_audit(traj, spec)
-            assert report.clean
-            assert report.states_checked == len(traj)
-            assert report.findings == ()
-            assert report.min_component >= -1e-9
-            assert report.worst_mass_defect <= 1e-9
-
-    def test_fabricated_violations_are_reported(self):
-        spec = corpus("bistable")
-        times = np.array([0.0, 1.0])
-        states = np.array([[1.2, -0.2], [0.6, 0.39]])
-        report = flow_invariance_audit(
-            Trajectory(generator_id="fabricated", times=times, states=states), spec
-        )
-        assert not report.clean
-        assert report.states_checked == 2
-        assert report.min_component == pytest.approx(-0.2)
-        assert report.worst_mass_defect == pytest.approx(0.01)
-        messages = " | ".join(f.message for f in report.findings)
-        assert "below" in messages
-        assert "mass" in messages
-
-    def test_a_drift_out_of_the_simplex_is_reported(self):
-        # At the corner (0, 1) the drift m^T Q = (-1, 1) pushes m_1 below zero.
-        spec = GeneratorSpec(
-            2, lambda points: np.tile([[-1.0, 1.0], [-1.0, 1.0]], (len(points), 1, 1)),
-            name="outward",
-        )
-        trajectory = Trajectory("outward", np.array([0.0]), np.array([[0.0, 1.0]]))
-        report = flow_invariance_audit(trajectory, spec)
-        assert not report.clean
-        assert [(f.index, f.message) for f in report.findings] == [
-            (0, "drift leaves the tangent cone")
-        ]
+            assert stays_in_simplex(traj.states, spec.drift_batch(traj.states))
 
 
 class TestThinningBound:

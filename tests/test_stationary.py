@@ -12,6 +12,7 @@ import nlmc.stationary
 from nlmc import (
     Distribution,
     GeneratorSpec,
+    NumericalError,
     ReducibleGeneratorError,
     SimplexGrid,
     constant_generator,
@@ -142,6 +143,25 @@ class TestFrozenStationary:
         spec = corpus("oscillator")
         with pytest.raises(ReducibleGeneratorError):
             frozen_stationary(spec, (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0))
+
+    @pytest.mark.parametrize("scale", [1e4, 1e6])
+    def test_fast_chains_match_null_space_oracle(self, scale):
+        # x Q rounds in proportion to the rates, and so does the residual guard.
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            q = random_rate_matrix(rng, 4, 0.2 * scale, 1.5 * scale)
+            x = frozen_stationary(constant_generator(q), (0.25, 0.25, 0.25, 0.25))
+            assert float(np.max(np.abs(x.probs - stationary_oracle(q)))) < 1e-12
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_a_corrupted_solve_raises(self, monkeypatch, scale):
+        solve = nlmc.stationary._frozen_solve
+        monkeypatch.setattr(
+            nlmc.stationary, "_frozen_solve", lambda q: solve(q) + np.array([1e-9, -1e-9])
+        )
+        spec = constant_generator([[-2.0 * scale, 2.0 * scale], [scale, -scale]])
+        with pytest.raises(NumericalError, match="frozen stationary solve left residual"):
+            frozen_stationary(spec, (0.9, 0.1))
 
     def test_batched_solve_matches_null_space_oracle(self):
         rng = np.random.default_rng(59)
