@@ -20,7 +20,7 @@ from .errors import GeneratorEvaluationError, GeneratorFileError
 from .simplex import Distribution, SimplexGrid, _is_int, _write_text
 
 OFFDIAG_TOL = 1e-10      # off-diagonal entries may round this far below zero
-ROWSUM_TOL = 1e-9        # conservativity slack per row
+ROWSUM_TOL = 1e-9        # conservativity slack per row, times max(1, the row's largest |rate|)
 RATE_FLOOR = 1e-9        # rates at or below this count as structural zeros
 MAX_TOTAL_DEGREE = 8     # cap on monomial total degree in generator files
 VALIDATION_RESOLUTION = 20
@@ -82,7 +82,7 @@ class GeneratorSpec:
         if arr.ndim != 2 or arr.shape[1] != self.dimension:
             raise ValueError(f"expected points of shape (n, {self.dimension}), got {arr.shape}")
         out = self._batch(arr)
-        if not np.isfinite(out).all():
+        if not np.logical_and.reduce(np.isfinite(out), axis=None):
             raise GeneratorEvaluationError(f"{self.describe()} produced non-finite rates")
         return out
 
@@ -159,21 +159,22 @@ def _normalize_cells(dimension: int, cells: dict) -> dict[tuple[int, int], tuple
 
 
 def _compile_cells(dimension: int, cells: dict[tuple[int, int], tuple]):
-    # Exponents (T, S) of the distinct monomials, coefficients (T, S*S).  einsum, not @:
+    # Exponents (1, T, S) of the distinct monomials, coefficients (T, S*S).  einsum, not @:
     # BLAS takes another path for one row, so rates would depend on the batch size.
     monomials = sorted({exps for terms in cells.values() for exps, _ in terms})
     column = {exps: k for k, exps in enumerate(monomials)}
-    exps = np.array(monomials, dtype=float).reshape(len(monomials), dimension)
+    exps = np.array(monomials, dtype=float).reshape(1, len(monomials), dimension)
     coeffs = np.zeros((len(monomials), dimension * dimension))
     for (i, j), terms in cells.items():
         for monomial, coefficient in terms:
             coeffs[column[monomial], i * dimension + j] += coefficient
 
     def batch(points: np.ndarray) -> np.ndarray:
-        values = (points[:, None, :] ** exps[None, :, :]).prod(axis=2)
+        values = np.multiply.reduce(points[:, None, :] ** exps, axis=2)
         flat = np.einsum("nt,tk->nk", values, coeffs)
-        flat[:, :: dimension + 1] = -flat.reshape(-1, dimension, dimension).sum(axis=2)
-        return flat.reshape(-1, dimension, dimension)
+        q = flat.reshape(-1, dimension, dimension)
+        np.negative(np.add.reduce(q, axis=2), out=flat[:, :: dimension + 1])
+        return q
 
     return batch
 
@@ -213,20 +214,24 @@ def constant_generator(matrix) -> GeneratorSpec:
     return polynomial_generator(s, cells)
 
 
+# The oscillator's cells (0, 2), (1, 2), (2, 0), (2, 1) as flat indices; cell k is
+# max(sign_k (c_j - 1/3), 0) / c_i with (j, i) = _OSC_COLUMNS[:, k] of the clamped point.
+_OSC_CELLS = np.array([2, 5, 6, 7])
+_OSC_COLUMNS = np.array([[1, 0, 1, 0], [0, 1, 2, 2]])
+_OSC_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
+_OSC_THIRDS = _OSC_SIGNS / 3.0
+
+
 def _oscillator_batch(points: np.ndarray) -> np.ndarray:
     # Rates are defined on the region where every component is >= 1/10 and
     # extended to the rest of the simplex by clamping each argument at 1/10,
-    # which keeps every cell bounded and Lipschitz.
-    c = np.maximum(points, 0.1)
-    third = 1.0 / 3.0
-    n = points.shape[0]
-    q = np.zeros((n, 3, 3))
-    q[:, 0, 2] = np.where(c[:, 1] <= third, (third - c[:, 1]) / c[:, 0], 0.0)
-    q[:, 1, 2] = np.where(c[:, 0] >= third, (c[:, 0] - third) / c[:, 1], 0.0)
-    q[:, 2, 0] = np.where(c[:, 1] >= third, (c[:, 1] - third) / c[:, 2], 0.0)
-    q[:, 2, 1] = np.where(c[:, 0] <= third, (third - c[:, 0]) / c[:, 2], 0.0)
-    q.reshape(-1, 9)[:, ::4] = -q.sum(axis=2)  # the diagonal, through a view of the fresh array
-    return q
+    # which keeps every cell bounded and Lipschitz.  sign c_j - sign/3 rounds to
+    # exactly sign (c_j - 1/3), and to +0.0, never -0.0, at c_j = 1/3.
+    c = np.maximum(points, 0.1)[:, _OSC_COLUMNS]
+    q = np.zeros((points.shape[0], 9))
+    q[:, _OSC_CELLS] = np.maximum(_OSC_SIGNS * c[:, 0] - _OSC_THIRDS, 0.0) / c[:, 1]
+    np.negative(np.add.reduce(q.reshape(-1, 3, 3), axis=2), out=q[:, ::4])
+    return q.reshape(-1, 3, 3)
 
 
 _BISTABLE_CELLS = {
@@ -327,14 +332,18 @@ def _sweep_grid(spec: GeneratorSpec, grid: SimplexGrid | None = None) -> Simplex
 def _problems(q: np.ndarray) -> list[tuple[int, str]]:
     """Conservativity failures of a stack ``(n, S, S)``, as (index, message) in index order.
 
-    Off-diagonal entries may dip ``OFFDIAG_TOL`` below zero and row sums may
-    miss zero by ``ROWSUM_TOL``; a matrix with a non-finite entry reports only that.
+    Off-diagonal entries may dip ``OFFDIAG_TOL`` below zero and a row sum may miss zero
+    by ``ROWSUM_TOL`` times max(1, the row's largest |rate|), as rounding of large
+    rates does; a matrix with a non-finite entry reports only that.
     """
     finite = np.all(np.isfinite(q), axis=(1, 2))
     off_min = np.where(np.eye(q.shape[-1], dtype=bool), np.inf, q).min(axis=(1, 2))
-    row_worst = np.max(np.abs(q.sum(axis=2)), axis=1)
+    row_sums = np.abs(q.sum(axis=2))
     negative = finite & (off_min < -OFFDIAG_TOL)
-    unbalanced = finite & (row_worst > ROWSUM_TOL)
+    unbalanced = finite & (np.max(row_sums, axis=1) > ROWSUM_TOL)
+    # The slack is at least ROWSUM_TOL, so only those matrices need their rates' scale.
+    for n in np.flatnonzero(unbalanced):
+        unbalanced[n] = np.any(row_sums[n] > ROWSUM_TOL * np.abs(q[n]).max(axis=1, initial=1.0))
     problems = []
     for n in np.flatnonzero(~finite | negative | unbalanced):
         if not finite[n]:
@@ -342,7 +351,7 @@ def _problems(q: np.ndarray) -> list[tuple[int, str]]:
         if negative[n]:
             problems.append((n, f"negative off-diagonal rate {float(off_min[n]):.6e}"))
         if unbalanced[n]:
-            problems.append((n, f"row sum off by {float(row_worst[n]):.6e}"))
+            problems.append((n, f"row sum off by {float(np.max(row_sums[n])):.6e}"))
     return problems
 
 

@@ -36,7 +36,7 @@ THINNING_BLOCK = 4096    # proposals, or bound-grid points, whose rates are held
 # Dormand-Prince 5(4) tableau: row i holds the weights of stage i.  The last
 # stage is evaluated at the fifth-order solution itself, so its row is the
 # fifth-order weights; _DP_B4 are the embedded fourth-order weights.  Shaped
-# to broadcast against stages (7, n, S).
+# to broadcast against stages (7, n, S); _DP_ROWS cuts rows 1-6 to their stages.
 _DP_A = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
     [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -46,6 +46,7 @@ _DP_A = np.array([
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
 ])[:, :, None, None]
+_DP_ROWS = tuple(_DP_A[i, :i] for i in range(1, 7))
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )[:, None, None]
@@ -253,42 +254,49 @@ def integrate_flow(
     t = np.zeros(n)
     h = np.minimum(horizon, 0.01 / (1.0 + np.abs(f).max(axis=1)))
     row_steps = np.zeros(n, dtype=int)
-    # Accepted knots as (row, t, y, f, repaired drift); y and f change in place.
-    knots = [(ids, t, y.copy(), f.copy(), np.zeros(n))]
+    # Accepted knots as (row, t, y, f, repaired drift); a knot may share the live y and f.
+    knots = [(ids, t, y, f, np.zeros(n))]
     floor = 1e-14 * max(1.0, horizon)
+    stages = np.empty((7, *y.shape))
     for step in range(MAX_STEPS):
         final = t + h >= horizon
         h = np.where(final, horizon - t, h)
         hc = h[:, None]
-        stages = np.empty((7, *y.shape))
         stages[0] = f
-        for i in range(1, 7):
-            yi = y + hc * np.add.reduce(_DP_A[i, :i] * stages[:i])
+        for i, weights in enumerate(_DP_ROWS, start=1):
+            yi = y + hc * np.add.reduce(weights * stages[:i])
             stages[i] = spec.drift_batch(yi)
         # yi is now the fifth-order solution.
         y4 = y + hc * np.add.reduce(_DP_B4 * stages)
         scale = controls.atol + controls.rtol * np.maximum(np.abs(y), np.abs(yi))
         err = np.sqrt(np.add.reduce(((yi - y4) / scale) ** 2, axis=1) / y.shape[1])
         ok = err <= 1.0
-        if ok.any():
+        if np.logical_and.reduce(ok):
+            t = np.where(final, horizon, t + h)
+            y, repaired = _project_array(yi)
+            f = spec.drift_batch(y)
+            knots.append((ids, t, y, f, repaired))
+        elif np.logical_or.reduce(ok):
             t = np.where(ok, np.where(final, horizon, t + h), t)
             y_ok, repaired = _project_array(yi[ok])
             f_ok = spec.drift_batch(y_ok)
+            y, f = y.copy(), f.copy()  # so no stored knot changes
             y[ok], f[ok] = y_ok, f_ok
             knots.append((ids[ok], t[ok], y_ok, f_ok, repaired))
         # The growth 0.9 err^-0.2 is at least 0.9 on an accepted row and below
         # 0.9 on a rejected one, so one clip to [0.2, 5] serves both; err = 0
         # takes the largest growth without a division by zero.
         h = h * np.minimum(np.maximum(0.9 * np.maximum(err, 1e-300) ** -0.2, 0.2), 5.0)
-        if h.min() < floor:
+        if np.minimum.reduce(h) < floor:
             raise IntegrationDivergedError(f"step size underflow at t = {float(t[h.argmin()])!r}")
         done = ok & final
-        if done.any():
+        if np.logical_or.reduce(done):
             row_steps[ids[done]] = step + 1
             live = ~done
             ids, t, h, y, f = ids[live], t[live], h[live], y[live], f[live]
             if ids.size == 0:
                 break
+            stages = np.empty((7, *y.shape))
     else:
         raise IntegrationDivergedError(
             f"no convergence within {MAX_STEPS} steps at t = {float(t[0])!r}"

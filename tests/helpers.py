@@ -1,9 +1,10 @@
 """Independent oracles and builders shared by the test suite.
 
 Everything here is computed without touching the package internals:
-projection by bisection on the dual threshold, simplex invariance by the
-tangent-cone condition, stationary distributions by a dense null space,
-matrix exponentials, and naive monomial evaluation.
+projection by bisection on the dual threshold and by the full sort and
+threshold search, simplex invariance by the tangent-cone condition,
+stationary distributions by a dense null space, matrix exponentials, naive
+monomial evaluation and the oscillator's rates cell by cell.
 Values frozen in the tests were produced by these oracles.
 """
 
@@ -73,6 +74,38 @@ def projection_oracle(v) -> np.ndarray:
         else:
             hi = theta
     return np.maximum(v - 0.5 * (lo + hi), 0.0)
+
+
+def sorted_projection_oracle(v) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``(n, S)`` projected by the sort-based threshold search, with no shortcut.
+
+    Each row is sorted in descending order; its threshold is (cumsum - 1) / k
+    at the last k whose sorted entry exceeds it (Held, Wolfe and Crowder 1974).
+    Returns the rows and their max-norm drifts; the same arithmetic in the same
+    order as nlmc's projection, so results agree bit for bit.
+    """
+    v = np.asarray(v, dtype=float)
+    n, s = v.shape
+    u = np.sort(v, axis=1)[:, ::-1]
+    thresholds = (u.cumsum(axis=1) - 1.0) / np.arange(1, s + 1)
+    rho = s - 1 - (u > thresholds)[:, ::-1].argmax(axis=1)
+    x = np.maximum(v - thresholds[np.arange(n), rho][:, None], 0.0)
+    return x, np.abs(v - x).max(axis=1)
+
+
+def oscillator_rates_oracle(points) -> np.ndarray:
+    """The oscillator's rates ``(n, 3, 3)`` cell by cell, each cell an ``np.where``
+    on its own comparison with 1/3 after clamping the point at 1/10."""
+    c = np.maximum(np.asarray(points, dtype=float), 0.1)
+    third = 1.0 / 3.0
+    q = np.zeros((c.shape[0], 3, 3))
+    q[:, 0, 2] = np.where(c[:, 1] <= third, (third - c[:, 1]) / c[:, 0], 0.0)
+    q[:, 1, 2] = np.where(c[:, 0] >= third, (c[:, 0] - third) / c[:, 1], 0.0)
+    q[:, 2, 0] = np.where(c[:, 1] >= third, (c[:, 1] - third) / c[:, 2], 0.0)
+    q[:, 2, 1] = np.where(c[:, 0] <= third, (third - c[:, 0]) / c[:, 2], 0.0)
+    idx = np.arange(3)
+    q[:, idx, idx] = -q.sum(axis=2)
+    return q
 
 
 def stays_in_simplex(states, drifts) -> bool:

@@ -21,11 +21,12 @@ from nlmc import (
     save_generator,
     validate,
 )
-from nlmc.generator import CORPUS_NAMES, RATE_FLOOR, _irreducible
+from nlmc.generator import CORPUS_NAMES, RATE_FLOOR, ROWSUM_TOL, _irreducible
 
 from helpers import (
     CONSUMER_PARAMS,
     naive_rates,
+    oscillator_rates_oracle,
     random_distribution,
     random_polynomial_cells,
     random_rate_matrix,
@@ -69,6 +70,27 @@ class TestRateMatrix:
     def test_rejects_nonzero_row_sum(self):
         with pytest.raises(GeneratorEvaluationError):
             constant_generator([[-1.0, 1.1], [1.0, -1.0]])
+
+    def test_accepts_a_conservative_chain_at_rate_scale_1e8(self):
+        # Rounding of rates near 1e8 alone leaves a row sum 1.5e-8 from zero.
+        q = random_rate_matrix(np.random.default_rng(0), 4, 0.2e8, 1.5e8)
+        assert float(np.max(np.abs(q.sum(axis=1)))) > ROWSUM_TOL
+        spec = constant_generator(q)
+        assert validate(spec).valid
+        off = ~np.eye(4, dtype=bool)
+        assert np.array_equal(spec.rates(np.full(4, 0.25))[off], q[off])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e8])
+    def test_refuses_an_unbalanced_row_at_any_scale(self, scale):
+        # The second row's sum misses zero by ten times its slack.
+        q = scale * np.array([[-1.0, 0.6, 0.4], [0.3, -0.8, 0.5], [0.2, 0.7, -0.9]])
+        q[1, 1] += 10.0 * ROWSUM_TOL * scale
+        with pytest.raises(GeneratorEvaluationError, match="row sum off by"):
+            constant_generator(q)
+        spec = GeneratorSpec(3, lambda p: np.broadcast_to(q, (len(p), 3, 3)).copy(), name="leak")
+        report = validate(spec)
+        assert not report.valid
+        assert all(v.message.startswith("row sum off by") for v in report.violations)
 
     def test_violation_messages_name_the_problem(self):
         with pytest.raises(GeneratorEvaluationError, match="negative off-diagonal rate"):
@@ -222,6 +244,43 @@ class TestStridedDiagonal:
         q = corpus("oscillator").rates_batch(rng.dirichlet(np.ones(3), size=n).reshape(n, 3))
         assert q.shape == (n, 3, 3)
         assert q.tobytes() == self._fancy_index_oracle(q).tobytes()
+
+
+class TestOscillatorRates:
+    """The oscillator's rates equal the cell-by-cell ``np.where`` formula bit for bit."""
+
+    @staticmethod
+    def assert_matches_oracle(points):
+        q = corpus("oscillator").rates_batch(points)
+        assert q.tobytes() == oscillator_rates_oracle(points).tobytes()
+
+    def test_random_points(self):
+        rng = np.random.default_rng(8)
+        self.assert_matches_oracle(rng.dirichlet(np.ones(3), size=2000))
+        # Finite-difference probes step slightly off the simplex.
+        self.assert_matches_oracle(rng.uniform(-0.1, 1.1, size=(2000, 3)))
+
+    def test_on_the_lines_where_a_coordinate_is_one_third(self):
+        third = 1.0 / 3.0
+        t = np.random.default_rng(9).uniform(0.0, 2.0 / 3.0, size=500)
+        others = np.column_stack([t, 2.0 / 3.0 - t])
+        for j in range(3):
+            for c in (np.nextafter(third, 0.0), third, np.nextafter(third, 1.0)):
+                self.assert_matches_oracle(np.insert(others, j, c, axis=1))
+        self.assert_matches_oracle(np.full((1, 3), third))
+
+    def test_on_the_clamp(self):
+        rng = np.random.default_rng(10)
+        points = rng.dirichlet(np.ones(3), size=600)
+        points[:200, 0] = 0.1
+        points[200:400, 1] = rng.uniform(0.0, 0.1, size=200)
+        points[400:, 2] = 0.0
+        self.assert_matches_oracle(points)
+        self.assert_matches_oracle(np.eye(3))
+
+    def test_a_nan_coordinate_is_refused(self):
+        with pytest.raises(GeneratorEvaluationError, match="non-finite"):
+            corpus("oscillator").rates_batch([[0.2, np.nan, 0.8]])
 
 
 class TestGeneratorId:
@@ -420,9 +479,9 @@ class TestValidate:
             off = min(q[i, j] for i in range(3) for j in range(3) if i != j)
             if off < -1e-10:
                 expected.append((point, f"negative off-diagonal rate {off:.6e}"))
-            worst = max(abs(float(q[i].sum())) for i in range(3))
-            if worst > 1e-9:
-                expected.append((point, f"row sum off by {worst:.6e}"))
+            sums = [abs(float(q[i].sum())) for i in range(3)]
+            if any(sums[i] > 1e-9 * max(1.0, float(np.abs(q[i]).max())) for i in range(3)):
+                expected.append((point, f"row sum off by {max(sums):.6e}"))
 
         report = validate(spec, grid)
         assert [(v.point, v.message) for v in report.violations] == expected

@@ -111,6 +111,29 @@ class TestIntegrateFlow:
         with pytest.raises(ValueError):
             integrate_flow(spec, (0.5, 0.5), 2e6)
 
+    @pytest.mark.parametrize(
+        "name, m0, horizon",
+        [
+            ("bistable", (0.3, 0.7), 50.0),
+            ("consumer", (0.2, 0.3, 0.5), 20.0),
+            ("oscillator", (0.2, 0.4, 0.4), 2.0 * math.pi),
+        ],
+    )
+    def test_rate_calls_are_one_per_stage_and_knot(self, name, m0, horizon):
+        spec = corpus(name, CONSUMER_PARAMS if name == "consumer" else None)
+        rates_batch = spec.rates_batch
+        calls = []
+
+        def counted(points):
+            calls.append(len(points))
+            return rates_batch(points)
+
+        spec.rates_batch = counted
+        flow = integrate_flow(spec, m0, horizon)
+        # One drift at the start, six per attempted step, one per accepted step.
+        assert len(calls) == 1 + 6 * flow.steps + (len(flow.ts) - 1)
+        assert set(calls) == {1}
+
     def test_max_steps_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(nlmc.semigroup, "MAX_STEPS", 3)
         spec = corpus("oscillator")

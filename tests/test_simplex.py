@@ -14,7 +14,13 @@ from nlmc import (
 )
 from nlmc.simplex import _chart_embed, _chart_jacobian, _project_array
 
-from helpers import CONSUMER_PARAMS, projection_oracle, random_rate_matrix, stays_in_simplex
+from helpers import (
+    CONSUMER_PARAMS,
+    projection_oracle,
+    random_rate_matrix,
+    sorted_projection_oracle,
+    stays_in_simplex,
+)
 
 
 class TestDistribution:
@@ -254,6 +260,76 @@ class TestRowProjection:
         over = np.array([[0.5, 0.5], [0.5 + 4e-6, 0.5], [0.5 + 1e-5, 0.5], [0.5, 0.5]])
         with pytest.raises(IntegrationDivergedError, match="drifted 5.000000e-06"):
             _project_array(over)
+
+
+ROW_KINDS = ("on-simplex", "zero-entries", "negative-entry", "dirichlet", "off-by-1e-9")
+# A one-state row has no room for a zero or a negative entry.
+ONE_STATE_KINDS = ("on-simplex", "dirichlet", "off-by-1e-9")
+
+
+class TestSortedProjectionOracle:
+    """``_project_array`` returns what the full sort-based search returns, bit for
+    bit, whether or not it takes its exit for rows already on the simplex."""
+
+    @staticmethod
+    def rows(rng, s, kind, n=200):
+        if kind == "on-simplex":
+            # Positive dyadic entries: every partial sum is exact, so each
+            # row's descending sum is exactly 1.0.
+            return (1 + rng.multinomial(64 - s, np.ones(s) / s, size=n)) / 64.0
+        if kind == "zero-entries":
+            rows = rng.multinomial(64, np.ones(s) / s, size=n) / 64.0
+            rows[:, -1] += rows[:, 0]
+            rows[:, 0] = 0.0
+            return rows
+        if kind == "negative-entry":
+            # The descending sum is exactly 1.0, yet the threshold is not 0.
+            rows = (1 + rng.multinomial(64 - s, np.ones(s) / s, size=n)) / 64.0
+            rows[:, -1] += rows[:, 0] + 2.0**-30
+            rows[:, 0] = -(2.0**-30)
+            return rows
+        if kind == "dirichlet":
+            return rng.dirichlet(np.ones(s), size=n)
+        return rng.dirichlet(np.ones(s), size=n) + rng.uniform(-1e-9, 1e-9, size=(n, s))
+
+    @staticmethod
+    def assert_matches_oracle(v):
+        x, drift = _project_array(v)
+        oracle_x, oracle_drift = sorted_projection_oracle(v)
+        assert x.tobytes() == oracle_x.tobytes()
+        assert drift.tobytes() == oracle_drift.tobytes()
+        assert not np.shares_memory(x, v)
+        return x, drift
+
+    @pytest.mark.parametrize(
+        "s, kind", [(s, k) for k in ROW_KINDS for s in range(1, 7) if s > 1 or k in ONE_STATE_KINDS]
+    )
+    def test_each_kind_of_row(self, s, kind):
+        v = self.rows(np.random.default_rng(10 * s), s, kind)
+        x, drift = self.assert_matches_oracle(v)
+        sums = np.add.accumulate(np.sort(v, axis=1)[:, ::-1], axis=1)[:, -1]
+        if kind == "on-simplex":
+            # Every row meets the exit's premise, so the whole stack takes it.
+            assert np.all(sums == 1.0) and np.all(v > 0.0)
+            assert np.array_equal(x, v) and not drift.any()
+        if kind == "negative-entry":
+            # The sums alone would pass the exit; the negative entry must still move.
+            assert np.all(sums == 1.0) and drift.all()
+
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_mixed_stacks_and_single_rows(self, s):
+        rng = np.random.default_rng(70 + s)
+        kinds = ROW_KINDS if s > 1 else ONE_STATE_KINDS
+        v = np.concatenate([self.rows(rng, s, kind, n=50) for kind in kinds])
+        v = v[rng.permutation(len(v))]
+        x, drift = self.assert_matches_oracle(v)
+        for k in range(0, len(v), 7):
+            alone, alone_drift = self.assert_matches_oracle(v[k : k + 1])
+            assert alone.tobytes() == x[k : k + 1].tobytes() and alone_drift[0] == drift[k]
+
+    def test_an_empty_stack(self):
+        x, drift = _project_array(np.empty((0, 3)))
+        assert x.shape == (0, 3) and drift.shape == (0,)
 
 
 def _quadratic(rows):
