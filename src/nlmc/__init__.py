@@ -34,13 +34,11 @@ from .generator import (
     generator_to_json,
     lipschitz_estimate,
     load_generator,
-    polynomial_generator,
     save_generator,
     validate,
 )
 from .semigroup import (
     Flow,
-    IntegratorControls,
     JumpPath,
     Trajectory,
     evolve,
@@ -69,7 +67,6 @@ __all__ = [
     "GeneratorSpec",
     "GridViolation",
     "IntegrationDivergedError",
-    "IntegratorControls",
     "JumpPath",
     "NlmcError",
     "NumericalError",
@@ -94,7 +91,6 @@ __all__ = [
     "integrate_flow",
     "lipschitz_estimate",
     "load_generator",
-    "polynomial_generator",
     "residual",
     "sample_path",
     "save_generator",

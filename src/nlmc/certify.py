@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -106,16 +107,13 @@ def _jsonable(value):
     return value
 
 
-def build_M(spec: GeneratorSpec, m, h: float = FD_STEP) -> np.ndarray:
+def build_M(spec: GeneratorSpec, m) -> np.ndarray:
     """Chart Jacobian of f(m) = x(m) - m by central differences.
 
-    Works on the chart u = (m_1, ..., m_{S-1}); the step is ``h`` scaled by
-    (1 + ||u||) and must be positive and finite, else ``ValueError``.
-    Requires the frozen chain to be irreducible at ``m`` and at every probe
-    point, else :class:`CertificateEvaluationError`.
+    Works on the chart u = (m_1, ..., m_{S-1}); the step is ``FD_STEP``
+    scaled by (1 + ||u||).  Requires the frozen chain to be irreducible at
+    ``m`` and at every probe point, else :class:`CertificateEvaluationError`.
     """
-    if not 0.0 < h < np.inf:
-        raise ValueError(f"finite-difference step h={h!r} must be positive and finite")
     arr = m.probs if isinstance(m, Distribution) else np.asarray(m, dtype=float)
     s = spec.dimension
     if arr.shape != (s,):
@@ -124,7 +122,7 @@ def build_M(spec: GeneratorSpec, m, h: float = FD_STEP) -> np.ndarray:
         raise CertificateEvaluationError(
             f"frozen chain is reducible at {tuple(float(x) for x in arr)}"
         )
-    return _chart_jacobian(lambda rows: _defects(spec, rows), arr[None, : s - 1], h)[0]
+    return _chart_jacobian(lambda rows: _defects(spec, rows), arr[None, : s - 1], FD_STEP)[0]
 
 
 def _defects(spec: GeneratorSpec, rows: np.ndarray) -> np.ndarray:
@@ -365,17 +363,12 @@ class ReducedSystem:
         if self.spec.dimension != 3:
             raise ValueError("the planar reduction requires a three-state generator")
 
-    def drift_batch(self, u: np.ndarray) -> np.ndarray:
-        return _chart_drift(self.spec, u)
-
-    def drift(self, u1: float, u2: float) -> np.ndarray:
-        return self.drift_batch(np.array([[u1, u2]]))[0]
-
     def divergence_batch(self, u: np.ndarray) -> np.ndarray:
-        return np.trace(_chart_jacobian(self.drift_batch, u, FD_STEP), axis1=1, axis2=2)
+        jacobians = _chart_jacobian(partial(_chart_drift, self.spec), u, FD_STEP)
+        return np.trace(jacobians, axis1=1, axis2=2)
 
     def jacobian(self, u1: float, u2: float) -> np.ndarray:
-        return _chart_jacobian(self.drift_batch, np.array([[u1, u2]]), FD_STEP)[0]
+        return _chart_jacobian(partial(_chart_drift, self.spec), np.array([[u1, u2]]), FD_STEP)[0]
 
     def lattice(self, resolution: int) -> np.ndarray:
         """Sweep points covering the chart extended by ``CHART_MARGIN``."""

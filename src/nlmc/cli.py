@@ -31,7 +31,9 @@ from .generator import (
     corpus,
     load_generator,
 )
-from .semigroup import IntegratorControls, _check_horizon, _check_sample_every, evolve, sample_path
+from .semigroup import (
+    ATOL, RTOL, _check_horizon, _check_sample_every, _check_tolerances, evolve, sample_path,
+)
 from .simplex import SimplexGrid, _write_text
 from .stationary import find_invariant
 
@@ -62,8 +64,8 @@ class RunConfig:
     generator_file: str | None = None
     m0: tuple[float, ...] | None = None
     horizon: float | None = None
-    rtol: float = IntegratorControls.rtol
-    atol: float = IntegratorControls.atol
+    rtol: float = RTOL
+    atol: float = ATOL
     sample_every: float | None = None
     grid_resolution: int = 40
     scan_resolution: int = DEFAULT_SCAN_RESOLUTION
@@ -93,7 +95,7 @@ class RunConfig:
         if self.horizon is not None:
             _check_horizon(self.horizon)
         _check_sample_every(self.sample_every)
-        self.controls  # the integrator's own check refuses bad tolerances
+        _check_tolerances(self.rtol, self.atol)
         if not (1 <= self.grid_resolution <= MAX_GRID_RESOLUTION):
             raise ValueError(f"grid resolution must lie in 1..{MAX_GRID_RESOLUTION}")
         if not (10 <= self.scan_resolution <= MAX_SCAN_RESOLUTION):
@@ -102,10 +104,6 @@ class RunConfig:
             raise ValueError("seed must be non-negative")
         if self.command == "reproduce" and self.figure not in ("fig1", "fig2"):
             raise ValueError("reproduce requires a figure: fig1 or fig2")
-
-    @property
-    def controls(self) -> IntegratorControls:
-        return IntegratorControls(rtol=self.rtol, atol=self.atol)
 
 
 def _load_spec(config: RunConfig) -> GeneratorSpec:
@@ -150,7 +148,8 @@ def run(config: RunConfig) -> int:
     if config.command == "simulate":
         m0 = _check_start(spec, config)
         trajectory = evolve(
-            spec, m0, config.horizon, config.controls, sample_every=config.sample_every
+            spec, m0, config.horizon, rtol=config.rtol, atol=config.atol,
+            sample_every=config.sample_every,
         )
         trajectory.to_csv(out)
         final = ", ".join(f"{x:.12g}" for x in trajectory.final.probs)

@@ -179,23 +179,6 @@ def _compile_cells(dimension: int, cells: dict[tuple[int, int], tuple]):
     return batch
 
 
-def polynomial_generator(
-    dimension: int,
-    cells: dict,
-    *,
-    name: str | None = None,
-    params: dict | None = None,
-    metadata: dict | None = None,
-) -> GeneratorSpec:
-    """Build a generator from off-diagonal polynomial cell tables.
-
-    ``cells`` maps 0-based index pairs (i, j), i != j, to iterables of
-    ``(exponents, coefficient)`` pairs, kept in input order.  Omitted cells
-    are zero.
-    """
-    return GeneratorSpec(dimension, cells=cells, name=name, params=params, metadata=metadata)
-
-
 def constant_generator(matrix) -> GeneratorSpec:
     """Wrap a constant conservative rate matrix as a (linear) generator.
 
@@ -211,7 +194,7 @@ def constant_generator(matrix) -> GeneratorSpec:
         raise GeneratorEvaluationError("; ".join(message for _, message in problems))
     s = q.shape[0]
     cells = {(i, j): [((0,) * s, float(q[i, j]))] for i, j in zip(*np.nonzero(q > 0.0)) if i != j}
-    return polynomial_generator(s, cells)
+    return GeneratorSpec(s, cells=cells)
 
 
 # The oscillator's cells (0, 2), (1, 2), (2, 0), (2, 1) as flat indices; cell k is
@@ -283,7 +266,7 @@ def corpus(name: str, params: dict | None = None) -> GeneratorSpec:
             (2, 0): [((0, 0, 0), lam)],
             (2, 1): [((0, 0, 0), lam)],
         }
-        return polynomial_generator(3, cells, name="consumer", params=values)
+        return GeneratorSpec(3, cells=cells, name="consumer", params=values)
     if name == "oscillator":
         if params:
             raise ValueError("oscillator takes no parameters")
@@ -291,7 +274,7 @@ def corpus(name: str, params: dict | None = None) -> GeneratorSpec:
     if name == "bistable":
         if params:
             raise ValueError("bistable takes no parameters")
-        return polynomial_generator(2, _BISTABLE_CELLS, name="bistable")
+        return GeneratorSpec(2, cells=_BISTABLE_CELLS, name="bistable")
     raise ValueError(f"unknown corpus generator {name!r}; choose from {', '.join(CORPUS_NAMES)}")
 
 
@@ -451,6 +434,7 @@ def generator_to_json(spec: GeneratorSpec) -> str:
 
 
 def save_generator(spec: GeneratorSpec, path) -> None:
+    """Write ``spec``'s cell table to ``path`` as :func:`generator_to_json` text."""
     _write_text(path, generator_to_json(spec))
 
 
@@ -519,11 +503,12 @@ def generator_from_json(text: str) -> GeneratorSpec:
             parsed.append((tuple(exps), float(coeff)))
         cells[(i, j)] = parsed
     try:
-        return polynomial_generator(dimension, cells, metadata=metadata)
+        return GeneratorSpec(dimension, cells=cells, metadata=metadata)
     except ValueError as exc:
         raise GeneratorFileError(str(exc)) from exc
 
 
 def load_generator(path) -> GeneratorSpec:
+    """Read a generator file written by :func:`save_generator`, as :func:`generator_from_json`."""
     with open(path, "r", encoding="utf-8") as handle:
         return generator_from_json(handle.read())

@@ -32,6 +32,8 @@ MAX_STEPS = 1_000_000    # step attempts, accepted or rejected, of one integrate
 THINNING_GRID_RESOLUTION = 50
 THINNING_HEADROOM = 1.1
 THINNING_BLOCK = 4096    # proposals, or bound-grid points, whose rates are held at once
+RTOL = 1e-8              # default error tolerances of the marginal-flow integrator
+ATOL = 1e-10
 
 # Dormand-Prince 5(4) tableau: row i holds the weights of stage i.  The last
 # stage is evaluated at the fifth-order solution itself, so its row is the
@@ -53,24 +55,11 @@ _DP_B4 = np.array(
 
 
 @dataclass(frozen=True)
-class IntegratorControls:
-    """Error tolerances of the marginal-flow integrator, checked on construction."""
-
-    rtol: float = 1e-8
-    atol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        # A NaN tolerance would reject every step; chained comparisons refuse it.
-        if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
-            raise ValueError("rtol and atol must be positive and finite")
-
-
-@dataclass(frozen=True)
 class Flow:
     """Dense-output marginal flow on [0, horizon].
 
     ``ts``/``ys``/``fs`` hold the accepted step times, the repaired states,
-    and the drift at those states; ``at``/``at_many`` interpolate with the
+    and the drift at those states; ``at_many`` interpolates with the
     cubic Hermite matched to the stored derivatives.
 
     A flow of n starts stacks its rows' knots: row i owns the knots
@@ -105,9 +94,6 @@ class Flow:
             self.row_drifts[i : i + 1],
         )
 
-    def at(self, t: float) -> np.ndarray:
-        return self.at_many(np.array([t]))[0]
-
     def at_many(self, times) -> np.ndarray:
         if len(self.offsets) != 2:
             raise ValueError("interpolate one row at a time: use flow.row(i)")
@@ -130,8 +116,8 @@ class Flow:
 class Trajectory:
     """States of the marginal flow sampled on a fixed time grid.
 
-    Rows of ``states`` are the projected samples, kept as raw arrays; use
-    ``state`` or ``final`` for validated :class:`Distribution` views.
+    Rows of ``states`` are the projected samples, kept as raw arrays;
+    ``final`` is the last one as a validated :class:`Distribution`.
     """
 
     generator_id: str
@@ -141,9 +127,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.times.size
-
-    def state(self, index: int) -> Distribution:
-        return Distribution(self.states[index])
 
     @property
     def final(self) -> Distribution:
@@ -219,11 +202,14 @@ def _is_one_start(m0) -> bool:
     return isinstance(m0, Distribution) or np.ndim(m0) == 1
 
 
+def _check_tolerances(rtol: float, atol: float) -> None:
+    # A NaN tolerance would reject every step; chained comparisons refuse it.
+    if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
+        raise ValueError("rtol and atol must be positive and finite")
+
+
 def integrate_flow(
-    spec: GeneratorSpec,
-    m0,
-    horizon: float,
-    controls: IntegratorControls | None = None,
+    spec: GeneratorSpec, m0, horizon: float, *, rtol: float = RTOL, atol: float = ATOL
 ) -> Flow:
     """Integrate the marginal flow from each start in ``m0`` over [0, horizon].
 
@@ -236,11 +222,12 @@ def integrate_flow(
     are the starts (``Flow.row``); ``steps`` is their total.
 
     Adaptive Dormand-Prince 5(4): the error estimate uses the embedded
-    fourth-order weights, acceptance is against rtol/atol mixed per
-    component, and each accepted state is projected back onto the simplex
-    (the largest repaired drift is reported on the returned flow).
+    fourth-order weights, acceptance is against ``rtol``/``atol`` (positive
+    and finite) mixed per component, and each accepted state is projected
+    back onto the simplex (the largest repaired drift is reported on the
+    returned flow).
     """
-    controls = controls or IntegratorControls()
+    _check_tolerances(rtol, atol)
     _check_horizon(horizon)
     spec.require_valid()
     starts = [m0] if _is_one_start(m0) else list(m0)
@@ -268,7 +255,7 @@ def integrate_flow(
             stages[i] = spec.drift_batch(yi)
         # yi is now the fifth-order solution.
         y4 = y + hc * np.add.reduce(_DP_B4 * stages)
-        scale = controls.atol + controls.rtol * np.maximum(np.abs(y), np.abs(yi))
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(yi))
         err = np.sqrt(np.add.reduce(((yi - y4) / scale) ** 2, axis=1) / y.shape[1])
         ok = err <= 1.0
         if np.logical_and.reduce(ok):
@@ -342,19 +329,20 @@ def evolve(
     spec: GeneratorSpec,
     m0,
     horizon: float,
-    controls: IntegratorControls | None = None,
     *,
+    rtol: float = RTOL,
+    atol: float = ATOL,
     sample_every: float | None = None,
 ) -> Trajectory | list[Trajectory]:
     """Marginal flow sampled every ``sample_every`` (default horizon/1000).
 
     One start ``(S,)`` gives one :class:`Trajectory`; a stack of starts
     ``(n, S)`` gives a list with one per row, from one ``integrate_flow``
-    call under ``controls``.
+    call at ``rtol`` and ``atol``.
     """
     _check_horizon(horizon)
     times = _sample_times(horizon, sample_every)
-    flow = integrate_flow(spec, m0, horizon, controls)
+    flow = integrate_flow(spec, m0, horizon, rtol=rtol, atol=atol)
     times.flags.writeable = False
     trajectories = []
     for i in range(len(flow.offsets) - 1):
@@ -397,16 +385,16 @@ def sample_path(
     ``initial_state`` is a 0-based integer; None draws it from ``m0``.  The path
     follows ``flow`` when given (one row from ``m0`` for the same generator,
     covering ``horizon``), else ``integrate_flow`` at the default tolerances;
-    pass ``flow=integrate_flow(spec, m0, horizon, controls)`` to sample under
-    other tolerances.
+    pass ``flow=integrate_flow(spec, m0, horizon, rtol=..., atol=...)`` to
+    sample under other tolerances.
     """
     _check_horizon(horizon)
     m0_arr = _as_state(m0)
     s = spec.dimension
     if initial_state is not None and not (_is_int(initial_state) and 0 <= initial_state < s):
         raise ValueError(f"initial_state must be an integer in 0..{s - 1}, got {initial_state!r}")
-    if not _is_int(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     spec.require_valid()
     base = thinning_bound(spec)
     _check_proposals(base, horizon)

@@ -74,8 +74,7 @@ class Distribution:
         return hash(self.probs.tobytes())
 
     def __repr__(self) -> str:
-        inside = ", ".join(repr(p) for p in self.probs)
-        return f"Distribution(({inside}))"
+        return f"Distribution({tuple(self.probs.tolist())!r})"
 
 
 class SimplexGrid:

@@ -4,8 +4,8 @@ A distribution m is invariant when its own drift vanishes: m^T Q(m) = 0.
 The search is a damped Newton iteration on the chart drift from every seed,
 over all seeds as the rows of one array, each row with its own line search.
 The rows it cannot land, as where Newton leaves the simplex, ride the flow
-together from their seeds in one ``integrate_flow`` call at the loose
-``FALLBACK_CONTROLS`` and take Newton once more from where the ride ends.
+together from their seeds in one loose ``integrate_flow`` call (``FALLBACK_RTOL``,
+``FALLBACK_ATOL``) and take Newton once more from where the ride ends.
 Newton lands unstable invariants as well as attractors, and it and the
 ``TOL_INVARIANT`` residual test decide every result.  Results are clustered
 through a cell index, so a point is compared only with nearby clusters.
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NumericalError, ReducibleGeneratorError
 from .generator import GeneratorSpec, _irreducible
-from .semigroup import IntegratorControls, integrate_flow
+from .semigroup import integrate_flow
 from .simplex import (
     FD_STEP, Distribution, SimplexGrid, _chart_drift, _chart_embed, _chart_jacobian, _project_array,
     _write_text,
@@ -36,7 +36,7 @@ INTERIOR_TOL = 1e-8
 POLISH_TARGET = 1e-13
 EVOLVE_HORIZON = 50.0    # flow time ridden by the seeds Newton cannot land
 NEWTON_STEPS = 40        # Newton steps of each polish
-FALLBACK_CONTROLS = IntegratorControls(rtol=1e-5, atol=1e-8)  # accuracy of the flow fallback
+FALLBACK_RTOL, FALLBACK_ATOL = 1e-5, 1e-8  # accuracy of the flow fallback
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,9 @@ def _land(spec: GeneratorSpec, seeds: np.ndarray) -> list[np.ndarray | None]:
     out = _newton_polish(spec, seeds)
     lost = [n for n, found in enumerate(out) if found is None]
     if lost:
-        flow = integrate_flow(spec, seeds[lost], EVOLVE_HORIZON, FALLBACK_CONTROLS)
+        flow = integrate_flow(
+            spec, seeds[lost], EVOLVE_HORIZON, rtol=FALLBACK_RTOL, atol=FALLBACK_ATOL
+        )
         ends = flow.ys[np.array(flow.offsets[1:]) - 1]
         for n, found in zip(lost, _newton_polish(spec, ends)):
             out[n] = found

@@ -12,7 +12,6 @@ PUBLIC_NAMES = [
     "GeneratorSpec",
     "GridViolation",
     "IntegrationDivergedError",
-    "IntegratorControls",
     "JumpPath",
     "NlmcError",
     "NumericalError",
@@ -37,7 +36,6 @@ PUBLIC_NAMES = [
     "integrate_flow",
     "lipschitz_estimate",
     "load_generator",
-    "polynomial_generator",
     "residual",
     "sample_path",
     "save_generator",

@@ -22,8 +22,9 @@ from nlmc import (
     constant_generator,
     corpus,
     find_invariant,
-    polynomial_generator,
 )
+from nlmc.certify import _defects
+from nlmc.simplex import _chart_drift, _chart_jacobian
 from nlmc.stationary import StationaryResult, StationarySet
 
 from helpers import CONSUMER_PARAMS, bistable_scalar_drift, consumer_rest_point
@@ -126,10 +127,12 @@ class TestBuildM:
         assert sum(signs) == -1.0
 
     def test_second_order_convergence_under_step_halving(self):
-        m = (0.3, 0.45, 0.25)
-        coarse = build_M(CONSUMER, m, 1e-3)
-        half = build_M(CONSUMER, m, 5e-4)
-        quarter = build_M(CONSUMER, m, 2.5e-4)
+        # M by build_M's stencil at m = (0.3, 0.45, 0.25), with other steps than FD_STEP.
+        u = np.array([[0.3, 0.45]])
+        coarse, half, quarter = (
+            _chart_jacobian(lambda rows: _defects(CONSUMER, rows), u, h)[0]
+            for h in (1e-3, 5e-4, 2.5e-4)
+        )
         e1 = float(np.linalg.norm(coarse - half))
         e2 = float(np.linalg.norm(half - quarter))
         assert e1 / e2 >= 3.5
@@ -142,10 +145,10 @@ class TestBuildM:
         with pytest.raises(ValueError):
             build_M(CONSUMER, (0.5, 0.5))
 
-    @pytest.mark.parametrize("h", [0.0, -1e-6, float("nan"), float("inf")])
-    def test_a_step_that_is_not_positive_and_finite_raises(self, h):
-        with pytest.raises(ValueError, match="positive and finite"):
-            build_M(corpus("bistable"), (0.3, 0.7), h)
+    def test_takes_no_step(self):
+        # M is always taken at FD_STEP, the step every certificate records.
+        with pytest.raises(TypeError):
+            build_M(corpus("bistable"), (0.3, 0.7), 1e-3)
 
 
 class TestCertifyUnique:
@@ -207,9 +210,9 @@ class TestCertifyUnique:
         # point m1 = 1/2 (chart step 1e-6 * 1.5), while every grid point and
         # every other probe keeps Q12 above the rate floor.
         big, a = 1e4, 0.5 - 1.5e-6
-        spec = polynomial_generator(
+        spec = GeneratorSpec(
             2,
-            {
+            cells={
                 (0, 1): [((2, 0), big), ((1, 0), -2.0 * big * a), ((0, 0), big * a * a)],
                 (1, 0): [((0, 0), 1.0)],
             },
@@ -271,7 +274,7 @@ class TestCertifyErgodicTwoStates:
             (0, 1): [((0, 0), 0.825), ((1, 0), -1.5), ((2, 0), 0.8)],
             (1, 0): [((0, 0), 0.125), ((1, 0), 0.2), ((2, 0), 0.2)],
         }
-        spec = polynomial_generator(2, cells)
+        spec = GeneratorSpec(2, cells=cells)
         m1 = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
         assert np.allclose(_m1_drift(spec, m1), -((m1 - 0.5) ** 3), rtol=0.0, atol=1e-15)
         certificate = certify_ergodic_2(spec)
@@ -281,7 +284,7 @@ class TestCertifyErgodicTwoStates:
     def test_a_drift_without_a_rest_point_is_inconclusive(self):
         # A rate into state 1 of -5e-11 passes validation (OFFDIAG_TOL is 1e-10),
         # and the drift -m1 - 5e-11 (1 - m1) then stays below zero on [0, 1].
-        spec = polynomial_generator(2, {(0, 1): [((0, 0), 1.0)], (1, 0): [((0, 0), -5e-11)]})
+        spec = GeneratorSpec(2, cells={(0, 1): [((0, 0), 1.0)], (1, 0): [((0, 0), -5e-11)]})
         certificate = certify_ergodic_2(spec)
         assert certificate.verdict == "INCONCLUSIVE"
         assert certificate.reason == "the drift scan located no rest point"
@@ -290,7 +293,7 @@ class TestCertifyErgodicTwoStates:
     def test_boundary_rest_point_certifies_from_one_side(self):
         # All mass drains into state 2: the unique rest point sits at the
         # m1 = 0 vertex and only the right-hand margin exists.
-        spec = polynomial_generator(2, {(0, 1): [((0, 0), 1.0), ((1, 0), 1.0)]})
+        spec = GeneratorSpec(2, cells={(0, 1): [((0, 0), 1.0), ((1, 0), 1.0)]})
         certificate = certify_ergodic_2(spec)
         assert certificate.verdict == "CERTIFIED"
         assert certificate.evidence["rest_point"][0] == pytest.approx(0.0, abs=1e-12)
@@ -330,9 +333,9 @@ class TestCertifyErgodicTwoStates:
         for _ in range(12):
             # q12 = a (m1 - r)^2 + c and q21 = d m1^2 + e m1 + g give up to three roots.
             a, r, c, d, e, g = rng.uniform([0.5, 0.0, 0.0, 0.0, 0.0, 0.0], [20, 1, 1, 3, 3, 1])
-            spec = polynomial_generator(
+            spec = GeneratorSpec(
                 2,
-                {
+                cells={
                     (0, 1): [((2, 0), a), ((1, 0), -2.0 * a * r), ((0, 0), a * r * r + c)],
                     (1, 0): [((2, 0), d), ((1, 0), e), ((0, 0), g)],
                 },
@@ -394,7 +397,7 @@ class TestReducedSystem:
         for _ in range(20):
             u = rng.dirichlet(np.ones(3))[:2]
             full = CONSUMER.drift(np.array([u[0], u[1], 1.0 - u[0] - u[1]]))
-            planar = system.drift(float(u[0]), float(u[1]))
+            planar = _chart_drift(system.spec, u[None])[0]
             assert np.allclose(planar, full[:2], atol=1e-14)
 
     def test_divergence_matches_analytic_value(self):
@@ -489,7 +492,7 @@ class TestCertifyErgodicThreeStates:
             (2, 0): [((1, 0, 0), 1.8399363626528868), ((0, 0, 1), 1.6038602091980987)],
             (2, 1): [((0, 1, 0), 1.3455634617142487), ((0, 1, 1), 1.6206343124243308)],
         }
-        spec = polynomial_generator(3, cells)
+        spec = GeneratorSpec(3, cells=cells)
         certificate = certify_ergodic_3(spec, SimplexGrid(3, 6))
         assert certificate.verdict == "INCONCLUSIVE"
         assert certificate.reason == "reduced-flow divergence changes sign on the extended chart"
@@ -527,7 +530,7 @@ class TestCertifyErgodicThreeStates:
             (1, 2): [((0, 0, 0), 1.0)],
             (2, 0): [((0, 0, 0), 2.0)],
         }
-        spec = polynomial_generator(3, cells)
+        spec = GeneratorSpec(3, cells=cells)
         certificate = certify_ergodic_3(spec, SimplexGrid(3, 12))
         assert certificate.verdict == "CERTIFIED"
         assert certificate.evidence["uniqueness"] == "search"

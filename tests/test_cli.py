@@ -699,9 +699,9 @@ class TestReproduce:
         calls = []
         original = nlmc.semigroup.integrate_flow
 
-        def counting(spec, m0, horizon, controls=None):
+        def counting(spec, m0, horizon, **kwargs):
             calls.append(len(m0))
-            return original(spec, m0, horizon, controls)
+            return original(spec, m0, horizon, **kwargs)
 
         monkeypatch.setattr(nlmc.semigroup, "integrate_flow", counting)
         code = main(["reproduce", "fig2", "--outdir", str(tmp_path)])

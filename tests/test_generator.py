@@ -17,7 +17,6 @@ from nlmc import (
     generator_to_json,
     lipschitz_estimate,
     load_generator,
-    polynomial_generator,
     save_generator,
     validate,
 )
@@ -37,7 +36,7 @@ ROW_CASES = [
     pytest.param(corpus("bistable"), id="bistable"),
     pytest.param(corpus("oscillator"), id="oscillator"),
     pytest.param(
-        polynomial_generator(4, random_polynomial_cells(np.random.default_rng(21), 4)),
+        GeneratorSpec(4, cells=random_polynomial_cells(np.random.default_rng(21), 4)),
         id="random-4",
     ),
 ]
@@ -129,7 +128,7 @@ class TestPolynomialGenerator:
         for _ in range(25):
             s = int(rng.integers(2, 5))
             cells = random_polynomial_cells(rng, s)
-            spec = polynomial_generator(s, cells)
+            spec = GeneratorSpec(s, cells=cells)
             pts = rng.dirichlet(np.ones(s), size=8)
             q_batch = spec.rates_batch(pts)
             for n in range(pts.shape[0]):
@@ -147,7 +146,7 @@ class TestPolynomialGenerator:
             for j in range(s)
             if i != j
         }
-        spec = polynomial_generator(s, cells)
+        spec = GeneratorSpec(s, cells=cells)
         pts = rng.dirichlet(np.ones(s), size=50)
         for q, point in zip(spec.rates_batch(pts), pts):
             oracle = naive_rates(s, cells, point)
@@ -163,14 +162,14 @@ class TestPolynomialGenerator:
 
     def test_rows_sum_to_zero_by_construction(self):
         rng = np.random.default_rng(9)
-        spec = polynomial_generator(3, random_polynomial_cells(rng, 3))
+        spec = GeneratorSpec(3, cells=random_polynomial_cells(rng, 3))
         pts = rng.dirichlet(np.ones(3), size=50)
         q = spec.rates_batch(pts)
         assert float(np.max(np.abs(q.sum(axis=2)))) < 1e-12
 
     def test_drift_is_left_multiplication(self):
         rng = np.random.default_rng(13)
-        spec = polynomial_generator(3, random_polynomial_cells(rng, 3))
+        spec = GeneratorSpec(3, cells=random_polynomial_cells(rng, 3))
         pts = rng.dirichlet(np.ones(3), size=10)
         batch = spec.drift_batch(pts)
         for n in range(pts.shape[0]):
@@ -180,17 +179,17 @@ class TestPolynomialGenerator:
 
     def test_rejects_bad_cells(self):
         with pytest.raises(ValueError):
-            polynomial_generator(2, {(0, 0): [((0, 0), 1.0)]})
+            GeneratorSpec(2, cells={(0, 0): [((0, 0), 1.0)]})
         with pytest.raises(ValueError):
-            polynomial_generator(2, {(0, 2): [((0, 0), 1.0)]})
+            GeneratorSpec(2, cells={(0, 2): [((0, 0), 1.0)]})
         with pytest.raises(ValueError):
-            polynomial_generator(2, {(0, 1): [((0, 0, 0), 1.0)]})
+            GeneratorSpec(2, cells={(0, 1): [((0, 0, 0), 1.0)]})
         with pytest.raises(ValueError):
-            polynomial_generator(2, {(0, 1): [((-1, 0), 1.0)]})
+            GeneratorSpec(2, cells={(0, 1): [((-1, 0), 1.0)]})
         with pytest.raises(ValueError):
-            polynomial_generator(2, {(0, 1): [((9, 0), 1.0)]})
+            GeneratorSpec(2, cells={(0, 1): [((9, 0), 1.0)]})
         with pytest.raises(ValueError):
-            polynomial_generator(2, {(0, 1): [((0, 0), float("inf"))]})
+            GeneratorSpec(2, cells={(0, 1): [((0, 0), float("inf"))]})
 
     def test_constant_generator_reproduces_matrix(self):
         rng = np.random.default_rng(2)
@@ -233,7 +232,7 @@ class TestStridedDiagonal:
     def test_rates_match_fancy_index_diagonal_bitwise(self, s, n):
         rng = np.random.default_rng(100 * s + n)
         for _ in range(5):
-            spec = polynomial_generator(s, random_polynomial_cells(rng, s))
+            spec = GeneratorSpec(s, cells=random_polynomial_cells(rng, s))
             q = spec.rates_batch(rng.dirichlet(np.ones(s), size=n).reshape(n, s))
             assert q.shape == (n, s, s)
             assert q.tobytes() == self._fancy_index_oracle(q).tobytes()
@@ -296,17 +295,17 @@ class TestGeneratorId:
     def test_polynomial_id_depends_on_cells_not_order(self):
         cells_one = {(0, 1): [((1, 0), 2.0)], (1, 0): [((0, 0), 1.0)]}
         cells_two = {(1, 0): [((0, 0), 1.0)], (0, 1): [((1, 0), 2.0)]}
-        id_one = polynomial_generator(2, cells_one).generator_id
-        id_two = polynomial_generator(2, cells_two).generator_id
+        id_one = GeneratorSpec(2, cells=cells_one).generator_id
+        id_two = GeneratorSpec(2, cells=cells_two).generator_id
         assert id_one == id_two
         assert id_one.startswith("polynomial:2:")
         changed = {(0, 1): [((1, 0), 2.5)], (1, 0): [((0, 0), 1.0)]}
-        assert polynomial_generator(2, changed).generator_id != id_one
+        assert GeneratorSpec(2, cells=changed).generator_id != id_one
 
     def test_canonical_form_is_pinned(self, tmp_path):
         # Terms sort by exponents alone: duplicate monomials keep input order, zeros stay.
         cells = {(0, 1): [((1, 0), 2.0), ((0, 0), 0.5), ((1, 0), 0.0)], (1, 0): [((0, 1), 1.5)]}
-        spec = polynomial_generator(2, cells)
+        spec = GeneratorSpec(2, cells=cells)
         assert spec.generator_id == "polynomial:2:bfc8d1775f3d"
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         save_generator(spec, first)
@@ -516,7 +515,7 @@ class TestLipschitzEstimate:
         # Q12 = m1 changes by 1/k across a one-move neighbor pair while the
         # l1 distance is 2/k, so the ratio is exactly 1/2 at any resolution.
         cells = {(0, 1): [((1, 0), 1.0)], (1, 0): [((0, 0), 1.0)]}
-        spec = polynomial_generator(2, cells)
+        spec = GeneratorSpec(2, cells=cells)
         assert lipschitz_estimate(spec, SimplexGrid(2, 100)) == pytest.approx(0.5, rel=1e-12)
 
     def test_consumer_estimate_is_half_crowd_coefficient(self):
@@ -555,7 +554,7 @@ class TestLipschitzEstimate:
         rng = np.random.default_rng(10 * s + (resolution or 0))
         grid = SimplexGrid(s, resolution or 20)
         for _ in range(3):
-            spec = polynomial_generator(s, random_polynomial_cells(rng, s))
+            spec = GeneratorSpec(s, cells=random_polynomial_cells(rng, s))
             expected = self._pair_loop(spec, grid)
             assert lipschitz_estimate(spec, grid if resolution else None) == expected
 
@@ -566,7 +565,7 @@ class TestLipschitzEstimate:
             (i, (i + 1) % 64): [(tuple(int(c == i) for c in range(64)), float(rng.uniform(0.5, 2.0)))]
             for i in range(64)
         }
-        spec = polynomial_generator(64, cells)
+        spec = GeneratorSpec(64, cells=cells)
         grid = SimplexGrid(64, 1)
         assert lipschitz_estimate(spec, grid) == self._pair_loop(spec, grid) > 0.0
 
@@ -627,7 +626,7 @@ class TestFileRoundTrip:
     def test_save_load_round_trip_is_byte_stable(self, tmp_path):
         rng = np.random.default_rng(23)
         cells = random_polynomial_cells(rng, 3)
-        spec = polynomial_generator(3, cells, metadata={"label": "round-trip"})
+        spec = GeneratorSpec(3, cells=cells, metadata={"label": "round-trip"})
         path = tmp_path / "generator.json"
         save_generator(spec, path)
         loaded = load_generator(path)
@@ -640,8 +639,8 @@ class TestFileRoundTrip:
     def test_canonical_text_ignores_cell_order(self):
         cells_one = {(0, 1): [((1, 0), 2.0)], (1, 0): [((0, 0), 1.0)]}
         cells_two = {(1, 0): [((0, 0), 1.0)], (0, 1): [((1, 0), 2.0)]}
-        assert generator_to_json(polynomial_generator(2, cells_one)) == generator_to_json(
-            polynomial_generator(2, cells_two)
+        assert generator_to_json(GeneratorSpec(2, cells=cells_one)) == generator_to_json(
+            GeneratorSpec(2, cells=cells_two)
         )
 
     def test_builtin_closed_forms_cannot_be_saved(self):

@@ -14,7 +14,6 @@ from nlmc import (
     Flow,
     GeneratorSpec,
     IntegrationDivergedError,
-    IntegratorControls,
     JumpPath,
     SimplexGrid,
     Trajectory,
@@ -22,7 +21,6 @@ from nlmc import (
     corpus,
     evolve,
     integrate_flow,
-    polynomial_generator,
     sample_path,
     thinning_bound,
 )
@@ -35,7 +33,7 @@ from helpers import (
     stays_in_simplex,
 )
 
-TIGHT = IntegratorControls(rtol=1e-10, atol=1e-12)
+TIGHT = {"rtol": 1e-10, "atol": 1e-12}
 
 
 def _two_state_closed_form(a, b, m10, t):
@@ -44,33 +42,38 @@ def _two_state_closed_form(a, b, m10, t):
 
 
 class TestIntegratorControls:
+    """The integrator's only controls: the keyword-only tolerances rtol and atol."""
+
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            IntegratorControls(rtol=0.0)
+            integrate_flow(corpus("bistable"), (0.5, 0.5), 1.0, rtol=0.0)
         with pytest.raises(ValueError):
-            IntegratorControls(atol=-1e-9)
+            integrate_flow(corpus("bistable"), (0.5, 0.5), 1.0, atol=-1e-9)
 
     @pytest.mark.parametrize("field", ["rtol", "atol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite_values(self, field, value):
         # A NaN tolerance would reject every step until MAX_STEPS.
         with pytest.raises(ValueError, match="positive and finite"):
-            IntegratorControls(**{field: value})
+            integrate_flow(corpus("bistable"), (0.5, 0.5), 1.0, **{field: value})
 
     def test_holds_only_the_tolerances(self):
+        spec = corpus("bistable")
         with pytest.raises(TypeError):
-            IntegratorControls(sample_every=0.5)
+            integrate_flow(spec, (0.5, 0.5), 1.0, sample_every=0.5)
         with pytest.raises(TypeError):
-            IntegratorControls(max_steps=10)
+            integrate_flow(spec, (0.5, 0.5), 1.0, max_steps=10)
         with pytest.raises(TypeError):
-            sample_path(corpus("bistable"), (0.5, 0.5), horizon=1.0, controls=TIGHT)
+            integrate_flow(spec, (0.5, 0.5), 1.0, 1e-10)
+        with pytest.raises(TypeError):
+            sample_path(spec, (0.5, 0.5), horizon=1.0, rtol=1e-10)
 
 
 class TestIntegrateFlow:
     def test_two_state_constant_chain_matches_closed_form(self):
         a, b = 2.0, 1.0
         spec = constant_generator([[-a, a], [b, -b]])
-        flow = integrate_flow(spec, (0.9, 0.1), 2.0, TIGHT)
+        flow = integrate_flow(spec, (0.9, 0.1), 2.0, **TIGHT)
         rng = np.random.default_rng(0)
         times = rng.uniform(0.0, 2.0, size=64)
         states = flow.at_many(times)
@@ -84,9 +87,9 @@ class TestIntegrateFlow:
         q = random_rate_matrix(rng, 3)
         m0 = (0.5, 0.2, 0.3)
         spec = constant_generator(q)
-        flow = integrate_flow(spec, m0, 5.0, TIGHT)
+        flow = integrate_flow(spec, m0, 5.0, **TIGHT)
         for t in (0.5, 1.0, 2.5, 5.0):
-            assert float(np.max(np.abs(flow.at(t) - expm_oracle(q, m0, t)))) < 1e-8
+            assert float(np.max(np.abs(flow.at_many([t])[0] - expm_oracle(q, m0, t)))) < 1e-8
 
     def test_flow_bookkeeping(self):
         spec = corpus("bistable")
@@ -101,8 +104,8 @@ class TestIntegrateFlow:
     def test_dense_output_clips_to_the_horizon(self):
         spec = corpus("bistable")
         flow = integrate_flow(spec, (0.9, 0.1), 1.0)
-        assert np.array_equal(flow.at(-0.5), flow.at(0.0))
-        assert np.array_equal(flow.at(7.0), flow.at(1.0))
+        assert np.array_equal(flow.at_many([-0.5]), flow.at_many([0.0]))
+        assert np.array_equal(flow.at_many([7.0]), flow.at_many([1.0]))
 
     def test_rejects_bad_horizon(self):
         spec = corpus("bistable")
@@ -218,14 +221,15 @@ class TestFlowRows:
         assert (row.offsets, row.row_steps, row.row_drifts) == ((0, 3), (4,), (1e-12,))
         assert (row.steps, row.max_drift) == (4, 1e-12)
         assert np.array_equal(row.ts, ts[:3])
-        assert np.array_equal(flow.row(1).at(0.5), [0.5, 0.5])
+        assert np.array_equal(flow.row(1).at_many([0.5])[0], [0.5, 0.5])
 
     def test_a_stacked_flow_interpolates_only_row_by_row(self):
         spec = corpus("bistable")
         flow = integrate_flow(spec, [(0.3, 0.7), (0.6, 0.4)], 5.0)
         with pytest.raises(ValueError, match="row"):
-            flow.at(1.0)
-        assert np.array_equal(flow.row(1).at(1.0), integrate_flow(spec, (0.6, 0.4), 5.0).at(1.0))
+            flow.at_many([1.0])
+        alone = integrate_flow(spec, (0.6, 0.4), 5.0)
+        assert np.array_equal(flow.row(1).at_many([1.0]), alone.at_many([1.0]))
 
     def test_rejects_an_empty_stack(self):
         with pytest.raises(ValueError):
@@ -252,7 +256,7 @@ class TestEvolve:
         assert float(traj.states.min()) >= 0.0
         assert float(np.max(np.abs(traj.states.sum(axis=1) - 1.0))) < 1e-12
         assert isinstance(traj.final, Distribution)
-        assert np.array_equal(traj.final.probs, traj.state(len(traj) - 1).probs)
+        assert traj.final == Distribution(traj.states[len(traj) - 1])
 
     def test_deterministic_artifacts(self):
         spec = corpus("bistable")
@@ -439,9 +443,13 @@ class TestSamplePath:
         with pytest.raises(ValueError, match="must be an integer"):
             sample_path(corpus("bistable"), (0.5, 0.5), initial_state=state, horizon=5.0)
 
-    @pytest.mark.parametrize("seed", [True, 1.5, "1"])
-    def test_seed_must_be_an_integer(self, seed):
-        with pytest.raises(ValueError, match="must be an integer"):
+    @pytest.mark.parametrize("seed", [True, 1.5, "1", -1])
+    def test_seed_must_be_an_integer(self, seed, monkeypatch):
+        def integrate_flow(*args, **kwargs):
+            raise AssertionError("the seed is refused before the flow is integrated")
+
+        monkeypatch.setattr(nlmc.semigroup, "integrate_flow", integrate_flow)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             sample_path(corpus("bistable"), (0.5, 0.5), horizon=5.0, seed=seed)
 
     def test_seed_may_be_a_numpy_integer(self):
@@ -528,7 +536,7 @@ class TestSamplePath:
         assert np.array_equal(path.jump_times, again.jump_times)
 
     def test_chain_without_rates_never_jumps(self):
-        spec = polynomial_generator(2, {})
+        spec = GeneratorSpec(2, cells={})
         path = sample_path(spec, (0.0, 1.0), horizon=5.0, seed=1)
         assert path.initial_state == 1
         assert path.jump_count == 0

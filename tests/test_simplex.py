@@ -76,6 +76,16 @@ class TestDistribution:
         assert a != c
         assert a != (0.25, 0.75)
 
+    @pytest.mark.parametrize(
+        "probs, text",
+        [((1.0,), "Distribution((1.0,))"), ((0.2, 0.3, 0.5), "Distribution((0.2, 0.3, 0.5))")],
+        ids=["S=1", "S=3"],
+    )
+    def test_repr_evaluates_back_to_an_equal_distribution(self, probs, text):
+        d = Distribution(probs)
+        assert repr(d) == text
+        assert eval(repr(d), {"Distribution": Distribution}) == d
+
 
 class TestSimplexGrid:
     def test_point_count_matches_stars_and_bars(self):

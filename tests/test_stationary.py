@@ -20,7 +20,6 @@ from nlmc import (
     evolve,
     find_invariant,
     frozen_stationary,
-    polynomial_generator,
     residual,
 )
 from nlmc.certify import build_M
@@ -65,7 +64,7 @@ def _two_state_herding_cells(count: int) -> list[dict]:
 
 
 # Newton leaves the simplex from 3 of this spec's grid-20 seeds, so they ride the flow.
-RIDING_HERDING = polynomial_generator(2, _two_state_herding_cells(2)[1])
+RIDING_HERDING = GeneratorSpec(2, cells=_two_state_herding_cells(2)[1])
 
 
 def _three_state_herding(rng):
@@ -76,12 +75,12 @@ def _three_state_herding(rng):
         exponents = [0, 0, 0]
         exponents[j] = k
         cells[(i, j)] = [((0, 0, 0), a), (tuple(exponents), c)]
-    return polynomial_generator(3, cells)
+    return GeneratorSpec(3, cells=cells)
 
 
 class TestResidual:
     def test_zero_generator(self):
-        spec = polynomial_generator(2, {})
+        spec = GeneratorSpec(2, cells={})
         assert residual(spec, (0.5, 0.5)) == 0.0
 
     def test_bistable_rest_point_is_exact(self):
@@ -352,9 +351,9 @@ class TestFindInvariant:
         calls = []
         original = nlmc.stationary.integrate_flow
 
-        def counting(spec, m0, horizon, controls=None):
+        def counting(spec, m0, horizon, **kwargs):
             calls.append(len(m0))
-            return original(spec, m0, horizon, controls)
+            return original(spec, m0, horizon, **kwargs)
 
         monkeypatch.setattr(nlmc.stationary, "integrate_flow", counting)
         found = find_invariant(RIDING_HERDING, SimplexGrid(2, 20))
@@ -366,14 +365,14 @@ class TestFindInvariant:
         steps = []
         original = nlmc.stationary.integrate_flow
 
-        def counting(spec, m0, horizon, controls=None):
-            flow = original(spec, m0, horizon, controls)
+        def counting(spec, m0, horizon, **kwargs):
+            flow = original(spec, m0, horizon, **kwargs)
             steps.append(flow.steps)
             return flow
 
         monkeypatch.setattr(nlmc.stationary, "integrate_flow", counting)
         found = find_invariant(RIDING_HERDING, SimplexGrid(2, 20))
-        # 210 steps at FALLBACK_CONTROLS (rtol 1e-5, atol 1e-8); 346 at the
+        # 210 steps at FALLBACK_RTOL 1e-5, FALLBACK_ATOL 1e-8; 346 at the
         # integrator's defaults and 643 at rtol 1e-10, atol 1e-12.
         assert len(steps) == 1 and steps[0] <= 230
         assert (found.seed_count, found.failed_seeds) == (21, 0)
@@ -394,9 +393,9 @@ class TestFindInvariant:
         ridden = []
         original = nlmc.stationary.integrate_flow
 
-        def recording(spec, m0, horizon, controls=None):
+        def recording(spec, m0, horizon, **kwargs):
             ridden.append(np.array(m0))
-            return original(spec, m0, horizon, controls)
+            return original(spec, m0, horizon, **kwargs)
 
         monkeypatch.setattr(nlmc.stationary, "integrate_flow", recording)
         grid = SimplexGrid(spec.dimension, resolution)
@@ -420,9 +419,9 @@ class TestFindInvariant:
         calls = []
         original = nlmc.stationary.integrate_flow
 
-        def counting(spec, m0, horizon, controls=None):
+        def counting(spec, m0, horizon, **kwargs):
             calls[-1] += 1
-            return original(spec, m0, horizon, controls)
+            return original(spec, m0, horizon, **kwargs)
 
         monkeypatch.setattr(nlmc.stationary, "integrate_flow", counting)
         multistable = 0
@@ -433,7 +432,7 @@ class TestFindInvariant:
             roots = roots[np.abs(roots.imag) <= 1e-9].real
             roots = roots[(roots >= 0.0) & (roots <= 1.0)]
             multistable += len(roots) == 3
-            found = find_invariant(polynomial_generator(2, cells), SimplexGrid(2, 20))
+            found = find_invariant(GeneratorSpec(2, cells=cells), SimplexGrid(2, 20))
             landed = np.array([r.point[0] for r in found])
             assert found.failed_seeds == 0
             for point in landed:
