@@ -19,6 +19,11 @@ import numpy as np
 from .errors import GeneratorEvaluationError, GeneratorFileError
 from .simplex import Distribution, SimplexGrid, _is_int, _write_text
 
+try:  # numpy's einsum kernel; np.einsum(..., optimize=False) returns exactly its result
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy 1.x keeps it in numpy.core; np.einsum if neither has it
+    _einsum = getattr(np.core.multiarray, "c_einsum", np.einsum)
+
 OFFDIAG_TOL = 1e-10      # off-diagonal entries may round this far below zero
 ROWSUM_TOL = 1e-9        # conservativity slack per row, times max(1, the row's largest |rate|)
 RATE_FLOOR = 1e-9        # rates at or below this count as structural zeros
@@ -99,7 +104,7 @@ class GeneratorSpec:
     def drift_batch(self, points) -> np.ndarray:
         """Marginal drifts, shape (n, S), for points given as rows (n, S)."""
         arr = np.asarray(points, dtype=float)
-        return np.einsum("ni,nij->nj", arr, self.rates_batch(arr))
+        return _einsum("ni,nij->nj", arr, self.rates_batch(arr))
 
     def describe(self) -> str:
         if self.name is not None:
@@ -160,7 +165,8 @@ def _normalize_cells(dimension: int, cells: dict) -> dict[tuple[int, int], tuple
 
 def _compile_cells(dimension: int, cells: dict[tuple[int, int], tuple]):
     # Exponents (1, T, S) of the distinct monomials, coefficients (T, S*S).  einsum, not @:
-    # BLAS takes another path for one row, so rates would depend on the batch size.
+    # BLAS fuses multiply-adds and takes another path for one row, so rates would depend on
+    # the batch size.  Its kernel is called directly: np.einsum's wrapper costs more than a row.
     monomials = sorted({exps for terms in cells.values() for exps, _ in terms})
     column = {exps: k for k, exps in enumerate(monomials)}
     exps = np.array(monomials, dtype=float).reshape(1, len(monomials), dimension)
@@ -171,7 +177,7 @@ def _compile_cells(dimension: int, cells: dict[tuple[int, int], tuple]):
 
     def batch(points: np.ndarray) -> np.ndarray:
         values = np.multiply.reduce(points[:, None, :] ** exps, axis=2)
-        flat = np.einsum("nt,tk->nk", values, coeffs)
+        flat = _einsum("nt,tk->nk", values, coeffs)
         q = flat.reshape(-1, dimension, dimension)
         np.negative(np.add.reduce(q, axis=2), out=flat[:, :: dimension + 1])
         return q

@@ -98,7 +98,7 @@ class Flow:
         if len(self.offsets) != 2:
             raise ValueError("interpolate one row at a time: use flow.row(i)")
         times = np.clip(np.asarray(times, dtype=float), 0.0, self.horizon)
-        right = np.clip(np.searchsorted(self.ts, times, side="right"), 1, len(self.ts) - 1)
+        right = np.clip(self.ts.searchsorted(times, side="right"), 1, len(self.ts) - 1)
         left = right - 1
         t0 = self.ts[left]
         h = self.ts[right] - t0
@@ -246,8 +246,12 @@ def integrate_flow(
     floor = 1e-14 * max(1.0, horizon)
     stages = np.empty((7, *y.shape))
     for step in range(MAX_STEPS):
-        final = t + h >= horizon
-        h = np.where(final, horizon - t, h)
+        t_next = t + h
+        final = t_next >= horizon
+        # Only a step on which some row reaches the horizon clamps h and may end rows.
+        if reaching := np.logical_or.reduce(final):
+            h = np.where(final, horizon - t, h)
+            t_next = np.where(final, horizon, t_next)
         hc = h[:, None]
         stages[0] = f
         for i, weights in enumerate(_DP_ROWS, start=1):
@@ -259,12 +263,12 @@ def integrate_flow(
         err = np.sqrt(np.add.reduce(((yi - y4) / scale) ** 2, axis=1) / y.shape[1])
         ok = err <= 1.0
         if np.logical_and.reduce(ok):
-            t = np.where(final, horizon, t + h)
+            t = t_next
             y, repaired = _project_array(yi)
             f = spec.drift_batch(y)
             knots.append((ids, t, y, f, repaired))
         elif np.logical_or.reduce(ok):
-            t = np.where(ok, np.where(final, horizon, t + h), t)
+            t = np.where(ok, t_next, t)
             y_ok, repaired = _project_array(yi[ok])
             f_ok = spec.drift_batch(y_ok)
             y, f = y.copy(), f.copy()  # so no stored knot changes
@@ -276,8 +280,7 @@ def integrate_flow(
         h = h * np.minimum(np.maximum(0.9 * np.maximum(err, 1e-300) ** -0.2, 0.2), 5.0)
         if np.minimum.reduce(h) < floor:
             raise IntegrationDivergedError(f"step size underflow at t = {float(t[h.argmin()])!r}")
-        done = ok & final
-        if np.logical_or.reduce(done):
+        if reaching and np.logical_or.reduce(done := ok & final):
             row_steps[ids[done]] = step + 1
             live = ~done
             ids, t, h, y, f = ids[live], t[live], h[live], y[live], f[live]
@@ -413,7 +416,7 @@ def sample_path(
         _check_proposals(bound, horizon)
         rng = np.random.default_rng(seed)
         if initial_state is None:
-            start = int(np.searchsorted(np.cumsum(m0_arr), rng.random(), side="right"))
+            start = int(np.cumsum(m0_arr).searchsorted(rng.random(), side="right"))
             start = min(start, s - 1)
         else:
             start = int(initial_state)
@@ -477,7 +480,7 @@ def _thin_path(spec, flow, start, horizon, bound, rng):
             row = cum[k, current]
             if row[-1] <= 0.0:
                 continue
-            target = int(np.searchsorted(row, target_u[first + k] * row[-1], side="right"))
+            target = int(row.searchsorted(target_u[first + k] * row[-1], side="right"))
             target = min(target, s - 1)
             if target == current:
                 continue

@@ -166,15 +166,21 @@ def _project_array(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A row of positive entries whose descending sum is exactly 1.0 has threshold
     0: it is its own projection, and a stack of only such rows returns at once.
     """
-    if not np.logical_and.reduce(np.isfinite(v), axis=None):
-        raise IntegrationDivergedError("state contains non-finite entries")
     n, s = v.shape
     u = v.copy()
     u.sort(axis=1)
     u = u[:, ::-1]
-    sums = np.add.accumulate(u, axis=1)
-    if np.logical_and.reduce(sums[:, -1] == 1.0) and np.logical_and.reduce(u[:, -1] > 0.0):
-        return v.copy(), np.zeros(n)
+    # The exit is tested before the finiteness scan, positivity first: a -inf never
+    # reaches the sums, where inf - inf would warn.  A row that exits is finite.
+    positive = np.logical_and.reduce(u[:, -1] > 0.0)
+    if positive:
+        sums = np.add.accumulate(u, axis=1)
+        if np.logical_and.reduce(sums[:, -1] == 1.0):
+            return v.copy(), np.zeros(n)
+    if not np.logical_and.reduce(np.isfinite(v), axis=None):
+        raise IntegrationDivergedError("state contains non-finite entries")
+    if not positive:
+        sums = np.add.accumulate(u, axis=1)
     thresholds = (sums - 1.0) / np.arange(1, s + 1)
     rho = s - 1 - (u > thresholds)[:, ::-1].argmax(axis=1)
     x = np.maximum(v - thresholds[np.arange(n), rho][:, None], 0.0)

@@ -4,7 +4,8 @@ Everything here is computed without touching the package internals:
 projection by bisection on the dual threshold and by the full sort and
 threshold search, simplex invariance by the tangent-cone condition,
 stationary distributions by a dense null space, matrix exponentials, naive
-monomial evaluation and the oscillator's rates cell by cell.
+monomial evaluation, the oscillator's rates cell by cell and polynomial rates
+and drifts contracted by ``np.einsum``.
 Values frozen in the tests were produced by these oracles.
 """
 
@@ -106,6 +107,25 @@ def oscillator_rates_oracle(points) -> np.ndarray:
     idx = np.arange(3)
     q[:, idx, idx] = -q.sum(axis=2)
     return q
+
+
+def einsum_oracle(dimension: int, cells: dict, points) -> tuple[np.ndarray, np.ndarray]:
+    """Rates ``(n, S, S)`` and drifts ``(n, S)`` of a polynomial cell table, both
+    contracted by ``np.einsum`` in the generator's order: the distinct monomials
+    sorted, one coefficient column per cell, the diagonal minus the row sum."""
+    points = np.asarray(points, dtype=float)
+    s = dimension
+    monomials = sorted({exps for terms in cells.values() for exps, _ in terms})
+    coeffs = np.zeros((len(monomials), s * s))
+    for (i, j), terms in cells.items():
+        for monomial, coefficient in terms:
+            coeffs[monomials.index(monomial), i * s + j] += coefficient
+    exps = np.array(monomials, dtype=float).reshape(1, len(monomials), s)
+    values = np.multiply.reduce(points[:, None, :] ** exps, axis=2)
+    q = np.einsum("nt,tk->nk", values, coeffs).reshape(-1, s, s)
+    idx = np.arange(s)
+    q[:, idx, idx] = -q.sum(axis=2)
+    return q, np.einsum("ni,nij->nj", points, q)
 
 
 def stays_in_simplex(states, drifts) -> bool:

@@ -24,6 +24,7 @@ from nlmc.generator import CORPUS_NAMES, RATE_FLOOR, ROWSUM_TOL, _irreducible
 
 from helpers import (
     CONSUMER_PARAMS,
+    einsum_oracle,
     naive_rates,
     oscillator_rates_oracle,
     random_distribution,
@@ -280,6 +281,29 @@ class TestOscillatorRates:
     def test_a_nan_coordinate_is_refused(self):
         with pytest.raises(GeneratorEvaluationError, match="non-finite"):
             corpus("oscillator").rates_batch([[0.2, np.nan, 0.8]])
+
+
+class TestContractionBits:
+    """Rates and drifts keep the bytes of ``np.einsum``, the kernel being called directly."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_polynomial_rates_and_drifts(self, s, n):
+        rng = np.random.default_rng(100 * s + n)
+        cells = random_polynomial_cells(rng, s)  # S = 1 has no cells
+        spec = GeneratorSpec(s, cells=cells)
+        # Dirichlet rows, then off-simplex probe rows.
+        for points in (rng.dirichlet(np.ones(s), size=n), rng.uniform(-0.5, 1.5, size=(n, s))):
+            rates, drifts = einsum_oracle(s, cells, points)
+            assert spec.rates_batch(points).tobytes() == rates.tobytes()
+            assert spec.drift_batch(points).tobytes() == drifts.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_oscillator_drifts(self, n):
+        rng = np.random.default_rng(n)
+        for points in (rng.dirichlet(np.ones(3), size=n), rng.uniform(-0.1, 1.1, size=(n, 3))):
+            drifts = np.einsum("ni,nij->nj", points, oscillator_rates_oracle(points))
+            assert corpus("oscillator").drift_batch(points).tobytes() == drifts.tobytes()
 
 
 class TestGeneratorId:

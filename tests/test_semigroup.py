@@ -4,6 +4,7 @@ import gc
 import math
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -136,6 +137,23 @@ class TestIntegrateFlow:
         # One drift at the start, six per attempted step, one per accepted step.
         assert len(calls) == 1 + 6 * flow.steps + (len(flow.ts) - 1)
         assert set(calls) == {1}
+
+    def test_one_start_path_calls_no_numpy_python_wrapper(self, monkeypatch):
+        # np.einsum and np.searchsorted are Python functions around numpy's kernels;
+        # the per-point path calls the kernels themselves.
+        calls = Counter()
+        for name in ("einsum", "searchsorted"):
+            def counted(*args, _name=name, _wrapped=getattr(np, name), **kwargs):
+                calls[_name] += 1
+                return _wrapped(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        consumer = corpus("consumer", CONSUMER_PARAMS)
+        integrate_flow(consumer, (0.2, 0.3, 0.5), 20.0)
+        integrate_flow(corpus("oscillator"), (0.2, 0.4, 0.4), 2.0 * math.pi)
+        path = sample_path(consumer, (0.2, 0.3, 0.5), horizon=20.0, seed=3)
+        assert path.jump_times.size > 0
+        assert calls == Counter()
 
     def test_max_steps_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(nlmc.semigroup, "MAX_STEPS", 3)

@@ -222,6 +222,9 @@ class TestProjection:
             _project_one((1.2, -0.2))
         with pytest.raises(IntegrationDivergedError):
             _project_one((float("nan"), 1.0))
+        # Refused before any sum: inf - inf would warn.
+        with pytest.raises(IntegrationDivergedError):
+            _project_one((float("inf"), float("-inf")))
 
 
 class TestRowProjection:
