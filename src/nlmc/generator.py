@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +29,7 @@ except ImportError:  # numpy 1.x keeps it in numpy.core; np.einsum if neither ha
 OFFDIAG_TOL = 1e-10      # off-diagonal entries may round this far below zero
 ROWSUM_TOL = 1e-9        # conservativity slack per row, times max(1, the row's largest |rate|)
 RATE_FLOOR = 1e-9        # rates at or below this count as structural zeros
-MAX_TOTAL_DEGREE = 8     # cap on monomial total degree in generator files
+MAX_TOTAL_DEGREE = 8     # cap on the total degree of a cell table's monomials
 VALIDATION_RESOLUTION = 20
 
 FILE_FORMAT = "nlmc-generator"
@@ -75,8 +77,11 @@ class GeneratorSpec:
         self.dimension = int(dimension)
         self.name = name
         self.params = dict(params or {})
+        metadata = {} if metadata is None else metadata
+        if not isinstance(metadata, dict) or not all(isinstance(k, str) for k in metadata):
+            raise ValueError("metadata must be an object: a dict with str keys")
         self.cells = None if cells is None else _normalize_cells(self.dimension, cells)
-        self.metadata = dict(metadata or {})
+        self.metadata = dict(metadata)
         self.extension = extension
         self._batch = batch_rates if cells is None else _compile_cells(self.dimension, self.cells)
         self._validation = None
@@ -136,30 +141,40 @@ class GeneratorSpec:
 
 
 def _normalize_cells(dimension: int, cells: dict) -> dict[tuple[int, int], tuple]:
+    """``cells`` checked against every rule of a cell table, as tuples of ints and floats.
+
+    A violation raises ValueError naming its cell and any term at fault; the error's ``cell``
+    and ``term`` hold their positions and ``problem`` the rest, states as ``{first}..{last}``."""
+
+    def fail(problem, term=None):  # names the cell of the current iteration
+        where = f"cell {key!r}" + ("" if term is None else f" term {term}")
+        error = ValueError(f"{where}: {problem.format(first=0, last=dimension - 1)}")
+        error.cell, error.term, error.problem = position, term, problem
+        return error
+
     out = {}
-    for key, cell in cells.items():
-        i, j = int(key[0]), int(key[1])
-        if not (0 <= i < dimension and 0 <= j < dimension):
-            raise ValueError(f"cell index ({i}, {j}) out of range for {dimension} states")
-        if i == j:
-            raise ValueError(f"cell ({i}, {j}) is diagonal; diagonals are derived")
-        terms = tuple((tuple(int(e) for e in exps), float(c)) for exps, c in cell)
-        for exps, coefficient in terms:
-            if len(exps) != dimension:
-                raise ValueError(
-                    f"cell ({i}, {j}) has a term with {len(exps)} exponents, "
-                    f"expected {dimension}"
-                )
-            if any(e < 0 for e in exps):
-                raise ValueError(f"cell ({i}, {j}) has a negative exponent")
-            if not np.isfinite(coefficient):
-                raise ValueError(f"cell ({i}, {j}) has a non-finite coefficient")
-        degree = max((sum(exps) for exps, _ in terms), default=0)
-        if degree > MAX_TOTAL_DEGREE:
-            raise ValueError(
-                f"cell ({i}, {j}) has total degree {degree}, above the cap {MAX_TOTAL_DEGREE}"
-            )
-        out[(i, j)] = terms
+    for position, (key, cell) in enumerate(cells.items()):
+        if not (isinstance(key, tuple) and len(key) == 2 and all(map(_is_int, key))):
+            raise fail("key must be a pair of integers (i, j)")
+        if not all(0 <= index < dimension for index in key):
+            raise fail("indices out of range {first}..{last}")
+        if key[0] == key[1]:
+            raise fail("is diagonal; diagonals are derived")
+        if not isinstance(cell, (list, tuple)):
+            raise fail("must be a list of (exponents, coefficient) pairs")
+        for term, pair in enumerate(cell):
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise fail("must be an (exponents, coefficient) pair", term)
+            exps, coefficient = pair
+            counts = isinstance(exps, (list, tuple)) and all(_is_int(e) and e >= 0 for e in exps)
+            if not counts or len(exps) != dimension:
+                raise fail(f"exponents must be {dimension} non-negative integers", term)
+            if sum(exps) > MAX_TOTAL_DEGREE:
+                raise fail(f"has total degree {sum(exps)}, above the cap {MAX_TOTAL_DEGREE}", term)
+            real = isinstance(coefficient, numbers.Real) and not isinstance(coefficient, bool)
+            if not (real and abs(coefficient) <= sys.float_info.max):  # float() overflows
+                raise fail("coefficient must be a finite real number", term)
+        out[tuple(map(int, key))] = tuple((tuple(map(int, exps)), float(c)) for exps, c in cell)
     return out
 
 
@@ -255,12 +270,9 @@ def corpus(name: str, params: dict | None = None) -> GeneratorSpec:
     """
     params = dict(params or {})
     if name == "consumer":
-        missing = [k for k in CONSUMER_PARAMS if k not in params]
-        if missing:
-            raise ValueError(f"consumer requires parameters {', '.join(missing)}")
-        unknown = sorted(set(params) - set(CONSUMER_PARAMS))
-        if unknown:
-            raise ValueError(f"consumer does not take parameters {', '.join(unknown)}")
+        if set(params) != set(CONSUMER_PARAMS):
+            got = ", ".join(sorted(map(str, params))) or "none"
+            raise ValueError(f"consumer takes parameters {', '.join(CONSUMER_PARAMS)}; got {got}")
         values = {k: float(params[k]) for k in CONSUMER_PARAMS}
         if any(v <= 0 for v in values.values()):
             raise ValueError("consumer parameters must be positive")
@@ -273,13 +285,11 @@ def corpus(name: str, params: dict | None = None) -> GeneratorSpec:
             (2, 1): [((0, 0, 0), lam)],
         }
         return GeneratorSpec(3, cells=cells, name="consumer", params=values)
+    if name in ("oscillator", "bistable") and params:
+        raise ValueError(f"{name} takes no parameters")
     if name == "oscillator":
-        if params:
-            raise ValueError("oscillator takes no parameters")
         return GeneratorSpec(3, _oscillator_batch, name="oscillator", extension="clamped")
     if name == "bistable":
-        if params:
-            raise ValueError("bistable takes no parameters")
         return GeneratorSpec(2, cells=_BISTABLE_CELLS, name="bistable")
     raise ValueError(f"unknown corpus generator {name!r}; choose from {', '.join(CORPUS_NAMES)}")
 
@@ -422,18 +432,15 @@ def _canonical_cells(spec: GeneratorSpec) -> list:
 
 
 def generator_to_json(spec: GeneratorSpec) -> str:
-    """Serialize a polynomial cell table to canonical JSON text.
-
-    Cells are sorted by index pair and terms by exponent tuple, so the
-    output is byte-stable: save, load, save again gives identical text.
-    """
+    """Serialize a polynomial cell table to canonical JSON text, in ``_canonical_cells``'s
+    order, so save, load, save again gives identical text."""
     if spec.cells is None:
         raise ValueError(f"{spec.describe()} cannot be saved: no polynomial cell table")
     doc = {
         "format": FILE_FORMAT,
         "version": FILE_VERSION,
         "dimension": spec.dimension,
-        "metadata": {str(k): spec.metadata[k] for k in sorted(spec.metadata)},
+        "metadata": spec.metadata,
         "cells": _canonical_cells(spec),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -445,7 +452,8 @@ def save_generator(spec: GeneratorSpec, path) -> None:
 
 
 def generator_from_json(text: str) -> GeneratorSpec:
-    """Parse generator JSON text, reporting position information on failure."""
+    """Parse generator JSON text into :class:`GeneratorSpec`, whose rules these are; a
+    violation raises GeneratorFileError naming its entry, with states counted from 1."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -458,12 +466,6 @@ def generator_from_json(text: str) -> GeneratorSpec:
         raise GeneratorFileError(f"unknown format {doc.get('format')!r}, expected {FILE_FORMAT!r}")
     if doc.get("version") != FILE_VERSION:
         raise GeneratorFileError(f"unsupported version {doc.get('version')!r}")
-    dimension = doc.get("dimension")
-    if not _is_int(dimension) or dimension < 1:
-        raise GeneratorFileError("dimension must be a positive integer")
-    metadata = doc.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise GeneratorFileError("metadata must be an object")
     raw_cells = doc.get("cells")
     if not isinstance(raw_cells, list):
         raise GeneratorFileError("cells must be an array")
@@ -472,46 +474,27 @@ def generator_from_json(text: str) -> GeneratorSpec:
         where = f"cells[{pos}]"
         if not isinstance(entry, dict):
             raise GeneratorFileError(f"{where} must be an object")
-        for key in ("from", "to"):
-            if not _is_int(entry.get(key)):
-                raise GeneratorFileError(f"{where}.{key} must be an integer")
-        i, j = entry["from"] - 1, entry["to"] - 1
-        if not (0 <= i < dimension and 0 <= j < dimension):
-            raise GeneratorFileError(f"{where} indices out of range 1..{dimension}")
-        if i == j:
-            raise GeneratorFileError(f"{where} is diagonal; diagonals are derived")
-        if (i, j) in cells:
-            raise GeneratorFileError(f"{where} repeats cell ({i + 1}, {j + 1})")
+        for end in ("from", "to"):
+            if not _is_int(entry.get(end)):
+                raise GeneratorFileError(f"{where}.{end} must be an integer")
+        key = (entry["from"] - 1, entry["to"] - 1)
+        if key in cells:
+            raise GeneratorFileError(f"{where} repeats cell ({entry['from']}, {entry['to']})")
         terms = entry.get("terms")
         if not isinstance(terms, list):
             raise GeneratorFileError(f"{where}.terms must be an array")
-        parsed = []
         for tpos, term in enumerate(terms):
-            twhere = f"{where}.terms[{tpos}]"
             if not isinstance(term, dict):
-                raise GeneratorFileError(f"{twhere} must be an object")
-            exps = term.get("exponents")
-            coeff = term.get("coefficient")
-            if (
-                not isinstance(exps, list)
-                or len(exps) != dimension
-                or not all(_is_int(e) and e >= 0 for e in exps)
-            ):
-                raise GeneratorFileError(
-                    f"{twhere}.exponents must be {dimension} non-negative integers"
-                )
-            if sum(exps) > MAX_TOTAL_DEGREE:
-                raise GeneratorFileError(
-                    f"{twhere} has total degree {sum(exps)}, above the cap {MAX_TOTAL_DEGREE}"
-                )
-            if not isinstance(coeff, (int, float)) or isinstance(coeff, bool):
-                raise GeneratorFileError(f"{twhere}.coefficient must be a number")
-            parsed.append((tuple(exps), float(coeff)))
-        cells[(i, j)] = parsed
+                raise GeneratorFileError(f"{where}.terms[{tpos}] must be an object")
+        cells[key] = [(term.get("exponents"), term.get("coefficient")) for term in terms]
     try:
-        return GeneratorSpec(dimension, cells=cells, metadata=metadata)
+        return GeneratorSpec(doc.get("dimension"), cells=cells, metadata=doc.get("metadata", {}))
     except ValueError as exc:
-        raise GeneratorFileError(str(exc)) from exc
+        message = str(exc)
+        if hasattr(exc, "cell"):  # entries fill ``cells`` in file order, so positions match
+            where = f"cells[{exc.cell}]" + ("" if exc.term is None else f".terms[{exc.term}]")
+            message = f"{where}: {exc.problem.format(first=1, last=doc['dimension'])}"
+        raise GeneratorFileError(message) from exc
 
 
 def load_generator(path) -> GeneratorSpec:

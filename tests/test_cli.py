@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import nlmc.semigroup
-from nlmc import constant_generator, corpus, save_generator
+from nlmc import (
+    GeneratorFileError,
+    GeneratorSpec,
+    constant_generator,
+    corpus,
+    generator_from_json,
+    save_generator,
+)
 from nlmc.cli import MAX_GRID_POINTS, RunConfig, _grid, build_parser, main, reproduce
 
 
@@ -421,6 +428,26 @@ class TestGeneratorFile:
         code = main(["invariant", "--generator-file", str(bad), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_a_huge_integer_coefficient_is_refused_on_every_path(self, tmp_path, capsys):
+        # float() of a 400-digit integer overflows; that escaped as an OverflowError traceback.
+        with pytest.raises(ValueError, match=r"cell \(0, 1\) term 0: coefficient"):
+            GeneratorSpec(2, cells={(0, 1): [((0, 0), 10**400)]})
+        text = (
+            '{"format": "nlmc-generator", "version": 1, "dimension": 2, "cells": '
+            '[{"from": 1, "to": 2, "terms": [{"exponents": [0, 0], "coefficient": 1'
+            + "0" * 400
+            + "}]}]}"
+        )
+        with pytest.raises(GeneratorFileError, match=r"cells\[0\]\.terms\[0\]: coefficient"):
+            generator_from_json(text)
+        bad = tmp_path / "huge.json"
+        bad.write_text(text, encoding="utf-8")
+        out = tmp_path / "o.json"
+        assert main(["invariant", "--generator-file", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cells[0].terms[0]") and "Traceback" not in err
         assert not out.exists()
 
     def test_empty_two_state_file_is_refuted_with_capped_roots(self, tmp_path):

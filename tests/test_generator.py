@@ -192,6 +192,73 @@ class TestPolynomialGenerator:
         with pytest.raises(ValueError):
             GeneratorSpec(2, cells={(0, 1): [((0, 0), float("inf"))]})
 
+    @pytest.mark.parametrize(
+        ("cells", "needle", "entry"),
+        [
+            pytest.param(
+                {(0.7, 1): [((0, 0), 1.0)]},
+                r"cell \(0\.7, 1\): key",
+                {"from": 1.7, "to": 2, "terms": []},
+                id="float-key",
+            ),
+            pytest.param(
+                {(True, 0): [((0, 0), 1.0)]},
+                r"cell \(True, 0\): key",
+                {"from": True, "to": 1, "terms": []},
+                id="bool-key",
+            ),
+            pytest.param(
+                {(0, 1): [((1.5, 0), 1.0)]},
+                r"cell \(0, 1\) term 0: exponents",
+                {"from": 1, "to": 2, "terms": [{"exponents": [1.5, 0], "coefficient": 1.0}]},
+                id="float-exponent",
+            ),
+            pytest.param(
+                {(0, 1): [((True, 0), 1.0)]},
+                r"cell \(0, 1\) term 0: exponents",
+                {"from": 1, "to": 2, "terms": [{"exponents": [True, 0], "coefficient": 1.0}]},
+                id="bool-exponent",
+            ),
+            pytest.param(
+                {(0, 1): [((0, 0), "2.5")]},
+                r"cell \(0, 1\) term 0: coefficient",
+                {"from": 1, "to": 2, "terms": [{"exponents": [0, 0], "coefficient": "2.5"}]},
+                id="str-coefficient",
+            ),
+            pytest.param(
+                {(0, 1): [((0, 0), True)]},
+                r"cell \(0, 1\) term 0: coefficient",
+                {"from": 1, "to": 2, "terms": [{"exponents": [0, 0], "coefficient": True}]},
+                id="bool-coefficient",
+            ),
+            pytest.param(
+                {(0, 1): 1.0},
+                r"cell \(0, 1\): must be a list",
+                {"from": 1, "to": 2, "terms": 1.0},
+                id="cell-not-a-list",
+            ),
+            pytest.param(
+                {(0, 1): [1.0]},
+                r"cell \(0, 1\) term 0: must be an \(exponents, coefficient\) pair",
+                {"from": 1, "to": 2, "terms": [1.0]},
+                id="term-not-a-pair",
+            ),
+        ],
+    )
+    def test_cell_tables_obey_the_file_rules(self, cells, needle, entry):
+        # int() and float() used to truncate or coerce these instead of refusing them.
+        with pytest.raises(ValueError, match=needle):
+            GeneratorSpec(2, cells=cells)
+        doc = {"format": "nlmc-generator", "version": 1, "dimension": 2, "cells": [entry]}
+        with pytest.raises(GeneratorFileError, match=r"cells\[0\]"):
+            generator_from_json(json.dumps(doc))
+
+    def test_numpy_integer_keys_and_exponents_are_accepted(self):
+        key = (np.int64(0), np.int32(1))
+        spec = GeneratorSpec(2, cells={key: [((np.int64(1), np.uint8(0)), np.float64(2.0))]})
+        assert spec.cells == {(0, 1): (((1, 0), 2.0),)}
+        assert all(type(index) is int for index in next(iter(spec.cells)))
+
     def test_constant_generator_reproduces_matrix(self):
         rng = np.random.default_rng(2)
         q = random_rate_matrix(rng, 3)
@@ -660,6 +727,23 @@ class TestFileRoundTrip:
         pts = rng.dirichlet(np.ones(3), size=20)
         assert np.allclose(loaded.rates_batch(pts), spec.rates_batch(pts), atol=0.0)
 
+    def test_string_keyed_metadata_round_trips_equal(self, tmp_path):
+        metadata = {"label": "x", "a": [1, 2.5], "nested": {"z": None, "b": True}}
+        spec = GeneratorSpec(2, cells={(0, 1): [((1, 0), 2.0)]}, metadata=metadata)
+        path = tmp_path / "generator.json"
+        save_generator(spec, path)
+        assert load_generator(path).metadata == metadata
+
+    @pytest.mark.parametrize(
+        "metadata",
+        [{1: "a"}, {1: "a", "b": 2}, [("a", 1)]],
+        ids=["int-key", "mixed-keys", "list-of-pairs"],
+    )
+    def test_metadata_that_cannot_round_trip_is_refused(self, metadata):
+        # {1: "a"} loaded back as {"1": "a"}; mixed keys made the writer raise TypeError.
+        with pytest.raises(ValueError, match="metadata must be an object"):
+            GeneratorSpec(2, cells={(0, 1): [((1, 0), 2.0)]}, metadata=metadata)
+
     def test_canonical_text_ignores_cell_order(self):
         cells_one = {(0, 1): [((1, 0), 2.0)], (1, 0): [((0, 0), 1.0)]}
         cells_two = {(1, 0): [((0, 0), 1.0)], (0, 1): [((1, 0), 2.0)]}
@@ -699,8 +783,8 @@ class TestFileErrors:
             (good.replace('"nlmc-generator"', '"other-format"'), "format"),
             (good.replace('"version": 1', '"version": 2'), "version"),
             (good.replace('"dimension": 2', '"dimension": 0'), "dimension"),
-            (good.replace('"from": 1', '"from": 5'), "out of range"),
-            (good.replace('"from": 2', '"from": 1'), "diagonal"),
+            (good.replace('"from": 1', '"from": 5'), r"cells\[0\].*out of range 1\.\.2"),
+            (good.replace('"from": 2', '"from": 1'), r"cells\[1\].*diagonal"),
             (variant(metadata=[]), "metadata must be an object"),
             (variant(cells={}), "cells must be an array"),
             (variant(cells=[1]), r"cells\[0\] must be an object"),
@@ -719,15 +803,16 @@ class TestFileErrors:
                 '"metadata": {}, "cells": [{"from": 1, "to": 2, "terms": ' + terms + "}]}"
             )
 
-        with pytest.raises(GeneratorFileError, match="exponents"):
+        term = r"cells\[0\]\.terms\[0\].*"
+        with pytest.raises(GeneratorFileError, match=term + "exponents"):
             generator_from_json(doc('[{"exponents": [1], "coefficient": 1.0}]'))
-        with pytest.raises(GeneratorFileError, match="exponents"):
+        with pytest.raises(GeneratorFileError, match=term + "exponents"):
             generator_from_json(doc('[{"exponents": [1, -1], "coefficient": 1.0}]'))
-        with pytest.raises(GeneratorFileError, match="degree"):
+        with pytest.raises(GeneratorFileError, match=term + "degree"):
             generator_from_json(doc('[{"exponents": [9, 0], "coefficient": 1.0}]'))
-        with pytest.raises(GeneratorFileError, match="coefficient"):
+        with pytest.raises(GeneratorFileError, match=term + "coefficient"):
             generator_from_json(doc('[{"exponents": [1, 0], "coefficient": true}]'))
-        with pytest.raises(GeneratorFileError, match="coefficient"):
+        with pytest.raises(GeneratorFileError, match=term + "coefficient"):
             generator_from_json(doc('[{"exponents": [1, 0]}]'))
         with pytest.raises(GeneratorFileError):
             generator_from_json(doc('[{"exponents": [1, 0], "coefficient": Infinity}]'))
@@ -744,7 +829,7 @@ class TestFileErrors:
                 '{"format": "nlmc-generator", "version": 1, "dimension": 2, "cells": '
                 '[{"from": 1, "to": 2, "terms": [{"exponents": [true, false], '
                 '"coefficient": 1.0}]}]}',
-                "exponents",
+                r"cells\[0\]\.terms\[0\].*exponents",
             ),
             (
                 '{"format": "nlmc-generator", "version": 1, "dimension": true, "cells": []}',
