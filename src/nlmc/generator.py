@@ -2,9 +2,10 @@
 
 A generator maps each distribution m on {1, ..., S} to a conservative rate
 matrix Q(m): off-diagonal entries non-negative, every row summing to zero.
-Polynomial generators store only the off-diagonal cells as monomial tables;
-diagonals are derived, so conservativity holds by construction.  Built-in
-generators may instead wrap a closed-form rate function.
+Polynomial generators store only the off-diagonal cells as monomial tables and
+compile each diagonal as minus its row's cells, so conservativity holds by
+construction, up to rounding.  Built-in generators may instead wrap a
+closed-form rate function.
 """
 
 from __future__ import annotations
@@ -179,9 +180,10 @@ def _normalize_cells(dimension: int, cells: dict) -> dict[tuple[int, int], tuple
 
 
 def _compile_cells(dimension: int, cells: dict[tuple[int, int], tuple]):
-    # Exponents (1, T, S) of the distinct monomials, coefficients (T, S*S).  einsum, not @:
-    # BLAS fuses multiply-adds and takes another path for one row, so rates would depend on
-    # the batch size.  Its kernel is called directly: np.einsum's wrapper costs more than a row.
+    """Rates as sorted monomial values times one table with a column per entry of Q, each
+    diagonal column minus its row's other columns.  einsum, not @: BLAS fuses multiply-adds
+    and takes another path for one row, so rates would depend on the batch size.  Its kernel
+    is called directly: np.einsum's wrapper costs more than a row."""
     monomials = sorted({exps for terms in cells.values() for exps, _ in terms})
     column = {exps: k for k, exps in enumerate(monomials)}
     exps = np.array(monomials, dtype=float).reshape(1, len(monomials), dimension)
@@ -189,13 +191,11 @@ def _compile_cells(dimension: int, cells: dict[tuple[int, int], tuple]):
     for (i, j), terms in cells.items():
         for monomial, coefficient in terms:
             coeffs[column[monomial], i * dimension + j] += coefficient
+    coeffs[:, :: dimension + 1] = -np.add.reduce(coeffs.reshape(-1, dimension, dimension), axis=2)
 
     def batch(points: np.ndarray) -> np.ndarray:
         values = np.multiply.reduce(points[:, None, :] ** exps, axis=2)
-        flat = _einsum("nt,tk->nk", values, coeffs)
-        q = flat.reshape(-1, dimension, dimension)
-        np.negative(np.add.reduce(q, axis=2), out=flat[:, :: dimension + 1])
-        return q
+        return _einsum("nt,tk->nk", values, coeffs).reshape(-1, dimension, dimension)
 
     return batch
 
@@ -265,17 +265,19 @@ CORPUS_SUMMARY = {
 def corpus(name: str, params: dict | None = None) -> GeneratorSpec:
     """Return a named built-in generator.
 
-    ``consumer`` requires parameters ``b``, ``e``, ``eps``, ``lam`` (all
-    positive); ``oscillator`` and ``bistable`` take none.
+    ``consumer`` requires parameters ``b``, ``e``, ``eps``, ``lam``, real numbers (not str
+    or bool), positive and finite, kept as floats; ``oscillator`` and ``bistable`` take none.
     """
     params = dict(params or {})
     if name == "consumer":
         if set(params) != set(CONSUMER_PARAMS):
             got = ", ".join(sorted(map(str, params))) or "none"
             raise ValueError(f"consumer takes parameters {', '.join(CONSUMER_PARAMS)}; got {got}")
+        for k, v in params.items():  # checked before float(), which takes "1" and True
+            real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+            if not (real and 0 < v <= sys.float_info.max):  # NaN fails; no float() overflow
+                raise ValueError(f"consumer parameter {k} must be real, positive and finite")
         values = {k: float(params[k]) for k in CONSUMER_PARAMS}
-        if any(v <= 0 for v in values.values()):
-            raise ValueError("consumer parameters must be positive")
         b, e, eps, lam = (values[k] for k in CONSUMER_PARAMS)
         cells = {
             (0, 1): [((0, 0, 0), b)],

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationDivergedError
-from .generator import GeneratorSpec
+from .generator import GeneratorSpec, _einsum
 from .simplex import (
     TOL_RENORMALIZE,
     Distribution,
@@ -35,23 +35,21 @@ THINNING_BLOCK = 4096    # proposals, or bound-grid points, whose rates are held
 RTOL = 1e-8              # default error tolerances of the marginal-flow integrator
 ATOL = 1e-10
 
-# Dormand-Prince 5(4) tableau: row i holds the weights of stage i.  The last
-# stage is evaluated at the fifth-order solution itself, so its row is the
-# fifth-order weights; _DP_B4 are the embedded fourth-order weights.  Shaped
-# to broadcast against stages (7, n, S); _DP_ROWS cuts rows 1-6 to their stages.
-_DP_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-])[:, :, None, None]
-_DP_ROWS = tuple(_DP_A[i, :i] for i in range(1, 7))
-_DP_B4 = np.array(
+# Dormand-Prince 5(4) tableau: _DP_A[i - 1] holds the weights of stage i on
+# stages 0..i-1.  The last stage is evaluated at the fifth-order solution itself,
+# so its row is the fifth-order weights; _DP_E, those weights minus the embedded
+# fourth-order ones, gives the error estimate in one contraction of all 7 stages.
+_DP_A = tuple(map(np.array, (
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+)))
+_DP_E = np.append(_DP_A[-1], 0.0) - np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)[:, None, None]
+)
 
 
 @dataclass(frozen=True)
@@ -216,16 +214,16 @@ def integrate_flow(
     ``m0`` is one start ``(S,)`` or a stack of starts ``(n, S)``; all rows
     step together, each with its own step size, accept/reject decision,
     error norm, step count and stop time, and a row leaves the live set when
-    it reaches the horizon.  Stages combine element-wise in a fixed order, so
-    a row's result does not depend on the other rows of the call: one start
-    is row 0 of the same loop.  The result is one :class:`Flow` whose rows
-    are the starts (``Flow.row``); ``steps`` is their total.
+    it reaches the horizon.  Stages combine element-wise in stage order, so a
+    row's result does not depend on the other rows of the call: one start is
+    row 0 of the same loop.  The result is one :class:`Flow` whose rows are
+    the starts (``Flow.row``); ``steps`` is their total.
 
-    Adaptive Dormand-Prince 5(4): the error estimate uses the embedded
-    fourth-order weights, acceptance is against ``rtol``/``atol`` (positive
-    and finite) mixed per component, and each accepted state is projected
-    back onto the simplex (the largest repaired drift is reported on the
-    returned flow).
+    Adaptive Dormand-Prince 5(4): the error estimate is one contraction of
+    the stages with the fifth-order weights minus the embedded fourth-order
+    ones, acceptance is against ``rtol``/``atol`` (positive and finite) mixed
+    per component, and each accepted state is projected back onto the simplex
+    (the largest repaired drift is reported on the returned flow).
     """
     _check_tolerances(rtol, atol)
     _check_horizon(horizon)
@@ -254,13 +252,13 @@ def integrate_flow(
             t_next = np.where(final, horizon, t_next)
         hc = h[:, None]
         stages[0] = f
-        for i, weights in enumerate(_DP_ROWS, start=1):
-            yi = y + hc * np.add.reduce(weights * stages[:i])
+        for i, weights in enumerate(_DP_A, start=1):
+            yi = y + hc * _einsum("k,kns->ns", weights, stages[:i])
             stages[i] = spec.drift_batch(yi)
-        # yi is now the fifth-order solution.
-        y4 = y + hc * np.add.reduce(_DP_B4 * stages)
+        # yi is now the fifth-order solution; error is its distance from the fourth-order one.
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(yi))
-        err = np.sqrt(np.add.reduce(((yi - y4) / scale) ** 2, axis=1) / y.shape[1])
+        error = hc * _einsum("k,kns->ns", _DP_E, stages)
+        err = np.sqrt(np.add.reduce((error / scale) ** 2, axis=1) / y.shape[1])
         ok = err <= 1.0
         if np.logical_and.reduce(ok):
             t = t_next

@@ -4,14 +4,15 @@ Everything here is computed without touching the package internals:
 projection by bisection on the dual threshold and by the full sort and
 threshold search, simplex invariance by the tangent-cone condition,
 stationary distributions by a dense null space, matrix exponentials, naive
-monomial evaluation, the oscillator's rates cell by cell and polynomial rates
-and drifts contracted by ``np.einsum``.
+monomial evaluation, exact rates in ``fractions.Fraction``, the oscillator's
+rates cell by cell and polynomial rates and drifts contracted by ``np.einsum``.
 Values frozen in the tests were produced by these oracles.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm, null_space
@@ -112,20 +113,41 @@ def oscillator_rates_oracle(points) -> np.ndarray:
 def einsum_oracle(dimension: int, cells: dict, points) -> tuple[np.ndarray, np.ndarray]:
     """Rates ``(n, S, S)`` and drifts ``(n, S)`` of a polynomial cell table, both
     contracted by ``np.einsum`` in the generator's order: the distinct monomials
-    sorted, one coefficient column per cell, the diagonal minus the row sum."""
+    sorted, one coefficient column per entry of Q, and each diagonal column set by
+    fancy index to minus its row's off-diagonal columns, summed over the table."""
     points = np.asarray(points, dtype=float)
     s = dimension
     monomials = sorted({exps for terms in cells.values() for exps, _ in terms})
-    coeffs = np.zeros((len(monomials), s * s))
+    coeffs = np.zeros((len(monomials), s, s))
     for (i, j), terms in cells.items():
         for monomial, coefficient in terms:
-            coeffs[monomials.index(monomial), i * s + j] += coefficient
+            coeffs[monomials.index(monomial), i, j] += coefficient
+    idx = np.arange(s)
+    coeffs[:, idx, idx] = -coeffs.sum(axis=2)
     exps = np.array(monomials, dtype=float).reshape(1, len(monomials), s)
     values = np.multiply.reduce(points[:, None, :] ** exps, axis=2)
-    q = np.einsum("nt,tk->nk", values, coeffs).reshape(-1, s, s)
-    idx = np.arange(s)
-    q[:, idx, idx] = -q.sum(axis=2)
+    q = np.einsum("nt,tk->nk", values, coeffs.reshape(-1, s * s)).reshape(-1, s, s)
     return q, np.einsum("ni,nij->nj", points, q)
+
+
+def fraction_rates(dimension: int, cells: dict, point) -> tuple[list, list]:
+    """Exact rates of a cell table at a point of floats, in ``fractions.Fraction``.
+
+    Returns the S x S rates, each diagonal minus its row's cells, and per row the
+    sum of the absolute values of its terms (the scale of its rounding)."""
+    x = [Fraction(v) for v in point]
+    q = [[Fraction(0)] * dimension for _ in range(dimension)]
+    scale = [Fraction(0)] * dimension
+    for (i, j), terms in cells.items():
+        for exponents, coefficient in terms:
+            term = Fraction(coefficient)
+            for xk, e in zip(x, exponents):
+                term *= xk**e
+            q[i][j] += term
+            scale[i] += abs(term)
+    for i in range(dimension):
+        q[i][i] = -sum(q[i][j] for j in range(dimension) if j != i)
+    return q, scale
 
 
 def stays_in_simplex(states, drifts) -> bool:

@@ -387,6 +387,17 @@ class TestCertifyCommands:
         assert doc["verdict"] == "REFUTED"
         assert doc["evidence"]["uniqueness"] == "search"
 
+    @pytest.mark.parametrize("flag, name, value", [("--b", "b", "nan"), ("--lambda", "lam", "inf")])
+    def test_a_non_finite_consumer_parameter_is_named(self, flag, name, value, tmp_path, capsys):
+        # It once surfaced as the internal cell it fed, "cell (0, 1) term 0".
+        args = ["certify-unique", "--corpus", "consumer", *self.CONSUMER_ARGS, flag, value]
+        out = tmp_path / "unique.json"
+        assert main([*args, "--grid", "4", "--out", str(out)]) == 1
+        assert not out.exists()
+        (line,) = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert f"parameter {name} " in line and "positive and finite" in line
+        assert "cell (" not in line
+
 
 class TestGeneratorFile:
     def test_saved_generator_round_trips_through_the_cli(self, tmp_path):

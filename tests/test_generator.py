@@ -1,6 +1,8 @@
 """Generators: rate matrices, polynomial cells, the built-in corpus, file IO."""
 
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from nlmc.generator import CORPUS_NAMES, RATE_FLOOR, ROWSUM_TOL, _irreducible
 from helpers import (
     CONSUMER_PARAMS,
     einsum_oracle,
+    fraction_rates,
     naive_rates,
     oscillator_rates_oracle,
     random_distribution,
@@ -152,6 +155,22 @@ class TestPolynomialGenerator:
         for q, point in zip(spec.rates_batch(pts), pts):
             oracle = naive_rates(s, cells, point)
             assert np.all(np.abs(q - oracle) <= 1e-13 * np.abs(oracle))
+
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_rates_match_exact_fractions_at_rational_points(self, s):
+        # Dyadic points are exact floats: on the simplex, then off-simplex probes.
+        rng = np.random.default_rng(50 + s)
+        for _ in range(4):
+            cells = random_polynomial_cells(rng, s)  # S = 1 has no cells
+            spec = GeneratorSpec(s, cells=cells)
+            on = rng.multinomial(1024, np.ones(s) / s, size=5) / 1024.0
+            off = rng.integers(-512, 1536, size=(5, s)) / 1024.0
+            for point, q in zip(np.vstack([on, off]), spec.rates_batch(np.vstack([on, off]))):
+                exact, scale = fraction_rates(s, cells, point)
+                for i in range(s):
+                    assert sum(exact[i]) == 0
+                    for j in range(s):
+                        assert abs(Fraction(q[i, j]) - exact[i][j]) <= 1e-13 * scale[i]
 
     @pytest.mark.parametrize("spec", ROW_CASES)
     def test_a_point_gets_the_same_bits_alone_as_in_a_batch(self, spec):
@@ -298,12 +317,18 @@ class TestStridedDiagonal:
     @pytest.mark.parametrize("s", range(1, 6))
     @pytest.mark.parametrize("n", [0, 1, 7])
     def test_rates_match_fancy_index_diagonal_bitwise(self, s, n):
+        # A polynomial diagonal is compiled into the coefficient table, so the oracle
+        # sets it there by fancy index (einsum_oracle) rather than in the rates.  It is
+        # summed from the finished table, so the order of the cells cannot round it.
         rng = np.random.default_rng(100 * s + n)
         for _ in range(5):
-            spec = GeneratorSpec(s, cells=random_polynomial_cells(rng, s))
-            q = spec.rates_batch(rng.dirichlet(np.ones(s), size=n).reshape(n, s))
-            assert q.shape == (n, s, s)
-            assert q.tobytes() == self._fancy_index_oracle(q).tobytes()
+            cells = random_polynomial_cells(rng, s)
+            points = rng.dirichlet(np.ones(s), size=n).reshape(n, s)
+            oracle = einsum_oracle(s, cells, points)[0]
+            for table in (cells, dict(reversed(cells.items()))):
+                q = GeneratorSpec(s, cells=table).rates_batch(points)
+                assert q.shape == (n, s, s)
+                assert q.tobytes() == oracle.tobytes()
 
     @pytest.mark.parametrize("n", [0, 1, 7])
     def test_oscillator_matches_fancy_index_diagonal_bitwise(self, n):
@@ -450,12 +475,24 @@ class TestCorpus:
             corpus("consumer", {**CONSUMER_PARAMS, "extra": 2.0})
         with pytest.raises(ValueError):
             corpus("consumer", {**CONSUMER_PARAMS, "b": -1.0})
+        for value in (math.nan, math.inf, -math.inf, 0, 10**400):
+            with pytest.raises(ValueError, match="parameter eps must be real, positive and finite"):
+                corpus("consumer", {**CONSUMER_PARAMS, "eps": value})
+        # float() would take these; a parameter must be a number already.
+        for value in ("1", True, np.True_):
+            with pytest.raises(ValueError, match="parameter lam must be real"):
+                corpus("consumer", {**CONSUMER_PARAMS, "lam": value})
         with pytest.raises(ValueError):
             corpus("oscillator", {"b": 1.0})
         with pytest.raises(ValueError):
             corpus("bistable", {"b": 1.0})
         with pytest.raises(ValueError):
             corpus("unknown-name")
+
+    def test_integer_consumer_parameters_are_stored_as_floats(self):
+        spec = corpus("consumer", {"b": 1, "e": np.int64(2), "eps": 0.1, "lam": 1})
+        assert spec.generator_id == "builtin:consumer(b=1.0, e=2.0, eps=0.1, lam=1.0)"
+        assert all(type(v) is float for v in spec.params.values())
 
     def test_bistable_rates_at_known_points(self):
         spec = corpus("bistable")

@@ -8,6 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import nlmc.semigroup
 from nlmc import (
@@ -28,13 +29,18 @@ from nlmc import (
 
 from helpers import (
     CONSUMER_PARAMS,
+    bistable_scalar_drift,
     expm_oracle,
+    naive_rates,
+    oscillator_rates_oracle,
+    random_polynomial_cells,
     random_rate_matrix,
     stationary_oracle,
     stays_in_simplex,
 )
 
 TIGHT = {"rtol": 1e-10, "atol": 1e-12}
+SKEWED_CONSUMER = corpus("consumer", {"b": 2.0, "e": 3.0, "eps": 0.05, "lam": 0.5})
 
 
 def _two_state_closed_form(a, b, m10, t):
@@ -91,6 +97,39 @@ class TestIntegrateFlow:
         flow = integrate_flow(spec, m0, 5.0, **TIGHT)
         for t in (0.5, 1.0, 2.5, 5.0):
             assert float(np.max(np.abs(flow.at_many([t])[0] - expm_oracle(q, m0, t)))) < 1e-8
+
+    @pytest.mark.parametrize(
+        "spec, drift, m0, horizon",
+        [
+            pytest.param(
+                SKEWED_CONSUMER, lambda m: m @ naive_rates(3, SKEWED_CONSUMER.cells, m),
+                (0.2, 0.3, 0.5), 20.0, id="consumer",
+            ),
+            pytest.param(
+                corpus("bistable"), lambda m: bistable_scalar_drift(m[0]) * np.array([1.0, -1.0]),
+                (0.3, 0.7), 50.0, id="bistable-low",
+            ),
+            pytest.param(
+                corpus("bistable"), lambda m: bistable_scalar_drift(m[0]) * np.array([1.0, -1.0]),
+                (0.7, 0.3), 50.0, id="bistable-high",
+            ),
+            pytest.param(
+                corpus("oscillator"), lambda m: m @ oscillator_rates_oracle(m[None])[0],
+                (0.2, 0.4, 0.4), 2.0 * math.pi, id="oscillator",
+            ),
+        ],
+    )
+    def test_nonlinear_flows_match_a_tight_reference_solution(self, spec, drift, m0, horizon):
+        # The reference integrates the helpers' drifts, not the generator's compiled
+        # rates, with scipy's DOP853 at rtol 1e-13.
+        reference = solve_ivp(
+            lambda t, m: drift(m), (0.0, horizon), m0, method="DOP853",
+            rtol=1e-13, atol=1e-15, dense_output=True,
+        ).sol
+        flow = integrate_flow(spec, m0, horizon)
+        assert float(np.max(np.abs(flow.ys - reference(flow.ts).T))) <= 1e-8
+        trajectory = evolve(spec, m0, horizon)
+        assert float(np.max(np.abs(trajectory.states - reference(trajectory.times).T))) <= 5e-7
 
     def test_flow_bookkeeping(self):
         spec = corpus("bistable")
@@ -220,6 +259,20 @@ class TestFlowRows:
             alone = evolve(spec, start, horizon)
             assert trajectory.to_csv_text() == alone.to_csv_text()
             assert trajectory.max_drift == alone.max_drift
+
+    @pytest.mark.parametrize("s", range(2, 7))
+    def test_rows_keep_their_bits_in_stacks_of_every_height(self, s):
+        # The stage sums contract all rows at once; their order must not depend on
+        # the shape of the stack.
+        rng = np.random.default_rng(60 + s)
+        spec = GeneratorSpec(s, cells=random_polynomial_cells(rng, s))
+        starts = rng.dirichlet(np.ones(s), size=33)
+        alone = [integrate_flow(spec, start, 1.0) for start in starts]
+        for height in (2, 7, 33):
+            flow = integrate_flow(spec, starts[:height], 1.0)
+            for i in range(height):
+                for name in ("ts", "ys", "fs"):
+                    assert getattr(flow.row(i), name).tobytes() == getattr(alone[i], name).tobytes()
 
     def test_one_start_is_a_one_row_flow(self):
         spec = corpus("bistable")
