@@ -39,6 +39,7 @@ SCAN_MARGIN_TOL = 1e-10
 ROOT_REFINE_TOL = 1e-12
 ZERO_DRIFT_TOL = 1e-12
 DEFAULT_SCAN_RESOLUTION = 10_000
+MAX_SCAN_RESOLUTION = 1_000_000  # 8 MB per float array of the scan
 
 CLAIM_UNIQUE = "unique-invariant-distribution"
 CLAIM_ERGODIC = "strong-ergodicity"
@@ -114,15 +115,12 @@ def build_M(spec: GeneratorSpec, m) -> np.ndarray:
     scaled by (1 + ||u||).  Requires the frozen chain to be irreducible at
     ``m`` and at every probe point, else :class:`CertificateEvaluationError`.
     """
-    arr = m.probs if isinstance(m, Distribution) else np.asarray(m, dtype=float)
-    s = spec.dimension
-    if arr.shape != (s,):
-        raise ValueError(f"point of shape {arr.shape} does not match dimension {s}")
+    arr = np.asarray(m, dtype=float)
     if not _irreducible(spec.rates(arr)[None])[0]:
         raise CertificateEvaluationError(
             f"frozen chain is reducible at {tuple(float(x) for x in arr)}"
         )
-    return _chart_jacobian(lambda rows: _defects(spec, rows), arr[None, : s - 1], FD_STEP)[0]
+    return _chart_jacobian(lambda rows: _defects(spec, rows), arr[None, :-1], FD_STEP)[0]
 
 
 def _defects(spec: GeneratorSpec, rows: np.ndarray) -> np.ndarray:
@@ -194,8 +192,8 @@ def certify_unique(spec: GeneratorSpec, grid: SimplexGrid) -> Certificate:
     frozen chain anywhere is REFUTED (precondition); a near-zero or
     sign-flipping determinant is INCONCLUSIVE.
     """
-    spec.require_valid()
     grid = _sweep_grid(spec, grid)
+    spec.require_valid()
     verdict = _verdicts(
         CLAIM_UNIQUE,
         spec,
@@ -278,12 +276,20 @@ def _bisect_rows(spec: GeneratorSpec, a: np.ndarray, b: np.ndarray, fa: np.ndarr
     return 0.5 * (a + b)
 
 
+def _check_scan(scan: int) -> None:
+    if not (_is_int(scan) and 10 <= scan <= MAX_SCAN_RESOLUTION):
+        raise ValueError(
+            f"scan resolution must be an integer in 10..{MAX_SCAN_RESOLUTION}, got {scan!r}"
+        )
+
+
 def certify_ergodic_2(
     spec: GeneratorSpec, scan_resolution: int = DEFAULT_SCAN_RESOLUTION
 ) -> Certificate:
     """Ergodicity certificate for two states.
 
-    Scans the scalar drift on a uniform grid over [0, 1], refines every
+    Scans the scalar drift on a uniform grid of ``scan_resolution`` intervals
+    (an integer in 10..``MAX_SCAN_RESOLUTION``) over [0, 1], refines every
     sign change by bisection, and requires exactly one root with the drift
     uniformly positive to its left and negative to its right (margins
     recorded).  Multiple roots refute ergodicity outright, since each is a
@@ -292,10 +298,7 @@ def certify_ergodic_2(
     """
     if spec.dimension != 2:
         raise ValueError("this certificate requires a two-state generator")
-    if not (_is_int(scan_resolution) and scan_resolution >= 10):
-        raise ValueError(
-            f"scan_resolution must be an integer of at least 10, got {scan_resolution!r}"
-        )
+    _check_scan(scan_resolution)
     spec.require_valid()
     xs = np.linspace(0.0, 1.0, scan_resolution + 1)
     vals = _chart_drift(spec, xs[:, None])[:, 0]

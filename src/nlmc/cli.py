@@ -21,7 +21,9 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .certify import DEFAULT_SCAN_RESOLUTION, certify_ergodic_2, certify_ergodic_3, certify_unique
+from .certify import (
+    DEFAULT_SCAN_RESOLUTION, _check_scan, certify_ergodic_2, certify_ergodic_3, certify_unique,
+)
 from .errors import NlmcError
 from .generator import (
     CONSUMER_PARAMS,
@@ -32,14 +34,14 @@ from .generator import (
     load_generator,
 )
 from .semigroup import (
-    ATOL, RTOL, _check_horizon, _check_sample_every, _check_tolerances, evolve, sample_path,
+    ATOL, RTOL, _check_horizon, _check_sample_every, _check_seed, _check_tolerances, evolve,
+    sample_path,
 )
 from .simplex import SimplexGrid, _write_text
 from .stationary import find_invariant
 
 MAX_GRID_RESOLUTION = 200
 MAX_GRID_POINTS = math.comb(MAX_GRID_RESOLUTION + 2, 2)  # the largest three-state grid
-MAX_SCAN_RESOLUTION = 1_000_000
 
 _DEFAULT_OUT = {
     "simulate": "trajectory.csv",
@@ -49,6 +51,7 @@ _DEFAULT_OUT = {
     "certify-ergodic": "certificate_ergodic.json",
 }
 
+FIGURES = ("fig1", "fig2")
 _FIG2_STARTS = (0.05, 0.2, 0.3, 0.45, 0.55, 0.6, 0.7, 0.9)
 _FIG2_HORIZON = 50.0
 _FIG2_LIMITS = (0.25, 0.75)
@@ -98,12 +101,10 @@ class RunConfig:
         _check_tolerances(self.rtol, self.atol)
         if not (1 <= self.grid_resolution <= MAX_GRID_RESOLUTION):
             raise ValueError(f"grid resolution must lie in 1..{MAX_GRID_RESOLUTION}")
-        if not (10 <= self.scan_resolution <= MAX_SCAN_RESOLUTION):
-            raise ValueError(f"scan resolution must lie in 10..{MAX_SCAN_RESOLUTION}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.command == "reproduce" and self.figure not in ("fig1", "fig2"):
-            raise ValueError("reproduce requires a figure: fig1 or fig2")
+        _check_scan(self.scan_resolution)
+        _check_seed(self.seed)
+        if self.command == "reproduce" and self.figure not in FIGURES:
+            raise ValueError(f"reproduce requires a figure: {' or '.join(FIGURES)}")
 
 
 def _load_spec(config: RunConfig) -> GeneratorSpec:
@@ -121,16 +122,6 @@ def _grid(spec: GeneratorSpec, config: RunConfig) -> SimplexGrid:
     return SimplexGrid(s, k)
 
 
-def _check_start(spec: GeneratorSpec, config: RunConfig) -> tuple[float, ...]:
-    """The run's ``--m0``, checked with ``--initial-state`` against the generator's states."""
-    s = spec.dimension
-    if len(config.m0) != s:
-        raise ValueError(f"--m0 has {len(config.m0)} entries but the generator has {s} states")
-    if config.initial_state is not None and not 0 <= config.initial_state < s:
-        raise ValueError(f"--initial-state must lie in 1..{s}, got {config.initial_state + 1}")
-    return config.m0
-
-
 def run(config: RunConfig) -> int:
     """Execute one validated CLI invocation; returns the process exit code."""
     if config.command == "corpus-list":
@@ -146,9 +137,8 @@ def run(config: RunConfig) -> int:
     out = config.out or _DEFAULT_OUT[config.command]
 
     if config.command == "simulate":
-        m0 = _check_start(spec, config)
         trajectory = evolve(
-            spec, m0, config.horizon, rtol=config.rtol, atol=config.atol,
+            spec, config.m0, config.horizon, rtol=config.rtol, atol=config.atol,
             sample_every=config.sample_every,
         )
         trajectory.to_csv(out)
@@ -158,9 +148,12 @@ def run(config: RunConfig) -> int:
         return 0
 
     if config.command == "sample":
-        m0 = _check_start(spec, config)
+        s = spec.dimension  # sample_path checks --m0; this check speaks 1-based
+        if config.initial_state is not None and not 0 <= config.initial_state < s:
+            raise ValueError(f"--initial-state must lie in 1..{s}, got {config.initial_state + 1}")
         path = sample_path(
-            spec, m0, initial_state=config.initial_state, horizon=config.horizon, seed=config.seed
+            spec, config.m0, initial_state=config.initial_state, horizon=config.horizon,
+            seed=config.seed,
         )
         path.to_csv(out)
         print(f"wrote {out} ({path.jump_count} jumps, seed {config.seed})")
@@ -234,7 +227,7 @@ def reproduce(figure: str, outdir: str = ".") -> list[str]:
         )
         written.append(summary)
         return written
-    raise ValueError(f"unknown figure {figure!r}; choose fig1 or fig2")
+    raise ValueError(f"unknown figure {figure!r}; choose {' or '.join(FIGURES)}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -288,7 +281,7 @@ _FLAGS = {
     "--scan": dict(dest="scan_resolution", type=int),
     "--out": {},
     "--outdir": {},
-    "figure": dict(choices=("fig1", "fig2")),
+    "figure": dict(choices=FIGURES),
 }
 
 _GENERATOR_FLAGS = "--corpus --generator-file --b --e --eps --lambda"

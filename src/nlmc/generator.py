@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeneratorEvaluationError, GeneratorFileError
-from .simplex import Distribution, SimplexGrid, _is_int, _write_text
+from .simplex import SimplexGrid, _check_states, _is_int, _write_text
 
 try:  # numpy's einsum kernel; np.einsum(..., optimize=False) returns exactly its result
     from numpy._core.multiarray import c_einsum as _einsum
@@ -90,8 +90,9 @@ class GeneratorSpec:
     def rates_batch(self, points) -> np.ndarray:
         """Raw rate arrays, shape (n, S, S), for points given as rows (n, S)."""
         arr = np.asarray(points, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != self.dimension:
-            raise ValueError(f"expected points of shape (n, {self.dimension}), got {arr.shape}")
+        if arr.ndim != 2:
+            raise ValueError(f"points must be rows (n, {self.dimension}), got shape {arr.shape}")
+        _check_states("points", arr.shape[1], self.dimension)
         out = self._batch(arr)
         if not np.logical_and.reduce(np.isfinite(out), axis=None):
             raise GeneratorEvaluationError(f"{self.describe()} produced non-finite rates")
@@ -99,13 +100,11 @@ class GeneratorSpec:
 
     def rates(self, m) -> np.ndarray:
         """Raw S x S rate array at one point (no conservativity checks)."""
-        arr = m.probs if isinstance(m, Distribution) else np.asarray(m, dtype=float)
-        return self.rates_batch(arr[None, :])[0]
+        return self.rates_batch(np.asarray(m, dtype=float)[None])[0]
 
     def drift(self, m) -> np.ndarray:
         """Marginal drift f(m) with components f_j = sum_i m_i Q_ij(m)."""
-        arr = m.probs if isinstance(m, Distribution) else np.asarray(m, dtype=float)
-        return self.drift_batch(arr[None])[0]
+        return self.drift_batch(np.asarray(m, dtype=float)[None])[0]
 
     def drift_batch(self, points) -> np.ndarray:
         """Marginal drifts, shape (n, S), for points given as rows (n, S)."""
@@ -323,10 +322,7 @@ def _sweep_grid(spec: GeneratorSpec, grid: SimplexGrid | None = None) -> Simplex
     resolution-``VALIDATION_RESOLUTION`` grid."""
     if grid is None:
         return SimplexGrid(spec.dimension, VALIDATION_RESOLUTION)
-    if grid.dimension != spec.dimension:
-        raise ValueError(
-            f"grid dimension {grid.dimension} does not match generator dimension {spec.dimension}"
-        )
+    _check_states("grid", grid.dimension, spec.dimension)
     return grid
 
 

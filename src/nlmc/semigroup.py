@@ -18,11 +18,7 @@ import numpy as np
 from .errors import IntegrationDivergedError
 from .generator import GeneratorSpec, _einsum
 from .simplex import (
-    TOL_RENORMALIZE,
-    Distribution,
-    SimplexGrid,
-    _is_int,
-    _project_array,
+    TOL_RENORMALIZE, Distribution, SimplexGrid, _check_states, _is_int, _project_array, _rows,
     _write_text,
 )
 
@@ -190,14 +186,9 @@ def _check_horizon(horizon: float) -> None:
         raise ValueError(f"horizon must lie in (0, {MAX_HORIZON:g}], got {horizon!r}")
 
 
-def _as_state(m) -> np.ndarray:
-    if isinstance(m, Distribution):
-        return m.probs.copy()
-    return Distribution(m).probs.copy()
-
-
-def _is_one_start(m0) -> bool:
-    return isinstance(m0, Distribution) or np.ndim(m0) == 1
+def _check_seed(seed) -> None:
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _check_tolerances(rtol: float, atol: float) -> None:
@@ -211,12 +202,13 @@ def integrate_flow(
 ) -> Flow:
     """Integrate the marginal flow from each start in ``m0`` over [0, horizon].
 
-    ``m0`` is one start ``(S,)`` or a stack of starts ``(n, S)``; all rows
-    step together, each with its own step size, accept/reject decision,
-    error norm, step count and stop time, and a row leaves the live set when
-    it reaches the horizon.  Stages combine element-wise in stage order, so a
-    row's result does not depend on the other rows of the call: one start is
-    row 0 of the same loop.  The result is one :class:`Flow` whose rows are
+    ``m0`` is one start ``(S,)`` or a stack of starts ``(n, S)``, each read as
+    a :class:`Distribution`; a wrong state count is refused before any work.
+    All rows step together, each with its own step size, accept/reject
+    decision, error norm, step count and stop time, and a row leaves the live
+    set when it reaches the horizon.  Stages combine element-wise in stage
+    order, so a row's result does not depend on the other rows of the call:
+    one start is row 0 of the same loop.  The result is one :class:`Flow` whose rows are
     the starts (``Flow.row``); ``steps`` is their total.
 
     Adaptive Dormand-Prince 5(4): the error estimate is one contraction of
@@ -225,13 +217,10 @@ def integrate_flow(
     per component, and each accepted state is projected back onto the simplex
     (the largest repaired drift is reported on the returned flow).
     """
+    y = _rows(m0, spec.dimension, "m0")
     _check_tolerances(rtol, atol)
     _check_horizon(horizon)
     spec.require_valid()
-    starts = [m0] if _is_one_start(m0) else list(m0)
-    if not starts:
-        raise ValueError("at least one start is required")
-    y = np.array([_as_state(m) for m in starts])
     n = y.shape[0]
     f = spec.drift_batch(y)
     # The live rows, as indices of the starts; a row leaves when it reaches the horizon.
@@ -351,7 +340,7 @@ def evolve(
         states, _ = _project_array(row.at_many(times))
         states.flags.writeable = False
         trajectories.append(Trajectory(spec.generator_id, times, states, row.max_drift))
-    return trajectories[0] if _is_one_start(m0) else trajectories
+    return trajectories[0] if np.ndim(m0) == 1 else trajectories
 
 
 def thinning_bound(spec: GeneratorSpec) -> float:
@@ -387,15 +376,15 @@ def sample_path(
     follows ``flow`` when given (one row from ``m0`` for the same generator,
     covering ``horizon``), else ``integrate_flow`` at the default tolerances;
     pass ``flow=integrate_flow(spec, m0, horizon, rtol=..., atol=...)`` to
-    sample under other tolerances.
+    sample under other tolerances.  An ``m0`` on the wrong state count is refused first.
     """
+    m0_arr = Distribution(m0).probs
+    _check_states("m0", m0_arr.size, spec.dimension)
     _check_horizon(horizon)
-    m0_arr = _as_state(m0)
     s = spec.dimension
     if initial_state is not None and not (_is_int(initial_state) and 0 <= initial_state < s):
         raise ValueError(f"initial_state must be an integer in 0..{s - 1}, got {initial_state!r}")
-    if not (_is_int(seed) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_seed(seed)
     spec.require_valid()
     base = thinning_bound(spec)
     _check_proposals(base, horizon)

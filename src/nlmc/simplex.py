@@ -1,6 +1,7 @@
 """Probability-simplex primitives: points, lattice grids, projection, the chart.
 
-Three tolerance tiers are used throughout the package:
+It owns point input (:func:`_rows`; :func:`_check_states` words a wrong state count). Three
+tolerance tiers are used throughout the package:
 
 * ``TOL_MEMBERSHIP`` (1e-12) is representation noise: a stored point may carry
   entries this far below zero and is still treated as on-simplex.
@@ -30,12 +31,16 @@ class Distribution:
     Entries are validated to be finite and no more than ``TOL_MEMBERSHIP``
     below zero, tiny negatives are clamped to zero, and the vector is
     renormalized provided its mass is within ``TOL_RENORMALIZE`` of one.
-    The stored array is read-only.
+    The stored array is read-only and is what ``np.asarray(d)`` returns (``np.array(d)`` copies);
+    a ``Distribution`` argument keeps its own, as renormalizing again can move the last bits.
     """
 
     __slots__ = ("probs",)
 
     def __init__(self, probs) -> None:
+        if isinstance(probs, Distribution):
+            self.probs = probs.probs
+            return
         v = np.array(probs, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise ValueError(f"distribution must be a non-empty 1-d vector, got shape {v.shape}")
@@ -58,6 +63,11 @@ class Distribution:
 
     def __len__(self) -> int:
         return self.probs.size
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        # Written for numpy 1.x too, whose np.array refuses copy=None.
+        arr = self.probs if dtype is None else self.probs.astype(dtype, copy=False)
+        return arr.copy() if copy else arr
 
     def __getitem__(self, index):
         return self.probs[index]
@@ -114,6 +124,26 @@ class SimplexGrid:
 
     def __iter__(self):
         return iter(self.points)
+
+
+def _check_states(what: str, n: int, s: int) -> None:
+    """Refuse ``what`` on ``n`` states for a generator on ``s``: the one wording."""
+    if n != s:
+        raise ValueError(f"{what} on {n} states does not match the generator's {s} states")
+
+
+def _rows(points, dimension: int, what: str) -> np.ndarray:
+    """``points`` as rows ``(n, S)`` on ``dimension`` states: a :class:`SimplexGrid`'s own array
+    (named ``grid``), else one point ``(S,)`` or each of a stack or iterable as a Distribution."""
+    if isinstance(points, SimplexGrid):
+        _check_states("grid", points.dimension, dimension)
+        return points.array
+    one = np.ndim(points) == 1 and len(points) > 0  # [] holds no point
+    rows = np.array([Distribution(p).probs for p in ([points] if one else points)])
+    if rows.size == 0:
+        raise ValueError(f"{what} must hold at least one point")
+    _check_states(what, rows.shape[1], dimension)
+    return rows
 
 
 def _is_int(value) -> bool:

@@ -25,7 +25,7 @@ from .errors import NumericalError, ReducibleGeneratorError
 from .generator import GeneratorSpec, _irreducible
 from .semigroup import integrate_flow
 from .simplex import (
-    FD_STEP, Distribution, SimplexGrid, _chart_drift, _chart_embed, _chart_jacobian, _project_array,
+    FD_STEP, Distribution, _chart_drift, _chart_embed, _chart_jacobian, _project_array, _rows,
     _write_text,
 )
 
@@ -91,8 +91,7 @@ class StationarySet:
 
 def residual(spec: GeneratorSpec, m) -> float:
     """Invariance defect ||m^T Q(m)||_inf."""
-    arr = m.probs if isinstance(m, Distribution) else np.asarray(m, dtype=float)
-    return float(np.max(np.abs(spec.drift(arr))))
+    return float(np.max(np.abs(spec.drift(m))))
 
 
 def frozen_stationary(spec: GeneratorSpec, m) -> Distribution:
@@ -103,12 +102,9 @@ def frozen_stationary(spec: GeneratorSpec, m) -> Distribution:
     linear solve must reproduce x Q(m) = 0 to within 1e-12 times the
     largest rate magnitude, or 1e-12 where every rate is at most 1.
     """
-    arr = m.probs if isinstance(m, Distribution) else np.asarray(m, dtype=float)
-    q = spec.rates(arr)
+    q = spec.rates(m)
     if not _irreducible(q[None])[0]:
-        raise ReducibleGeneratorError(
-            f"{spec.describe()} is reducible at {tuple(float(x) for x in arr)}"
-        )
+        raise ReducibleGeneratorError(f"{spec.describe()} is reducible at {tuple(map(float, m))}")
     x = _frozen_solve(q[None])[0]
     defect = float(np.max(np.abs(x @ q)))
     allowed = FROZEN_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(q))))
@@ -149,21 +145,13 @@ def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def find_invariant(spec: GeneratorSpec, seeds) -> StationarySet:
     """Search for every invariant distribution reachable from ``seeds``.
 
-    ``seeds`` is a :class:`SimplexGrid` or an iterable of distributions.
+    ``seeds`` is a :class:`SimplexGrid`, used as it is, or distributions (one,
+    a stack or an iterable); a wrong state count is refused before any work.
     Converged points closer than ``CLUSTER_RADIUS`` in max norm are merged;
     each cluster records the row indices of the seeds that reached it.
     """
+    rows = _rows(seeds, spec.dimension, "seeds")
     spec.require_valid()
-    if isinstance(seeds, SimplexGrid):
-        rows = seeds.array
-    else:
-        rows = np.array(
-            [s.probs if isinstance(s, Distribution) else Distribution(s).probs for s in seeds]
-        )
-    if rows.shape[0] == 0:
-        raise ValueError("at least one seed is required")
-    if rows.shape[1:] != (spec.dimension,):
-        raise ValueError(f"seeds of shape {rows.shape[1:]} do not match dimension {spec.dimension}")
 
     outcomes = _land(spec, rows)
     clusters = _cluster(outcomes, spec.dimension)

@@ -379,6 +379,18 @@ class TestCertifyErgodicTwoStates:
         with pytest.raises(ValueError):
             certify_ergodic_2(corpus("bistable"), scan_resolution=5)
 
+    @pytest.mark.parametrize("scan", [10**9, 1_000_001])
+    def test_scan_resolution_is_capped_before_any_work(self, scan, monkeypatch):
+        # A 10^9-interval scan would hold about 8 GB per float array.
+        def no_work():
+            raise AssertionError("worked before checking the scan resolution")
+
+        spec = corpus("bistable")
+        monkeypatch.setattr(spec, "require_valid", no_work)
+        message = rf"^scan resolution must be an integer in 10\.\.1000000, got {scan}$"
+        with pytest.raises(ValueError, match=message):
+            certify_ergodic_2(spec, scan)
+
     @pytest.mark.parametrize("scan", [1e4, 10.5, True, "37"])
     def test_scan_resolution_must_be_an_integer(self, scan):
         with pytest.raises(ValueError, match="must be an integer"):

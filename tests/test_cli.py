@@ -104,6 +104,19 @@ class TestSimulate:
         assert err.startswith("error:")
         assert "2 states" in err
 
+    def test_sample_refuses_an_m0_of_another_length_before_the_thinning_bound(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_bound(spec):
+            raise AssertionError("built the thinning bound before checking --m0")
+
+        monkeypatch.setattr(nlmc.semigroup, "thinning_bound", no_bound)
+        consumer = ["--corpus", "consumer", "--b", "1", "--e", "1", "--eps", "0.1", "--lambda", "1"]
+        out = str(tmp_path / "p.csv")
+        assert main(["sample", *consumer, "--m0", "0.5,0.5", "--horizon", "1", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: m0 on 2 states does not match the generator's 3 states\n"
+
     def test_oversampled_run_is_refused_before_integrating(self, tmp_path, capsys, monkeypatch):
         # 1e6 / 1e-3 asks for 10^9 rows, about 8 GB per array.
         def no_integration(*args, **kwargs):

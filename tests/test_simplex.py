@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import nlmc
 from nlmc import (
     Distribution,
     IntegrationDivergedError,
@@ -387,3 +388,89 @@ class TestChartJacobian:
         # of the embedding is a unit vector or the all -1 row.
         assert np.allclose(jac, np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), atol=1e-9)
         assert np.allclose(_chart_embed(self.ROWS).sum(axis=1), 1.0, atol=1e-15)
+
+
+# Every entry point that takes points, called with 3-state input on the 2-state
+# bistable generator, and the name its refusal gives that input.  The entries of
+# _WORKING go on to validate, evaluate rates or integrate once the input is read.
+_THREE = (0.2, 0.3, 0.5)
+_WRONG_STATE_COUNT = {
+    "integrate_flow": ("m0", lambda spec: nlmc.integrate_flow(spec, _THREE, 1.0)),
+    "integrate_flow-stack": ("m0", lambda spec: nlmc.integrate_flow(spec, [_THREE, _THREE], 1.0)),
+    "evolve": ("m0", lambda spec: nlmc.evolve(spec, _THREE, 1.0)),
+    "sample_path": ("m0", lambda spec: nlmc.sample_path(spec, _THREE, horizon=1.0)),
+    "sample_path-flow": ("m0", lambda spec: nlmc.sample_path(
+        spec, _THREE, horizon=1.0, flow=_BISTABLE_FLOW
+    )),
+    "find_invariant-seeds": ("seeds", lambda spec: nlmc.find_invariant(spec, [_THREE])),
+    "find_invariant-grid": ("grid", lambda spec: nlmc.find_invariant(spec, SimplexGrid(3, 4))),
+    "build_M": ("points", lambda spec: nlmc.build_M(spec, _THREE)),
+    "frozen_stationary": ("points", lambda spec: nlmc.frozen_stationary(spec, _THREE)),
+    "residual": ("points", lambda spec: nlmc.residual(spec, _THREE)),
+    "rates": ("points", lambda spec: spec.rates(_THREE)),
+    "drift": ("points", lambda spec: spec.drift(Distribution(_THREE))),
+    "validate": ("grid", lambda spec: nlmc.validate(spec, SimplexGrid(3, 4))),
+    "certify_unique": ("grid", lambda spec: nlmc.certify_unique(spec, SimplexGrid(3, 4))),
+}
+_BISTABLE_FLOW = nlmc.integrate_flow(corpus("bistable"), (0.5, 0.5), 1.0)
+_WORKING = ["integrate_flow", "integrate_flow-stack", "evolve", "sample_path",
+            "sample_path-flow", "find_invariant-seeds", "find_invariant-grid"]
+
+
+class TestPointInput:
+    @pytest.mark.parametrize("entry", list(_WRONG_STATE_COUNT))
+    def test_a_wrong_state_count_is_refused_in_one_wording(self, entry):
+        what, call = _WRONG_STATE_COUNT[entry]
+        message = f"^{what} on 3 states does not match the generator's 2 states$"
+        with pytest.raises(ValueError, match=message):
+            call(corpus("bistable"))
+
+    @pytest.mark.parametrize("entry", _WORKING)
+    def test_a_wrong_state_count_is_refused_before_any_work(self, entry, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked before checking the state count")
+
+        monkeypatch.setattr(nlmc.generator, "validate", no_work)
+        monkeypatch.setattr(nlmc.generator.GeneratorSpec, "rates_batch", no_work)
+        monkeypatch.setattr(nlmc.semigroup, "thinning_bound", no_work)
+        monkeypatch.setattr(nlmc.stationary, "integrate_flow", no_work)
+        if entry.startswith("sample_path"):
+            monkeypatch.setattr(nlmc.semigroup, "integrate_flow", no_work)
+        what, call = _WRONG_STATE_COUNT[entry]
+        with pytest.raises(ValueError, match=f"^{what} on 3 states"):
+            call(corpus("bistable"))
+
+    def test_numpy_reads_a_distribution_as_its_probs_without_a_copy(self):
+        d = Distribution((0.2, 0.3, 0.5))
+        assert np.asarray(d) is d.probs
+        assert np.asarray(d, dtype=float) is d.probs
+        copied = np.array(d)
+        assert np.array_equal(copied, d.probs) and not np.shares_memory(copied, d.probs)
+        copied /= 2.0  # the copy is the caller's to write; the stored array is read-only
+        assert not np.asarray(d).flags.writeable
+        assert np.asarray(d, dtype=np.float32).dtype == np.float32
+        # Called the way numpy 1.x calls it (dtype only), with no copy keyword.
+        assert d.__array__() is d.probs and d.__array__(float) is d.probs
+
+    def test_a_distribution_passes_through_bit_for_bit(self):
+        # Renormalizing the numbers of a stored point again moves the last bits
+        # of some points; a Distribution argument keeps its own.
+        rng = np.random.default_rng(0)
+        points = [Distribution(p) for p in rng.dirichlet(np.ones(3), 2000)]
+        moved = [d for d in points if not np.array_equal(Distribution(d.probs).probs, d.probs)]
+        assert len(moved) > 50
+        spec = corpus("consumer", CONSUMER_PARAMS)
+        for d in moved[:20]:
+            assert Distribution(d).probs.tobytes() == d.probs.tobytes()
+            assert nlmc.integrate_flow(spec, d, 0.1).ys[0].tobytes() == d.probs.tobytes()
+        flow = nlmc.integrate_flow(spec, moved[:20], 0.1)
+        starts = flow.ys[list(flow.offsets[:-1])]
+        assert starts.tobytes() == np.array([d.probs for d in moved[:20]]).tobytes()
+
+    def test_an_empty_stack_is_refused(self):
+        for call in (
+            lambda spec: nlmc.integrate_flow(spec, [], 1.0),
+            lambda spec: nlmc.find_invariant(spec, np.empty((0, 2))),
+        ):
+            with pytest.raises(ValueError, match="must hold at least one point"):
+                call(corpus("bistable"))

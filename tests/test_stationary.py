@@ -276,9 +276,10 @@ class TestFindInvariant:
         assert len(found) == 2
         assert float(np.max(np.abs(found.points[0].probs - (0.25, 0.75)))) < 1e-9
         assert float(np.max(np.abs(found.points[1].probs - (0.75, 0.25)))) < 1e-9
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^seeds must hold at least one point$"):
             find_invariant(spec, [])
-        with pytest.raises(ValueError, match=r"seeds of shape \(3,\) do not match dimension 2"):
+        message = "^seeds on 3 states does not match the generator's 2 states$"
+        with pytest.raises(ValueError, match=message):
             find_invariant(spec, [(0.2, 0.3, 0.5)])
 
     def test_absorbing_state_yields_boundary_classification(self):
@@ -320,16 +321,16 @@ class TestFindInvariant:
     def test_a_seed_alone_lands_where_it_lands_in_lockstep(self, spec, resolution):
         # Newton lands every bistable seed; on oscillator grid 6, 12 seeds
         # ride the flow before they land; the consumer cells multiply by
-        # non-unit coefficients.
-        grid = SimplexGrid(spec.dimension, resolution)
-        together = find_invariant(spec, grid)
-        landed = {index: r.point.probs for r in together for index in r.basin_hint}
-        assert len(landed) + together.failed_seeds == len(grid)
-        for index, seed in enumerate(grid.points):
+        # non-unit coefficients.  The oscillator's rest points fill a segment,
+        # so a seed's landing is compared bit for bit with its own lockstep
+        # row, not with its cluster's first point.
+        seeds = SimplexGrid(spec.dimension, resolution).points
+        together = _land(spec, np.array([seed.probs for seed in seeds]))
+        for seed, landed in zip(seeds, together):
             alone = find_invariant(spec, [seed])
-            if index in landed:
+            if landed is not None:
                 assert alone.failed_seeds == 0
-                assert float(np.max(np.abs(alone.points[0].probs - landed[index]))) <= 1e-12
+                assert alone.points == (Distribution(landed),)
             else:
                 assert alone.failed_seeds == 1
                 assert len(alone) == 0
@@ -338,6 +339,7 @@ class TestFindInvariant:
         "spec, resolution",
         [
             pytest.param(corpus("bistable"), 20, id="bistable-20"),
+            pytest.param(corpus("oscillator"), 6, id="oscillator-6"),
             pytest.param(SKEWED_CONSUMER, 10, id="consumer-10"),
         ],
     )
