@@ -355,9 +355,9 @@ def certify_ergodic_2(
 class ReducedSystem:
     """Planar reduction of a three-state marginal flow on the chart (m1, m2).
 
-    The third coordinate is eliminated through m3 = 1 - m1 - m2; the chart
-    extends ``CHART_MARGIN`` beyond the simplex so derivative sweeps can
-    cover a closed neighborhood.
+    The third coordinate is eliminated through m3 = 1 - m1 - m2.  The sweep extends the simplex
+    by ``CHART_MARGIN`` on every edge (every m_i >= -``CHART_MARGIN``), so derivative sweeps
+    cover a closed neighborhood, the same one whichever state is dropped.
     """
 
     spec: GeneratorSpec
@@ -374,29 +374,24 @@ class ReducedSystem:
         return _chart_jacobian(partial(_chart_drift, self.spec), np.array([[u1, u2]]), FD_STEP)[0]
 
     def lattice(self, resolution: int) -> np.ndarray:
-        """Sweep points covering the chart extended by ``CHART_MARGIN``."""
-        eps = CHART_MARGIN
-        vals = np.linspace(-eps, 1.0 + eps, resolution + 1)
-        u1, u2 = np.meshgrid(vals, vals, indexing="ij")
-        keep = (u1 + u2) <= 1.0 + eps + 1e-12
-        return np.column_stack([u1[keep], u2[keep]])
+        """Chart rows of the C(k + 2, 2) points p of ``SimplexGrid(3, resolution)``, stretched
+        about the barycenter to m = (1 + 3 ``CHART_MARGIN``) p - ``CHART_MARGIN``."""
+        return (1.0 + 3.0 * CHART_MARGIN) * SimplexGrid(3, resolution).array[:, :2] - CHART_MARGIN
 
 
 def certify_ergodic_3(spec: GeneratorSpec, grid: SimplexGrid) -> Certificate:
     """Ergodicity certificate for three states.
 
-    Requires, in order: a single invariant distribution, a reduced-flow
-    divergence of uniform sign over the extended chart (which excludes
-    periodic orbits; ``divergence_binding_point`` is where it is weakest),
-    and a non-saddle linearization at the rest point (which excludes
-    homoclinic loops).  Uniqueness is ``"degree"`` when :func:`certify_unique`
-    certifies on ``grid`` and a search from the six grid-2 seeds then finds
-    one distribution; else ``"search"``, from every grid point, which may
-    refute with at most ``_WITNESS_CAP`` witnesses (``invariant_count``
-    counts them all).  ``margin`` takes the divergence and saddle margins.
+    Requires, in order: a single invariant distribution, a reduced-flow divergence of
+    uniform sign at :meth:`ReducedSystem.lattice` on ``grid``'s resolution (which excludes
+    periodic orbits; ``divergence_binding_point`` is where it is weakest), and a non-saddle
+    linearization at the rest point (which excludes homoclinic loops).  Uniqueness is
+    ``"degree"`` when :func:`certify_unique` certifies on ``grid`` and a search from the six
+    grid-2 seeds then finds one distribution; else ``"search"``, from every grid point, which
+    may refute with at most ``_WITNESS_CAP`` witnesses (``invariant_count`` counts them all).
+    ``margin`` takes the divergence and saddle margins.
     """
-    if spec.dimension != 3:
-        raise ValueError("this certificate requires a three-state generator")
+    system = ReducedSystem(spec)  # refuses a spec not on three states before any rate call
     unique = certify_unique(spec, grid)
     premise = {"uniqueness": "degree", "uniqueness_margin": unique.evidence.get("margin")}
     stationary = ()
@@ -433,9 +428,7 @@ def certify_ergodic_3(spec: GeneratorSpec, grid: SimplexGrid) -> Certificate:
             **count,
         )
     rest = stationary.results[0]
-    rest_u = rest.point.probs[:2]
 
-    system = ReducedSystem(spec)
     sweep = system.lattice(grid.resolution)
     divergence = system.divergence_batch(sweep)
     evidence = {
@@ -449,7 +442,7 @@ def certify_ergodic_3(spec: GeneratorSpec, grid: SimplexGrid) -> Certificate:
     )
     if failure is not None:
         return failure
-    jac = system.jacobian(float(rest_u[0]), float(rest_u[1]))
+    jac = system.jacobian(*map(float, rest.point.probs[:2]))
     det = float(np.linalg.det(jac))
     trace = float(np.trace(jac))
     discriminant = trace * trace - 4.0 * det

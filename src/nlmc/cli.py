@@ -200,17 +200,13 @@ def reproduce(figure: str, outdir: str = ".") -> list[str]:
     reaches.
     """
     os.makedirs(outdir, exist_ok=True)
-    written = []
     if figure == "fig1":
-        spec = corpus("oscillator")
-        trajectory = evolve(spec, (0.2, 0.4, 0.4), 4.0 * math.pi)
         path = os.path.join(outdir, "fig1.csv")
-        trajectory.to_csv(path)
-        written.append(path)
-        return written
+        evolve(corpus("oscillator"), (0.2, 0.4, 0.4), 4.0 * math.pi).to_csv(path)
+        return [path]
     if figure == "fig2":
         spec = corpus("bistable")
-        runs = []
+        runs, written = [], []
         starts = [(start, 1.0 - start) for start in _FIG2_STARTS]
         trajectories = evolve(spec, starts, _FIG2_HORIZON)
         for start, trajectory in zip(_FIG2_STARTS, trajectories):
@@ -340,8 +336,7 @@ def main(argv=None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
-        config = _config_from(args)
-        return run(config)
+        return run(_config_from(args))
     except (NlmcError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -100,11 +100,18 @@ class GeneratorSpec:
 
     def rates(self, m) -> np.ndarray:
         """Raw S x S rate array at one point (no conservativity checks)."""
-        return self.rates_batch(np.asarray(m, dtype=float)[None])[0]
+        return self.rates_batch(self._row(m))[0]
 
     def drift(self, m) -> np.ndarray:
         """Marginal drift f(m) with components f_j = sum_i m_i Q_ij(m)."""
-        return self.drift_batch(np.asarray(m, dtype=float)[None])[0]
+        return self.drift_batch(self._row(m))[0]
+
+    def _row(self, m) -> np.ndarray:
+        """One point ``m`` ``(S,)`` as a row ``(1, S)``; another shape is refused as passed."""
+        arr = np.asarray(m, dtype=float)
+        if arr.ndim != 1:
+            raise ValueError(f"a point must be a vector ({self.dimension},), got shape {arr.shape}")
+        return arr[None]
 
     def drift_batch(self, points) -> np.ndarray:
         """Marginal drifts, shape (n, S), for points given as rows (n, S)."""

@@ -138,12 +138,16 @@ def _rows(points, dimension: int, what: str) -> np.ndarray:
     if isinstance(points, SimplexGrid):
         _check_states("grid", points.dimension, dimension)
         return points.array
-    one = np.ndim(points) == 1 and len(points) > 0  # [] holds no point
-    rows = np.array([Distribution(p).probs for p in ([points] if one else points)])
-    if rows.size == 0:
+    try:
+        one = np.ndim(points) == 1 and len(points) > 0  # [] holds no point
+    except ValueError:  # numpy refuses a ragged stack, which is no single point
+        one = False
+    rows = [Distribution(p).probs for p in ([points] if one else points)]
+    if not rows:
         raise ValueError(f"{what} must hold at least one point")
-    _check_states(what, rows.shape[1], dimension)
-    return rows
+    for row in rows:
+        _check_states(what, row.size, dimension)
+    return np.array(rows)
 
 
 def _is_int(value) -> bool:

@@ -5,7 +5,8 @@ projection by bisection on the dual threshold and by the full sort and
 threshold search, simplex invariance by the tangent-cone condition,
 stationary distributions by a dense null space, matrix exponentials, naive
 monomial evaluation, exact rates in ``fractions.Fraction``, the oscillator's
-rates cell by cell and polynomial rates and drifts contracted by ``np.einsum``.
+rates cell by cell, polynomial rates and drifts contracted by ``np.einsum``,
+and a cell table's states relabelled.
 Values frozen in the tests were produced by these oracles.
 """
 
@@ -16,6 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm, null_space
+
+from nlmc import GeneratorSpec
 
 CONSUMER_PARAMS = {"b": 1.0, "e": 1.0, "eps": 0.1, "lam": 1.0}
 
@@ -211,3 +214,18 @@ def random_polynomial_cells(rng, s: int, max_degree: int = 3) -> dict:
                 terms.append((exponents, float(rng.uniform(0.1, 2.0))))
             cells[(i, j)] = terms
     return cells
+
+
+def relabel(spec, perm):
+    """The polynomial spec whose state k is ``spec``'s state ``perm[k]``.
+
+    Its rates at m[perm] are ``spec``'s rates at m with rows and columns
+    permuted, Q'(m[perm]) = Q(m)[perm][:, perm]; a point m' of the new labels
+    is m'[argsort(perm)] in the old ones.
+    """
+    new = {old: k for k, old in enumerate(perm)}
+    cells = {
+        (new[i], new[j]): [(tuple(exps[old] for old in perm), c) for exps, c in terms]
+        for (i, j), terms in spec.cells.items()
+    }
+    return GeneratorSpec(spec.dimension, cells=cells)

@@ -1,6 +1,7 @@
 """Uniqueness and ergodicity certificates: chart Jacobians, sweeps, verdicts."""
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -24,10 +25,10 @@ from nlmc import (
     find_invariant,
 )
 from nlmc.certify import _defects
-from nlmc.simplex import _chart_drift, _chart_jacobian
+from nlmc.simplex import _chart_drift, _chart_embed, _chart_jacobian
 from nlmc.stationary import StationaryResult, StationarySet
 
-from helpers import CONSUMER_PARAMS, bistable_scalar_drift, consumer_rest_point
+from helpers import CONSUMER_PARAMS, bistable_scalar_drift, consumer_rest_point, relabel
 
 CONSUMER = corpus("consumer", CONSUMER_PARAMS)
 
@@ -431,11 +432,16 @@ class TestReducedSystem:
         assert np.allclose(jac, expected, atol=1e-6)
 
     def test_lattice_covers_the_extended_chart(self):
+        # The simplex grid stretched about the barycenter: every m_i reaches -0.02 on its edge.
         system = ReducedSystem(CONSUMER)
-        sweep = system.lattice(10)
-        assert float(sweep.min()) == pytest.approx(-0.02, abs=1e-12)
-        assert float(sweep.max()) == pytest.approx(1.02, abs=1e-12)
-        assert float((sweep[:, 0] + sweep[:, 1]).max()) <= 1.02 + 1e-9
+        for k in (6, 10, 40, 60, 200):
+            sweep = system.lattice(k)
+            assert sweep.shape == (math.comb(k + 2, 2), 2)
+            stretched = 1.06 * SimplexGrid(3, k).array[:, :2] - 0.02
+            assert np.allclose(sweep, stretched, rtol=0.0, atol=1e-15)
+            lowest = _chart_embed(sweep).min(axis=0)
+            assert np.allclose(lowest, -0.02, rtol=0.0, atol=1e-12), (k, lowest)
+            assert float(sweep.max()) == pytest.approx(1.04, abs=1e-12)
         with pytest.raises(ValueError):
             ReducedSystem(corpus("bistable"))
 
@@ -533,6 +539,14 @@ class TestCertifyErgodicThreeStates:
         with pytest.raises(ValueError):
             certify_ergodic_3(corpus("bistable"), SimplexGrid(2, 10))
 
+    def test_wrong_dimension_is_refused_before_any_rate_call(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("evaluated rates before checking the state count")
+
+        monkeypatch.setattr(nlmc.generator.GeneratorSpec, "rates_batch", no_work)
+        with pytest.raises(ValueError, match="^the planar reduction requires a three-state"):
+            certify_ergodic_3(corpus("bistable"), SimplexGrid(2, 10))
+
     def test_divergence_binding_point_is_the_weakest_sweep_point(self):
         # The divergence weakens towards the m1 corner, away from the first sweep point;
         # the degree sweep is inconclusive at that corner, so the full search decides.
@@ -551,7 +565,7 @@ class TestCertifyErgodicThreeStates:
         divergence = np.abs(system.divergence_batch(sweep))
         weakest = certificate.evidence["divergence_binding_point"]
         assert np.array_equal(weakest, sweep[np.argmin(divergence)])
-        assert np.allclose(weakest, (1.02, -0.02))
+        assert np.allclose(weakest, (1.04, -0.02))
         assert certificate.evidence["min_abs_divergence"] == divergence.min()
 
     @pytest.mark.parametrize("count", [0, 2])
@@ -630,3 +644,68 @@ class TestCertifyErgodicThreeStates:
             assert float(np.max(np.abs(rest - found.point.probs))) <= 1e-9
             assert float(np.max(np.abs(rest - slow.evidence["rest_point"].probs))) <= 1e-9
             assert fast.evidence["margin"] == pytest.approx(slow.evidence["margin"], rel=1e-6)
+
+
+# Consumer's reference parameter sets (b, e, eps, lam).
+_CONSUMER_SETS = [(1.0, 1.0, 0.1, 1.0), (2.0, 3.0, 0.05, 0.5), (0.5, 4.0, 0.01, 2.0)]
+_ORDERS = list(itertools.permutations(range(3)))
+
+
+class TestStateOrder:
+    """Relabelling the states changes none of the paper's objects, so no certificate may move."""
+
+    @pytest.mark.parametrize("k", [10, 40])
+    @pytest.mark.parametrize("params", _CONSUMER_SETS, ids=str)
+    def test_consumer_certificates_do_not_depend_on_state_order(self, params, k):
+        spec = corpus("consumer", dict(zip(("b", "e", "eps", "lam"), params)))
+        grid = SimplexGrid(3, k)
+        ergodic = certify_ergodic_3(spec, grid)
+        (found,) = find_invariant(spec, grid)
+        m = np.array([0.2, 0.3, 0.5])
+        for perm in _ORDERS:
+            relabelled = relabel(spec, perm)
+            permuted = spec.rates(m)[np.ix_(perm, perm)]
+            assert np.allclose(relabelled.rates(m[list(perm)]), permuted, rtol=0.0, atol=1e-14)
+            certificate = certify_ergodic_3(relabelled, grid)
+            assert certificate.verdict == ergodic.verdict == "CERTIFIED", perm
+            # uniqueness_margin is certify_unique's margin on the same grid.
+            for key in ("margin", "min_abs_divergence", "uniqueness_margin"):
+                expected = pytest.approx(ergodic.evidence[key], rel=1e-9, abs=0.0)
+                assert certificate.evidence[key] == expected, (perm, key)
+            (point,) = find_invariant(relabelled, grid)
+            back = point.point.probs[np.argsort(perm)]
+            assert float(np.max(np.abs(back - found.point.probs))) <= 1e-12, perm
+
+    def test_a_sign_change_past_an_edge_is_inconclusive_in_every_order(self):
+        # The 36th draw of random_polynomial_cells(default_rng(7), 3, 2).  Its divergence is
+        # positive only at the corner (1.04, -0.02, -0.02) of the extended chart, which a sweep
+        # stopping at m3 = 0 missed in two of the six orders.
+        cells = {
+            (0, 1): [((1, 1, 0), 0.2121003181289723)],
+            (0, 2): [((0, 0, 0), 0.9736151162916649), ((1, 0, 1), 1.7596649675290805)],
+            (1, 0): [((1, 1, 0), 0.208862174060573), ((0, 0, 0), 0.47426372524090676)],
+            (1, 2): [
+                ((1, 1, 0), 1.8697408369723048),
+                ((0, 0, 0), 0.12416494401172062),
+                ((0, 1, 0), 1.1448266052050093),
+            ],
+            (2, 0): [((1, 0, 1), 0.2655211992809572)],
+            (2, 1): [
+                ((0, 0, 1), 0.9361463908943883),
+                ((0, 1, 1), 1.2155407871915265),
+                ((0, 0, 0), 0.7423783211002045),
+            ],
+        }
+        spec = GeneratorSpec(3, cells=cells)
+        for perm in _ORDERS:
+            relabelled = relabel(spec, perm)
+            for k in (10, 40):
+                certificate = certify_ergodic_3(relabelled, SimplexGrid(3, k))
+                assert certificate.verdict == "INCONCLUSIVE", (perm, k)
+                expected = "reduced-flow divergence changes sign on the extended chart"
+                assert certificate.reason == expected, (perm, k)
+                system = ReducedSystem(relabelled)
+                sweep = system.lattice(k)
+                (positive,) = _chart_embed(sweep[system.divergence_batch(sweep) > 0.0])
+                corner = positive[np.argsort(perm)]
+                assert np.allclose(corner, (1.04, -0.02, -0.02), rtol=0.0, atol=1e-12), perm

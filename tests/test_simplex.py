@@ -1,6 +1,7 @@
 """Simplex primitives: distributions, lattice grids, projection, tangent cone."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -394,15 +395,24 @@ class TestChartJacobian:
 # bistable generator, and the name its refusal gives that input.  The entries of
 # _WORKING go on to validate, evaluate rates or integrate once the input is read.
 _THREE = (0.2, 0.3, 0.5)
+_RAGGED = [(0.5, 0.5), _THREE]  # numpy refuses to stack it; nlmc must word the refusal
 _WRONG_STATE_COUNT = {
     "integrate_flow": ("m0", lambda spec: nlmc.integrate_flow(spec, _THREE, 1.0)),
     "integrate_flow-stack": ("m0", lambda spec: nlmc.integrate_flow(spec, [_THREE, _THREE], 1.0)),
+    "integrate_flow-ragged": ("m0", lambda spec: nlmc.integrate_flow(spec, _RAGGED, 1.0)),
+    "integrate_flow-ragged-iterator": (
+        "m0", lambda spec: nlmc.integrate_flow(spec, iter(_RAGGED), 1.0)
+    ),
     "evolve": ("m0", lambda spec: nlmc.evolve(spec, _THREE, 1.0)),
     "sample_path": ("m0", lambda spec: nlmc.sample_path(spec, _THREE, horizon=1.0)),
     "sample_path-flow": ("m0", lambda spec: nlmc.sample_path(
         spec, _THREE, horizon=1.0, flow=_BISTABLE_FLOW
     )),
     "find_invariant-seeds": ("seeds", lambda spec: nlmc.find_invariant(spec, [_THREE])),
+    "find_invariant-ragged": ("seeds", lambda spec: nlmc.find_invariant(spec, _RAGGED)),
+    "find_invariant-ragged-iterator": (
+        "seeds", lambda spec: nlmc.find_invariant(spec, iter(_RAGGED))
+    ),
     "find_invariant-grid": ("grid", lambda spec: nlmc.find_invariant(spec, SimplexGrid(3, 4))),
     "build_M": ("points", lambda spec: nlmc.build_M(spec, _THREE)),
     "frozen_stationary": ("points", lambda spec: nlmc.frozen_stationary(spec, _THREE)),
@@ -414,7 +424,9 @@ _WRONG_STATE_COUNT = {
 }
 _BISTABLE_FLOW = nlmc.integrate_flow(corpus("bistable"), (0.5, 0.5), 1.0)
 _WORKING = ["integrate_flow", "integrate_flow-stack", "evolve", "sample_path",
-            "sample_path-flow", "find_invariant-seeds", "find_invariant-grid"]
+            "sample_path-flow", "find_invariant-seeds", "find_invariant-grid",
+            "integrate_flow-ragged", "integrate_flow-ragged-iterator",
+            "find_invariant-ragged", "find_invariant-ragged-iterator"]
 
 
 class TestPointInput:
@@ -466,6 +478,19 @@ class TestPointInput:
         flow = nlmc.integrate_flow(spec, moved[:20], 0.1)
         starts = flow.ys[list(flow.offsets[:-1])]
         assert starts.tobytes() == np.array([d.probs for d in moved[:20]]).tobytes()
+
+    @pytest.mark.parametrize("point, shape", [([[0.5, 0.5]], (1, 2)), (0.5, ())], ids=str)
+    @pytest.mark.parametrize("call", [
+        lambda spec, m: spec.rates(m),
+        lambda spec, m: spec.drift(m),
+        lambda spec, m: nlmc.residual(spec, m),
+        lambda spec, m: nlmc.frozen_stationary(spec, m),
+        lambda spec, m: nlmc.build_M(spec, m),
+    ], ids=["rates", "drift", "residual", "frozen_stationary", "build_M"])
+    def test_a_point_that_is_not_a_vector_is_refused_by_its_own_shape(self, call, point, shape):
+        message = f"^a point must be a vector \\(2,\\), got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            call(corpus("bistable"), point)
 
     def test_an_empty_stack_is_refused(self):
         for call in (
