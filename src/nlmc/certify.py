@@ -10,10 +10,7 @@ chart Jacobian of the fixed-point defect f(m) = x(m) - m and x(m) is the
 frozen-chain stationary distribution: a uniform nonzero sign matching the
 degree of -identity, (-1)^(S-1), rules out a second zero of f.  Ergodicity
 certificates cover two states (scalar drift with a unique attracting root)
-and three states (dissipative reduced planar flow plus a non-saddle rest
-point, which excludes cycles and homoclinic loops); the latter takes its
-uniqueness premise from the degree sweep when that certifies, else from a
-search from every grid point.
+and three states (a Dulac argument, see :func:`certify_ergodic_3`).
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from .stationary import TOL_INVARIANT, _frozen_solve, find_invariant
 
 TOL_DET = 1e-8
 DIV_TOL = 1e-8
-CHART_MARGIN = 0.02
 SCAN_MARGIN_TOL = 1e-10
 ROOT_REFINE_TOL = 1e-12
 ZERO_DRIFT_TOL = 1e-12
@@ -163,11 +159,12 @@ def _verdicts(claim: str, spec: GeneratorSpec, tolerances: dict, base_evidence: 
     return verdict
 
 
-def _sign_failure(verdict, values, points, tol, name, key, where, **evidence):
-    """The INCONCLUSIVE verdict when ``values`` at ``points`` fail to share one sign, else None.
+def _sign_failure(verdict, values, points, tol, name, key, where, expected, against, **evidence):
+    """The INCONCLUSIVE verdict unless ``values`` at ``points`` all have the sign ``expected``.
 
     The first weakest value fails when its magnitude, ``min_abs_<key>``, is at
-    most ``tol``; else the first positive and first negative values, ``<key>s``.
+    most ``tol``; else the first positive and first negative values, ``<key>s``;
+    else a shared sign other than ``expected``, which ``against`` contradicts.
     """
     magnitude = np.abs(values)
     weakest = int(np.argmin(magnitude))
@@ -178,6 +175,9 @@ def _sign_failure(verdict, values, points, tol, name, key, where, **evidence):
     elif signs.min() != signs.max():
         at, reason = [int(np.argmax(signs > 0)), int(np.argmax(signs < 0))], f"changes sign {where}"
         found = {f"{key}s": [float(values[n]) for n in at]}
+    elif signs[0] != expected:
+        at, reason = [0], f"sign contradicts {against}"
+        found = {f"{key}_sign": float(signs[0]), "expected_sign": expected}
     else:
         return None
     witnesses = [points[n] for n in at]
@@ -226,21 +226,13 @@ def certify_unique(spec: GeneratorSpec, grid: SimplexGrid) -> Certificate:
             detail=str(exc),
         )
     dets = np.linalg.det(jacobians)
+    sign = -1.0 if spec.dimension % 2 == 0 else 1.0
     failure = _sign_failure(
-        verdict, dets, points, TOL_DET, "determinant", "determinant", "across the grid"
+        verdict, dets, points, TOL_DET, "determinant", "determinant", "across the grid", sign,
+        "the degree identity",
     )
     if failure is not None:
         return failure
-    sign = float(np.sign(dets[0]))
-    expected = -1.0 if spec.dimension % 2 == 0 else 1.0
-    if sign != expected:
-        return verdict(
-            "INCONCLUSIVE",
-            "determinant sign contradicts the degree identity",
-            witnesses=[points[0]],
-            determinant_sign=sign,
-            expected_sign=expected,
-        )
     abs_dets = np.abs(dets)
     return verdict(
         "CERTIFIED",
@@ -353,12 +345,8 @@ def certify_ergodic_2(
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """Planar reduction of a three-state marginal flow on the chart (m1, m2).
-
-    The third coordinate is eliminated through m3 = 1 - m1 - m2.  The sweep extends the simplex
-    by ``CHART_MARGIN`` on every edge (every m_i >= -``CHART_MARGIN``), so derivative sweeps
-    cover a closed neighborhood, the same one whichever state is dropped.
-    """
+    """Planar reduction of a three-state marginal flow f = m^T Q(m) on the chart (m1, m2),
+    m3 = 1 - m1 - m2; the sweep is the same interior points whichever state is dropped."""
 
     spec: GeneratorSpec
 
@@ -367,29 +355,42 @@ class ReducedSystem:
             raise ValueError("the planar reduction requires a three-state generator")
 
     def divergence_batch(self, u: np.ndarray) -> np.ndarray:
-        jacobians = _chart_jacobian(partial(_chart_drift, self.spec), u, FD_STEP)
-        return np.trace(jacobians, axis1=1, axis2=2)
+        """The Dulac field D = div(B f)/B = tr J(u) - sum_i f_i/m_i, B = 1/(m1 m2 m3), at
+        chart rows ``u`` ``(n, 2)`` inside the open simplex, where alone it is defined."""
+        m = _chart_embed(u)
+        if not np.all(m > 0.0):
+            raise ValueError("the Dulac field is defined only on the open simplex")
+        jac = _chart_jacobian(partial(_chart_drift, self.spec), u, FD_STEP)
+        return np.trace(jac, axis1=1, axis2=2) - (self.spec.drift_batch(m) / m).sum(axis=1)
 
     def jacobian(self, u1: float, u2: float) -> np.ndarray:
         return _chart_jacobian(partial(_chart_drift, self.spec), np.array([[u1, u2]]), FD_STEP)[0]
 
     def lattice(self, resolution: int) -> np.ndarray:
-        """Chart rows of the C(k + 2, 2) points p of ``SimplexGrid(3, resolution)``, stretched
-        about the barycenter to m = (1 + 3 ``CHART_MARGIN``) p - ``CHART_MARGIN``."""
-        return (1.0 + 3.0 * CHART_MARGIN) * SimplexGrid(3, resolution).array[:, :2] - CHART_MARGIN
+        """Chart rows of the C(k + 2, 2) interior points of ``SimplexGrid(3, k + 3)``, k the
+        ``resolution``: each point a/k of ``SimplexGrid(3, k)`` moved to (a + 1)/(k + 3)."""
+        k = resolution
+        return (np.rint(SimplexGrid(3, k).array[:, :2] * k) + 1.0) / (k + 3)
 
 
 def certify_ergodic_3(spec: GeneratorSpec, grid: SimplexGrid) -> Certificate:
     """Ergodicity certificate for three states.
 
-    Requires, in order: a single invariant distribution, a reduced-flow divergence of
-    uniform sign at :meth:`ReducedSystem.lattice` on ``grid``'s resolution (which excludes
-    periodic orbits; ``divergence_binding_point`` is where it is weakest), and a non-saddle
-    linearization at the rest point (which excludes homoclinic loops).  Uniqueness is
-    ``"degree"`` when :func:`certify_unique` certifies on ``grid`` and a search from the six
-    grid-2 seeds then finds one distribution; else ``"search"``, from every grid point, which
-    may refute with at most ``_WITNESS_CAP`` witnesses (``invariant_count`` counts them all).
-    ``margin`` takes the divergence and saddle margins.
+    Requires, in order: a single invariant distribution, a Dulac field D (``divergence_batch``)
+    negative at :meth:`ReducedSystem.lattice` on ``grid``'s resolution
+    (``divergence_binding_point`` is where it is weakest), and a non-saddle linearization at
+    the rest point.  Uniqueness is ``"degree"`` when :func:`certify_unique` certifies on
+    ``grid`` and a search from the six grid-2 seeds then finds one distribution; else
+    ``"search"``, from every grid point, which may refute with at most ``_WITNESS_CAP``
+    witnesses (``invariant_count`` counts them all).  ``margin`` takes the divergence and
+    saddle margins.
+
+    D = div(B f)/B, B = 1/(m1 m2 m3), of one sign on the open simplex excludes every closed
+    orbit and loop made of orbits inside it (Dulac).  On a face m_i = 0 the inflow f_i >= 0,
+    so P = m1 m2 m3 D = -f_i prod_{k != i} m_k <= 0: no point outside the simplex is needed,
+    and D > 0 throughout would need every face invariant, every corner a rest point, so a
+    positive sweep is INCONCLUSIVE.  B is singular on the faces, so the saddle check stays:
+    a homoclinic loop there needs a hyperbolic sector, which det J > 0 excludes.
     """
     system = ReducedSystem(spec)  # refuses a spec not on three states before any rate call
     unique = certify_unique(spec, grid)
@@ -400,7 +401,7 @@ def certify_ergodic_3(spec: GeneratorSpec, grid: SimplexGrid) -> Certificate:
     if len(stationary) != 1:
         stationary = find_invariant(spec, grid)
         premise = {"uniqueness": "search"}
-    base_evidence = {"grid_resolution": grid.resolution, "chart_margin": CHART_MARGIN, **premise}
+    base_evidence = {"grid_resolution": grid.resolution, **premise}
     if spec.extension == "clamped":
         base_evidence["extension_note"] = (
             "rates use a clamped extension outside their native region; "
@@ -438,7 +439,7 @@ def certify_ergodic_3(spec: GeneratorSpec, grid: SimplexGrid) -> Certificate:
     }
     failure = _sign_failure(
         verdict, divergence, sweep, DIV_TOL, "reduced-flow divergence", "divergence",
-        "on the extended chart", **evidence,
+        "on the open simplex", -1.0, "its sign on the faces", **evidence,
     )
     if failure is not None:
         return failure

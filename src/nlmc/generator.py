@@ -19,13 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# numpy's einsum kernel; np.einsum(..., optimize=False) returns exactly its result
+from numpy._core.multiarray import c_einsum as _einsum
+
 from .errors import GeneratorEvaluationError, GeneratorFileError
 from .simplex import SimplexGrid, _check_states, _is_int, _write_text
-
-try:  # numpy's einsum kernel; np.einsum(..., optimize=False) returns exactly its result
-    from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:  # numpy 1.x keeps it in numpy.core; np.einsum if neither has it
-    _einsum = getattr(np.core.multiarray, "c_einsum", np.einsum)
 
 OFFDIAG_TOL = 1e-10      # off-diagonal entries may round this far below zero
 ROWSUM_TOL = 1e-9        # conservativity slack per row, times max(1, the row's largest |rate|)

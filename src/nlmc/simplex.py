@@ -41,7 +41,10 @@ class Distribution:
         if isinstance(probs, Distribution):
             self.probs = probs.probs
             return
-        v = np.array(probs, dtype=float)
+        try:
+            v = np.array(probs, dtype=float)
+        except ValueError:  # numpy refuses a ragged stack, and an entry that is no number
+            raise ValueError("distribution must be a non-empty 1-d vector of numbers") from None
         if v.ndim != 1 or v.size == 0:
             raise ValueError(f"distribution must be a non-empty 1-d vector, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
@@ -65,9 +68,7 @@ class Distribution:
         return self.probs.size
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        # Written for numpy 1.x too, whose np.array refuses copy=None.
-        arr = self.probs if dtype is None else self.probs.astype(dtype, copy=False)
-        return arr.copy() if copy else arr
+        return np.array(self.probs, dtype=dtype, copy=copy)
 
     def __getitem__(self, index):
         return self.probs[index]

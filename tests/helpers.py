@@ -4,9 +4,10 @@ Everything here is computed without touching the package internals:
 projection by bisection on the dual threshold and by the full sort and
 threshold search, simplex invariance by the tangent-cone condition,
 stationary distributions by a dense null space, matrix exponentials, naive
-monomial evaluation, exact rates in ``fractions.Fraction``, the oscillator's
-rates cell by cell, polynomial rates and drifts contracted by ``np.einsum``,
-and a cell table's states relabelled.
+monomial evaluation, exact rates and the exact three-state Dulac field in
+``fractions.Fraction``, the oscillator's rates cell by cell, polynomial rates
+and drifts contracted by ``np.einsum``, a replicator-mutator cell table, and a
+cell table's states relabelled.
 Values frozen in the tests were produced by these oracles.
 """
 
@@ -21,6 +22,9 @@ from scipy.linalg import expm, null_space
 from nlmc import GeneratorSpec
 
 CONSUMER_PARAMS = {"b": 1.0, "e": 1.0, "eps": 0.1, "lam": 1.0}
+# Rock-paper-scissors whose strategies win 0.1 over the tie payoff 1 and lose 0.9 under it:
+# with a little mutation its replicator flow circles the barycentre on a limit cycle.
+RPS_GAME = ((1.0, 0.1, 1.1), (1.1, 1.0, 0.1), (0.1, 1.1, 1.0))
 
 
 def consumer_rest_point() -> np.ndarray:
@@ -151,6 +155,46 @@ def fraction_rates(dimension: int, cells: dict, point) -> tuple[list, list]:
     for i in range(dimension):
         q[i][i] = -sum(q[i][j] for j in range(dimension) if j != i)
     return q, scale
+
+
+def fraction_dulac_field(cells: dict, point) -> Fraction:
+    """Exact Dulac field D = tr J - sum_i f_i/m_i of a three-state cell table at an interior
+    point of floats, in ``fractions.Fraction``: f = m^T Q(m), J its Jacobian on the chart
+    (m1, m2) with m3 eliminated, every partial derivative of a monomial taken by hand."""
+    m = [Fraction(v) for v in point]
+    # grads[0] is Q itself; grads[1 + k] is dQ/dm_k.
+    grads = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(4)]
+    for (i, j), terms in cells.items():
+        for exponents, coefficient in terms:
+            c = Fraction(coefficient)
+            grads[0][i][j] += c * math.prod(x**e for x, e in zip(m, exponents))
+            for k, ek in enumerate(exponents):
+                if ek:
+                    lowered = [e - (n == k) for n, e in enumerate(exponents)]
+                    grads[1 + k][i][j] += c * ek * math.prod(x**e for x, e in zip(m, lowered))
+    for g in grads:
+        for i in range(3):
+            g[i][i] = -sum(g[i][j] for j in range(3) if j != i)
+    q = grads[0]
+    f = [sum(m[j] * q[j][i] for j in range(3)) for i in range(3)]
+
+    def df(i, k):  # d f_i / d m_k
+        return q[k][i] + sum(m[j] * grads[1 + k][j][i] for j in range(3))
+
+    trace = df(0, 0) - df(0, 2) + df(1, 1) - df(1, 2)
+    return trace - sum(f[i] / m[i] for i in range(3))
+
+
+def rps_mutator_cells(mu: float, a) -> dict:
+    """Replicator-mutator cell table on three states: the rate from every j into i is
+    mu + m_i (A m)_i, so the drift is replicator dynamics of the game A plus uniform mutation."""
+    cells = {}
+    for i in range(3):
+        terms = [((0, 0, 0), mu)]
+        for k in range(3):
+            terms.append((tuple((n == i) + (n == k) for n in range(3)), float(a[i][k])))
+        cells.update({(j, i): terms for j in range(3) if j != i})
+    return cells
 
 
 def stays_in_simplex(states, drifts) -> bool:

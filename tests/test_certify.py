@@ -22,13 +22,24 @@ from nlmc import (
     certify_unique,
     constant_generator,
     corpus,
+    evolve,
     find_invariant,
 )
 from nlmc.certify import _defects
 from nlmc.simplex import _chart_drift, _chart_embed, _chart_jacobian
 from nlmc.stationary import StationaryResult, StationarySet
 
-from helpers import CONSUMER_PARAMS, bistable_scalar_drift, consumer_rest_point, relabel
+from helpers import (
+    CONSUMER_PARAMS,
+    RPS_GAME,
+    bistable_scalar_drift,
+    consumer_rest_point,
+    fraction_dulac_field,
+    random_polynomial_cells,
+    random_rate_matrix,
+    relabel,
+    rps_mutator_cells,
+)
 
 CONSUMER = corpus("consumer", CONSUMER_PARAMS)
 
@@ -204,7 +215,9 @@ class TestCertifyUnique:
         monkeypatch.setattr(nlmc.certify, "_defects", fake_defects)
         certificate = certify_unique(corpus("bistable"), SimplexGrid(2, 10))
         assert certificate.verdict == "INCONCLUSIVE"
-        assert "degree" in certificate.reason
+        assert certificate.reason == "determinant sign contradicts the degree identity"
+        assert certificate.evidence["determinant_sign"] == 1.0
+        assert certificate.evidence["expected_sign"] == -1.0
 
     def test_reducible_probe_point_is_inconclusive(self):
         # Q12 = K (m1 - a)^2 vanishes exactly at the lower probe of the grid
@@ -414,13 +427,48 @@ class TestReducedSystem:
             assert np.allclose(planar, full[:2], atol=1e-14)
 
     def test_divergence_matches_analytic_value(self):
-        # For the consumer generator div f = -(b + eps + e) - ... reduces to
-        # -3.2 - 2 (u1 + u2) at the default parameters.
+        # For the consumer generator div f = -(2 lam + b + 2 eps) - 2 e (m1 + m2) reduces to
+        # -3.2 - 2 (m1 + m2) at the default parameters, and D = div f - sum_i f_i / m_i.
         system = ReducedSystem(CONSUMER)
-        pts = np.array([[0.2, 0.3], [0.0, 0.0], [0.5, 0.4], [-0.02, 1.0]])
-        values = system.divergence_batch(pts)
-        expected = -3.2 - 2.0 * pts.sum(axis=1)
-        assert np.allclose(values, expected, atol=1e-6)
+        pts = np.array([[0.2, 0.3], [0.5, 0.4], [0.1, 0.1], [0.6, 0.05], [0.01, 0.98]])
+        m1, m2, m3 = _chart_embed(pts).T
+        f1 = m3 - m1 * (1.1 + m1)
+        f2 = m1 + m3 - m2 * (m2 + 0.1)
+        f3 = m1 * (m1 + 0.1) + m2 * (m2 + 0.1) - 2.0 * m3
+        expected = -3.2 - 2.0 * (m1 + m2) - f1 / m1 - f2 / m2 - f3 / m3
+        assert np.allclose(system.divergence_batch(pts), expected, rtol=0.0, atol=1e-8)
+
+    @pytest.mark.parametrize("row", [(0.0, 0.0), (0.5, 0.5), (0.0, 0.3), (-0.02, 1.0), (0.6, 0.6)])
+    def test_divergence_refuses_rows_off_the_open_simplex(self, row):
+        # D carries 1/m_i, so a face row (some m_i = 0) or one outside the simplex has no value.
+        with pytest.raises(ValueError, match="defined only on the open simplex"):
+            ReducedSystem(CONSUMER).divergence_batch(np.array([[0.2, 0.3], row]))
+
+    def test_divergence_of_a_constant_chain_matches_its_closed_form(self):
+        # A linear flow has chart divergence tr Q, so D = -sum_{i != j} m_j Q_ji / m_i.
+        rng = np.random.default_rng(17)
+        for k in (10, 40, 200):
+            for _ in range(10):
+                q = random_rate_matrix(rng, 3)
+                system = ReducedSystem(constant_generator(q))
+                sweep = system.lattice(k)
+                m = _chart_embed(sweep)
+                expected = -sum(
+                    m[:, j] * q[j, i] / m[:, i] for i in range(3) for j in range(3) if i != j
+                )
+                values = system.divergence_batch(sweep)
+                assert np.allclose(values, expected, rtol=1e-8, atol=0.0), k
+
+    def test_divergence_of_a_polynomial_spec_matches_exact_arithmetic(self):
+        rng = np.random.default_rng(29)
+        for _ in range(8):
+            cells = random_polynomial_cells(rng, 3, 3)
+            system = ReducedSystem(GeneratorSpec(3, cells=cells))
+            for k in (10, 40):
+                sweep = system.lattice(k)[::5]
+                exact = [float(fraction_dulac_field(cells, p)) for p in _chart_embed(sweep)]
+                values = system.divergence_batch(sweep)
+                assert np.allclose(values, exact, rtol=0.0, atol=1e-8), k
 
     def test_jacobian_matches_analytic_value(self):
         system = ReducedSystem(CONSUMER)
@@ -431,17 +479,16 @@ class TestReducedSystem:
         )
         assert np.allclose(jac, expected, atol=1e-6)
 
-    def test_lattice_covers_the_extended_chart(self):
-        # The simplex grid stretched about the barycenter: every m_i reaches -0.02 on its edge.
+    def test_lattice_is_the_interior_of_a_grid_three_finer(self):
+        # Grid k's point a/k moves to (a + 1)/(k + 3): every m_i reaches 1/(k + 3) on its edge.
         system = ReducedSystem(CONSUMER)
-        for k in (6, 10, 40, 60, 200):
+        for k in (1, 6, 10, 40, 60, 200):
             sweep = system.lattice(k)
             assert sweep.shape == (math.comb(k + 2, 2), 2)
-            stretched = 1.06 * SimplexGrid(3, k).array[:, :2] - 0.02
-            assert np.allclose(sweep, stretched, rtol=0.0, atol=1e-15)
+            finer = SimplexGrid(3, k + 3).array
+            assert np.array_equal(sweep, finer[finer.min(axis=1) > 0.0][:, :2])
             lowest = _chart_embed(sweep).min(axis=0)
-            assert np.allclose(lowest, -0.02, rtol=0.0, atol=1e-12), (k, lowest)
-            assert float(sweep.max()) == pytest.approx(1.04, abs=1e-12)
+            assert np.allclose(lowest, 1.0 / (k + 3), rtol=0.0, atol=1e-15), (k, lowest)
         with pytest.raises(ValueError):
             ReducedSystem(corpus("bistable"))
 
@@ -468,7 +515,9 @@ class TestCertifyErgodicThreeStates:
         )
         certificate = certify_ergodic_3(spec, SimplexGrid(3, 8))
         assert certificate.verdict == "CERTIFIED"
-        assert certificate.evidence["margin"] == pytest.approx(6.0, rel=1e-6)
+        # D = 3 - sum_i 1/m_i is weakest at the sweep points (4, 4, 3)/11, where it is -37/6.
+        expected = 37.0 / 6.0 - 1e-8
+        assert certificate.evidence["margin"] == pytest.approx(expected, rel=0.0, abs=1e-9)
         assert certificate.evidence["jacobian_determinant"] == pytest.approx(9.0, rel=1e-6)
         rest = np.asarray(certificate.evidence["rest_point"].probs)
         assert np.allclose(rest, 1.0 / 3.0, atol=1e-10)
@@ -497,27 +546,44 @@ class TestCertifyErgodicThreeStates:
         assert certificate.evidence["min_abs_divergence"] < 1e-8
 
     def test_divergence_sign_change_is_inconclusive(self):
-        # The 52nd draw of random_polynomial_cells(default_rng(0), 3, max_degree=2).
-        cells = {
-            (0, 1): [((1, 0, 1), 1.548710750611983), ((1, 0, 0), 1.3553627958541783)],
-            (0, 2): [
-                ((0, 1, 0), 0.2629365756669898),
-                ((1, 0, 0), 0.4389717438996137),
-                ((1, 0, 0), 0.33734082844257574),
-            ],
-            (1, 0): [((0, 0, 0), 0.7281169670559556), ((1, 0, 0), 0.6593658140564705)],
-            (1, 2): [((0, 0, 1), 1.6507067944485139)],
-            (2, 0): [((1, 0, 0), 1.8399363626528868), ((0, 0, 1), 1.6038602091980987)],
-            (2, 1): [((0, 1, 0), 1.3455634617142487), ((0, 1, 1), 1.6206343124243308)],
-        }
-        spec = GeneratorSpec(3, cells=cells)
-        certificate = certify_ergodic_3(spec, SimplexGrid(3, 6))
+        # Rock-paper-scissors with mutation: its one rest point, the barycentre, is
+        # surrounded by a limit cycle, which no certificate may call ergodic.
+        spec = GeneratorSpec(3, cells=rps_mutator_cells(0.02, RPS_GAME))
+        certificate = certify_ergodic_3(spec, SimplexGrid(3, 10))
         assert certificate.verdict == "INCONCLUSIVE"
-        assert certificate.reason == "reduced-flow divergence changes sign on the extended chart"
+        assert certificate.reason == "reduced-flow divergence changes sign on the open simplex"
+        assert certificate.evidence["uniqueness"] == "search"
+        assert np.allclose(certificate.evidence["rest_point"].probs, 1.0 / 3.0, atol=1e-12)
         witnesses = np.array(certificate.evidence["witnesses"], dtype=float)
         divergence = ReducedSystem(spec).divergence_batch(witnesses)
         assert certificate.evidence["divergences"] == divergence.tolist()
         assert divergence[0] > 0.0 > divergence[1]
+        # The orbit persists: from near the barycentre and from near a corner, m1 still
+        # swings by more than 0.7 over [900, 1000].
+        starts = [(0.3, 0.33, 0.37), (0.05, 0.05, 0.9)]
+        for trajectory in evolve(spec, starts, 1000.0, sample_every=0.1):
+            late = trajectory.states[trajectory.times >= 900.0, 0]
+            assert float(late.max() - late.min()) >= 0.7
+
+    def test_a_positive_sweep_is_inconclusive(self):
+        # With weak mutation D > 0 at every grid-10 sweep point, yet D -> -inf near each face
+        # (P = m1 m2 m3 D = -f_i prod_{k != i} m_k < 0 there), so the sign is not uniform on
+        # the open simplex, and indeed the barycentre is ringed by a limit cycle.
+        spec = GeneratorSpec(3, cells=rps_mutator_cells(0.004, RPS_GAME))
+        assert np.all(ReducedSystem(spec).divergence_batch(ReducedSystem(spec).lattice(10)) > 0.0)
+        certificate = certify_ergodic_3(spec, SimplexGrid(3, 10))
+        assert certificate.verdict == "INCONCLUSIVE"
+        assert certificate.reason == "reduced-flow divergence sign contradicts its sign on the faces"
+        assert certificate.evidence["divergence_sign"] == 1.0
+        assert certificate.evidence["expected_sign"] == -1.0
+        finer = certify_ergodic_3(spec, SimplexGrid(3, 40))
+        assert finer.verdict == "INCONCLUSIVE"
+        assert finer.reason == "reduced-flow divergence changes sign on the open simplex"
+        # m1 swings by more than 0.9 over [900, 1000] (0.9357 measured) from both starts.
+        starts = [(0.3, 0.33, 0.37), (0.05, 0.05, 0.9)]
+        for trajectory in evolve(spec, starts, 1000.0, sample_every=0.1):
+            late = trajectory.states[trajectory.times >= 900.0, 0]
+            assert float(late.max() - late.min()) >= 0.9
 
     def test_saddle_linearization_is_inconclusive(self, monkeypatch):
         # Conservative frozen chains cannot produce a saddle at an isolated
@@ -548,8 +614,9 @@ class TestCertifyErgodicThreeStates:
             certify_ergodic_3(corpus("bistable"), SimplexGrid(2, 10))
 
     def test_divergence_binding_point_is_the_weakest_sweep_point(self):
-        # The divergence weakens towards the m1 corner, away from the first sweep point;
-        # the degree sweep is inconclusive at that corner, so the full search decides.
+        # D = -6.5 + 6 m1^2 - sum_i f_i / m_i is weakest at (0.4, 0.4, 0.2), where f3 = 0 and
+        # f1 = -f2, so D = -5.54, away from the first sweep point; the degree sweep is
+        # inconclusive at the m1 corner, so the full search decides.
         cells = {
             (0, 1): [((0, 0, 0), 3.0), ((2, 0, 0), -2.0)],
             (1, 0): [((0, 0, 0), 0.5)],
@@ -565,8 +632,9 @@ class TestCertifyErgodicThreeStates:
         divergence = np.abs(system.divergence_batch(sweep))
         weakest = certificate.evidence["divergence_binding_point"]
         assert np.array_equal(weakest, sweep[np.argmin(divergence)])
-        assert np.allclose(weakest, (1.04, -0.02))
+        assert np.allclose(weakest, (0.4, 0.4), rtol=0.0, atol=1e-15)
         assert certificate.evidence["min_abs_divergence"] == divergence.min()
+        assert divergence.min() == pytest.approx(5.54, rel=0.0, abs=1e-8)
 
     @pytest.mark.parametrize("count", [0, 2])
     def test_a_small_search_without_one_distribution_falls_through(self, monkeypatch, count):
@@ -676,10 +744,10 @@ class TestStateOrder:
             back = point.point.probs[np.argsort(perm)]
             assert float(np.max(np.abs(back - found.point.probs))) <= 1e-12, perm
 
-    def test_a_sign_change_past_an_edge_is_inconclusive_in_every_order(self):
-        # The 36th draw of random_polynomial_cells(default_rng(7), 3, 2).  Its divergence is
-        # positive only at the corner (1.04, -0.02, -0.02) of the extended chart, which a sweep
-        # stopping at m3 = 0 missed in two of the six orders.
+    def test_a_sign_change_only_outside_the_simplex_is_certified_in_every_order(self):
+        # The 36th draw of random_polynomial_cells(default_rng(7), 3, 2).  Its plain divergence
+        # turns positive just outside the corner m1 = 1; the Dulac field, swept inside the
+        # simplex, is negative in every order and gives the same margin.
         cells = {
             (0, 1): [((1, 1, 0), 0.2121003181289723)],
             (0, 2): [((0, 0, 0), 0.9736151162916649), ((1, 0, 1), 1.7596649675290805)],
@@ -697,15 +765,11 @@ class TestStateOrder:
             ],
         }
         spec = GeneratorSpec(3, cells=cells)
-        for perm in _ORDERS:
-            relabelled = relabel(spec, perm)
-            for k in (10, 40):
-                certificate = certify_ergodic_3(relabelled, SimplexGrid(3, k))
-                assert certificate.verdict == "INCONCLUSIVE", (perm, k)
-                expected = "reduced-flow divergence changes sign on the extended chart"
-                assert certificate.reason == expected, (perm, k)
-                system = ReducedSystem(relabelled)
-                sweep = system.lattice(k)
-                (positive,) = _chart_embed(sweep[system.divergence_batch(sweep) > 0.0])
-                corner = positive[np.argsort(perm)]
-                assert np.allclose(corner, (1.04, -0.02, -0.02), rtol=0.0, atol=1e-12), perm
+        for k in (10, 40):
+            reference = certify_ergodic_3(spec, SimplexGrid(3, k))
+            for perm in _ORDERS:
+                certificate = certify_ergodic_3(relabel(spec, perm), SimplexGrid(3, k))
+                assert certificate.verdict == "CERTIFIED", (perm, k)
+                for key in ("margin", "min_abs_divergence"):
+                    expected = pytest.approx(reference.evidence[key], rel=1e-9, abs=0.0)
+                    assert certificate.evidence[key] == expected, (perm, k, key)

@@ -461,7 +461,7 @@ class TestPointInput:
         copied /= 2.0  # the copy is the caller's to write; the stored array is read-only
         assert not np.asarray(d).flags.writeable
         assert np.asarray(d, dtype=np.float32).dtype == np.float32
-        # Called the way numpy 1.x calls it (dtype only), with no copy keyword.
+        # Called directly with a dtype alone, and no copy keyword.
         assert d.__array__() is d.probs and d.__array__(float) is d.probs
 
     def test_a_distribution_passes_through_bit_for_bit(self):
@@ -491,6 +491,14 @@ class TestPointInput:
         message = f"^a point must be a vector \\(2,\\), got shape {re.escape(str(shape))}$"
         with pytest.raises(ValueError, match=message):
             call(corpus("bistable"), point)
+
+    @pytest.mark.parametrize("call", [
+        lambda: Distribution(_RAGGED),
+        lambda: nlmc.sample_path(corpus("bistable"), _RAGGED, horizon=1.0),
+    ], ids=["Distribution", "sample_path"])
+    def test_a_ragged_stack_is_refused_as_no_distribution(self, call):
+        with pytest.raises(ValueError, match="^distribution must be a non-empty 1-d vector"):
+            call()
 
     def test_an_empty_stack_is_refused(self):
         for call in (
