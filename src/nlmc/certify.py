@@ -380,7 +380,8 @@ def certify_ergodic_3(spec: GeneratorSpec, grid: SimplexGrid) -> Certificate:
     negative at :meth:`ReducedSystem.lattice` on ``grid``'s resolution
     (``divergence_binding_point`` is where it is weakest), and a non-saddle linearization at
     the rest point.  Uniqueness is ``"degree"`` when :func:`certify_unique` certifies on
-    ``grid`` and a search from the six grid-2 seeds then finds one distribution; else
+    ``grid`` and a search from the grid point of least max-norm drift then finds one
+    distribution (the degree sweep leaves one rest point to locate, so one seed will do); else
     ``"search"``, from every grid point, which may refute with at most ``_WITNESS_CAP``
     witnesses (``invariant_count`` counts them all).  ``margin`` takes the divergence and
     saddle margins.
@@ -396,8 +397,9 @@ def certify_ergodic_3(spec: GeneratorSpec, grid: SimplexGrid) -> Certificate:
     unique = certify_unique(spec, grid)
     premise = {"uniqueness": "degree", "uniqueness_margin": unique.evidence.get("margin")}
     stationary = ()
-    if unique.certified:  # the corners and edge midpoints locate the one rest point
-        stationary = find_invariant(spec, SimplexGrid(3, min(2, grid.resolution)))
+    if unique.certified:  # one rest point, located from the grid point of least drift
+        drifts = np.max(np.abs(spec.drift_batch(grid.array)), axis=1)
+        stationary = find_invariant(spec, grid.array[np.argmin(drifts)])
     if len(stationary) != 1:
         stationary = find_invariant(spec, grid)
         premise = {"uniqueness": "search"}

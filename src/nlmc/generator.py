@@ -185,12 +185,17 @@ def _normalize_cells(dimension: int, cells: dict) -> dict[tuple[int, int], tuple
 
 def _compile_cells(dimension: int, cells: dict[tuple[int, int], tuple]):
     """Rates as sorted monomial values times one table with a column per entry of Q, each
-    diagonal column minus its row's other columns.  einsum, not @: BLAS fuses multiply-adds
-    and takes another path for one row, so rates would depend on the batch size.  Its kernel
-    is called directly: np.einsum's wrapper costs more than a row."""
+    diagonal column minus its row's other columns.  A monomial is the product of its factors,
+    one coordinate per unit of degree in index order, padded to the largest degree and masked,
+    so no power is taken.  einsum, not @: BLAS fuses multiply-adds and takes another path for
+    one row, so rates would depend on the batch size.  Its kernel is called directly:
+    np.einsum's wrapper costs more than a row."""
     monomials = sorted({exps for terms in cells.values() for exps, _ in terms})
     column = {exps: k for k, exps in enumerate(monomials)}
-    exps = np.array(monomials, dtype=float).reshape(1, len(monomials), dimension)
+    degrees = np.array([sum(exps) for exps in monomials], dtype=int)
+    used = np.arange(degrees.max(initial=0)) < degrees[:, None]
+    factors = np.zeros(used.shape, dtype=np.intp)
+    factors[used] = [k for exps in monomials for k, e in enumerate(exps) for _ in range(e)]
     coeffs = np.zeros((len(monomials), dimension * dimension))
     for (i, j), terms in cells.items():
         for monomial, coefficient in terms:
@@ -198,7 +203,7 @@ def _compile_cells(dimension: int, cells: dict[tuple[int, int], tuple]):
     coeffs[:, :: dimension + 1] = -np.add.reduce(coeffs.reshape(-1, dimension, dimension), axis=2)
 
     def batch(points: np.ndarray) -> np.ndarray:
-        values = np.multiply.reduce(points[:, None, :] ** exps, axis=2)
+        values = np.multiply.reduce(points[:, factors], axis=2, where=used, initial=1.0)
         return _einsum("nt,tk->nk", values, coeffs).reshape(-1, dimension, dimension)
 
     return batch

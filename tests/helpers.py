@@ -120,8 +120,10 @@ def oscillator_rates_oracle(points) -> np.ndarray:
 def einsum_oracle(dimension: int, cells: dict, points) -> tuple[np.ndarray, np.ndarray]:
     """Rates ``(n, S, S)`` and drifts ``(n, S)`` of a polynomial cell table, both
     contracted by ``np.einsum`` in the generator's order: the distinct monomials
-    sorted, one coefficient column per entry of Q, and each diagonal column set by
-    fancy index to minus its row's off-diagonal columns, summed over the table."""
+    sorted, each the product of its factors from 1.0, one coordinate per unit of
+    degree in index order, one coefficient column per entry of Q, and each diagonal
+    column set by fancy index to minus its row's off-diagonal columns, summed over
+    the table."""
     points = np.asarray(points, dtype=float)
     s = dimension
     monomials = sorted({exps for terms in cells.values() for exps, _ in terms})
@@ -131,8 +133,11 @@ def einsum_oracle(dimension: int, cells: dict, points) -> tuple[np.ndarray, np.n
             coeffs[monomials.index(monomial), i, j] += coefficient
     idx = np.arange(s)
     coeffs[:, idx, idx] = -coeffs.sum(axis=2)
-    exps = np.array(monomials, dtype=float).reshape(1, len(monomials), s)
-    values = np.multiply.reduce(points[:, None, :] ** exps, axis=2)
+    values = np.ones((points.shape[0], len(monomials)))
+    for t, monomial in enumerate(monomials):
+        for k, e in enumerate(monomial):
+            for _ in range(e):
+                values[:, t] *= points[:, k]
     q = np.einsum("nt,tk->nk", values, coeffs.reshape(-1, s * s)).reshape(-1, s, s)
     return q, np.einsum("ni,nij->nj", points, q)
 

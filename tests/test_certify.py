@@ -638,21 +638,25 @@ class TestCertifyErgodicThreeStates:
 
     @pytest.mark.parametrize("count", [0, 2])
     def test_a_small_search_without_one_distribution_falls_through(self, monkeypatch, count):
+        # The degree premise searches from the grid point of least max-norm drift alone.
+        grid = SimplexGrid(3, 10)
+        seed = grid.array[np.argmin(np.max(np.abs(CONSUMER.drift_batch(grid.array)), axis=1))]
         search = nlmc.certify.find_invariant
-        resolutions = []
+        received = []
 
         def spy(spec, seeds):
-            resolutions.append(seeds.resolution)
+            received.append(seeds)
             found = search(spec, seeds)
-            if seeds.resolution > 2:
+            if seeds is grid:
                 return found
             corner = StationaryResult(Distribution((1.0, 0.0, 0.0)), 0.0, "boundary")
             results = {0: (), 2: (*found.results, corner)}[count]
             return dataclasses.replace(found, results=results)
 
         monkeypatch.setattr(nlmc.certify, "find_invariant", spy)
-        certificate = certify_ergodic_3(CONSUMER, SimplexGrid(3, 10))
-        assert resolutions == [2, 10]
+        certificate = certify_ergodic_3(CONSUMER, grid)
+        assert len(received) == 2 and received[1] is grid
+        assert received[0].shape == (3,) and received[0].tobytes() == seed.tobytes()
         assert certificate.verdict == "CERTIFIED"
         assert certificate.evidence["uniqueness"] == "search"
         rest = certificate.evidence["rest_point"].probs

@@ -22,7 +22,7 @@ from nlmc import (
     save_generator,
     validate,
 )
-from nlmc.generator import CORPUS_NAMES, RATE_FLOOR, ROWSUM_TOL, _irreducible
+from nlmc.generator import CORPUS_NAMES, MAX_TOTAL_DEGREE, RATE_FLOOR, ROWSUM_TOL, _irreducible
 
 from helpers import (
     CONSUMER_PARAMS,
@@ -396,6 +396,41 @@ class TestContractionBits:
         for points in (rng.dirichlet(np.ones(3), size=n), rng.uniform(-0.1, 1.1, size=(n, 3))):
             drifts = np.einsum("ni,nij->nj", points, oscillator_rates_oracle(points))
             assert corpus("oscillator").drift_batch(points).tobytes() == drifts.tobytes()
+
+
+class TestMonomialProducts:
+    """Monomials are products of their factors: exact to a few ulps, and the same bits for a
+    row whatever the batch."""
+
+    @pytest.mark.parametrize("degree", range(MAX_TOTAL_DEGREE + 1))
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_rates_are_within_a_few_ulps_of_exact_fractions(self, s, degree):
+        # Every cell gets a term of total degree ``degree`` besides its random lower ones;
+        # the empty table comes last, and its rates must be exact zeros.
+        rng = np.random.default_rng(1000 * s + degree)
+        tables = [random_polynomial_cells(rng, s, degree) for _ in range(3)]  # S = 1: no cells
+        for terms in (terms for cells in tables for terms in cells.values()):
+            exponents = tuple(int(e) for e in rng.multinomial(degree, np.ones(s) / s))
+            terms.append((exponents, float(rng.uniform(0.1, 2.0))))
+        for cells in (*tables, {}):
+            spec = GeneratorSpec(s, cells=cells)
+            # Floats are rationals: points on the simplex, then off-simplex probes.
+            points = np.vstack([rng.dirichlet(np.ones(s), size=4), rng.uniform(-0.5, 1.5, (4, s))])
+            for point, q in zip(points, spec.rates_batch(points)):
+                exact, scale = fraction_rates(s, cells, point)
+                for i in range(s):
+                    for j in range(s):
+                        error = abs(Fraction(q[i, j]) - exact[i][j])
+                        assert error <= 4 * Fraction(np.finfo(float).eps) * scale[i]
+
+    def test_a_row_alone_gets_its_bits_in_a_stack_of_4096(self):
+        rng = np.random.default_rng(4096)
+        spec = GeneratorSpec(6, cells=random_polynomial_cells(rng, 6, MAX_TOTAL_DEGREE))
+        points = np.vstack([rng.dirichlet(np.ones(6), 2048), rng.uniform(-0.5, 1.5, (2048, 6))])
+        rates, drifts = spec.rates_batch(points), spec.drift_batch(points)
+        for k, point in enumerate(points):
+            assert spec.rates(point).tobytes() == rates[k].tobytes()
+            assert spec.drift(point).tobytes() == drifts[k].tobytes()
 
 
 class TestGeneratorId:
