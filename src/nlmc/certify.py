@@ -9,8 +9,9 @@ The uniqueness certificate sweeps the sign of det M(m), where M is the
 chart Jacobian of the fixed-point defect f(m) = x(m) - m and x(m) is the
 frozen-chain stationary distribution: a uniform nonzero sign matching the
 degree of -identity, (-1)^(S-1), rules out a second zero of f.  Ergodicity
-certificates cover two states (scalar drift with a unique attracting root)
-and three states (a Dulac argument, see :func:`certify_ergodic_3`).
+certificates cover two states (one root r of the drift, which points toward
+it: h = f1/(r1 - m1) > 0) and three states (a Dulac argument, see
+:func:`certify_ergodic_3`).  All three sweep a :class:`SimplexGrid` with one sign test.
 """
 
 from __future__ import annotations
@@ -24,18 +25,14 @@ import numpy as np
 from .errors import CertificateEvaluationError
 from .generator import RATE_FLOOR, GeneratorSpec, _irreducible, _sweep_grid
 from .simplex import (
-    FD_STEP, Distribution, SimplexGrid, _chart_drift, _chart_embed, _chart_jacobian, _is_int,
-    _write_text,
+    FD_STEP, Distribution, SimplexGrid, _chart_drift, _chart_embed, _chart_jacobian, _write_text,
 )
 from .stationary import TOL_INVARIANT, _frozen_solve, find_invariant
 
 TOL_DET = 1e-8
 DIV_TOL = 1e-8
-SCAN_MARGIN_TOL = 1e-10
 ROOT_REFINE_TOL = 1e-12
 ZERO_DRIFT_TOL = 1e-12
-DEFAULT_SCAN_RESOLUTION = 10_000
-MAX_SCAN_RESOLUTION = 1_000_000  # 8 MB per float array of the scan
 
 CLAIM_UNIQUE = "unique-invariant-distribution"
 CLAIM_ERGODIC = "strong-ergodicity"
@@ -268,49 +265,41 @@ def _bisect_rows(spec: GeneratorSpec, a: np.ndarray, b: np.ndarray, fa: np.ndarr
     return 0.5 * (a + b)
 
 
-def _check_scan(scan: int) -> None:
-    if not (_is_int(scan) and 10 <= scan <= MAX_SCAN_RESOLUTION):
-        raise ValueError(
-            f"scan resolution must be an integer in 10..{MAX_SCAN_RESOLUTION}, got {scan!r}"
-        )
-
-
-def certify_ergodic_2(
-    spec: GeneratorSpec, scan_resolution: int = DEFAULT_SCAN_RESOLUTION
-) -> Certificate:
+def certify_ergodic_2(spec: GeneratorSpec, grid: SimplexGrid) -> Certificate:
     """Ergodicity certificate for two states.
 
-    Scans the scalar drift on a uniform grid of ``scan_resolution`` intervals
-    (an integer in 10..``MAX_SCAN_RESOLUTION``) over [0, 1], refines every
-    sign change by bisection, and requires exactly one root with the drift
-    uniformly positive to its left and negative to its right (margins
-    recorded).  Multiple roots refute ergodicity outright, since each is a
-    rest point of the marginal flow; the evidence lists at most
-    ``_WITNESS_CAP`` of them and then counts them all in ``root_count``.
+    Scans the scalar drift f1 at the points of ``grid`` and bisects every sign change for a
+    rest point; roots within 2/k of each other merge, k the grid's resolution.  Multiple roots
+    refute ergodicity outright, since each is a rest point of the marginal flow; the evidence
+    lists at most ``_WITNESS_CAP`` of them and then counts them all in ``root_count``.  One
+    root r certifies when h(m) = f1(m)/(r1 - m1) is positive at every grid point: the drift
+    points toward r there.  A point within ``FD_STEP`` of r takes h(r) = -f1'(r) from the
+    difference stencil.  ``margin``, a rate, is min h - ``DIV_TOL``, at ``binding_point``.
     """
     if spec.dimension != 2:
         raise ValueError("this certificate requires a two-state generator")
-    _check_scan(scan_resolution)
+    grid = _sweep_grid(spec, grid)
     spec.require_valid()
-    xs = np.linspace(0.0, 1.0, scan_resolution + 1)
-    vals = _chart_drift(spec, xs[:, None])[:, 0]
+    drift = partial(_chart_drift, spec)
+    points = grid.array
+    xs = points[:, 0]
+    vals = drift(points[:, :1])[:, 0]
     near = np.abs(vals) <= ZERO_DRIFT_TOL
     flips = np.flatnonzero(~near[:-1] & ~near[1:] & ((vals[:-1] > 0) != (vals[1:] > 0)))
     bisected = _bisect_rows(spec, xs[flips], xs[flips + 1], vals[flips])
-    # Roots closer than ``window`` merge, and the margins skip ``window`` around the root.
-    window = 2.0 / scan_resolution
+    window = 2.0 / grid.resolution
     roots: list[float] = []
     for r in np.sort(np.concatenate([xs[near], bisected])).tolist():
         if not roots or r - roots[-1] > window:
             roots.append(r)
 
-    base = {"scan_resolution": scan_resolution, "roots": roots[:_WITNESS_CAP]}
+    base = {"grid_resolution": grid.resolution, "roots": roots[:_WITNESS_CAP]}
     if len(roots) > _WITNESS_CAP:
         base["root_count"] = len(roots)
     verdict = _verdicts(
         CLAIM_ERGODIC,
         spec,
-        {"margin": SCAN_MARGIN_TOL, "root_refine": ROOT_REFINE_TOL, "zero": ZERO_DRIFT_TOL},
+        dict(field=DIV_TOL, root_refine=ROOT_REFINE_TOL, zero=ZERO_DRIFT_TOL, fd_step=FD_STEP),
         base,
     )
     if not roots:
@@ -322,24 +311,27 @@ def certify_ergodic_2(
             witnesses=[[r, 1.0 - r] for r in base["roots"]],
         )
     root = roots[0]
-    margins = []
-    for side, sign, reason in (
-        (xs < root - window, 1.0, "drift is not uniformly positive left of the rest point"),
-        (xs > root + window, -1.0, "drift is not uniformly negative right of the rest point"),
-    ):
-        signed = sign * vals[side]
-        if signed.size:
-            weakest = int(np.argmin(signed))
-            if float(signed[weakest]) <= SCAN_MARGIN_TOL:
-                x = float(xs[side][weakest])
-                return verdict("INCONCLUSIVE", reason, witnesses=[[x, 1.0 - x]])
-            margins.append(float(signed[weakest]))
-    # margins is never empty: scan >= 10 keeps window <= 0.2, so both sides fit in [0, 1].
+    gap = root - xs
+    close = np.abs(gap) <= FD_STEP
+    # h as the slope to r, (f1(m) - f1(r))/(r1 - m1): equal where f1(r) = 0, and blind to
+    # the root's bisection error, which f1(m)/(r1 - m1) carries at points next to r.
+    rise = vals - drift(np.array([[root]]))[0, 0]
+    field = np.divide(rise, gap, out=np.empty_like(vals), where=~close)
+    if close.any():
+        field[close] = -_chart_jacobian(drift, np.array([[root]]), FD_STEP)[0, 0, 0]
+    evidence = {"rest_point": [root, 1.0 - root]}
+    failure = _sign_failure(
+        verdict, field, points, DIV_TOL, "two-state field", "field", "across the grid", 1.0,
+        "an attracting rest point", **evidence,
+    )
+    if failure is not None:
+        return failure
     return verdict(
         "CERTIFIED",
         "unique attracting rest point of the scalar drift",
-        rest_point=[root, 1.0 - root],
-        margin=min(margins),
+        **evidence,
+        binding_point=points[np.argmin(field)],
+        margin=float(field.min() - DIV_TOL),
     )
 
 

@@ -4,7 +4,8 @@ Each flag is declared once, in ``_FLAGS``; ``_COMMANDS`` lists the flags of
 each subcommand.  ``main`` builds the parser from the two on every call, with
 only the invoked subcommand's flags (all seven for none, an unknown one or -h).
 The parser only converts text: ``RunConfig`` holds every default except
-``invariant``'s grid of 20, and every check that needs no generator.
+``invariant``'s grid of 20, and every check that needs no generator.  Every
+simplex sweep, at any state count, takes ``--grid``, capped in points by ``_grid``.
 
 Exit codes: 0 for success (including CERTIFIED verdicts), 2 when a
 certificate comes back INCONCLUSIVE or REFUTED, 1 for any error.  Given
@@ -21,9 +22,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .certify import (
-    DEFAULT_SCAN_RESOLUTION, _check_scan, certify_ergodic_2, certify_ergodic_3, certify_unique,
-)
+from .certify import certify_ergodic_2, certify_ergodic_3, certify_unique
 from .errors import NlmcError
 from .generator import (
     CONSUMER_PARAMS,
@@ -40,8 +39,7 @@ from .semigroup import (
 from .simplex import SimplexGrid, _write_text
 from .stationary import find_invariant
 
-MAX_GRID_RESOLUTION = 200
-MAX_GRID_POINTS = math.comb(MAX_GRID_RESOLUTION + 2, 2)  # the largest three-state grid
+MAX_GRID_POINTS = 20_301  # C(202, 2): resolution 200 on three states, 20 300 on two
 
 _DEFAULT_OUT = {
     "simulate": "trajectory.csv",
@@ -71,7 +69,6 @@ class RunConfig:
     atol: float = ATOL
     sample_every: float | None = None
     grid_resolution: int = 40
-    scan_resolution: int = DEFAULT_SCAN_RESOLUTION
     seed: int = 0
     initial_state: int | None = None
     out: str | None = None
@@ -99,9 +96,8 @@ class RunConfig:
             _check_horizon(self.horizon)
         _check_sample_every(self.sample_every)
         _check_tolerances(self.rtol, self.atol)
-        if not (1 <= self.grid_resolution <= MAX_GRID_RESOLUTION):
-            raise ValueError(f"grid resolution must lie in 1..{MAX_GRID_RESOLUTION}")
-        _check_scan(self.scan_resolution)
+        if self.grid_resolution < 1:
+            raise ValueError(f"grid resolution must be at least 1, got {self.grid_resolution}")
         _check_seed(self.seed)
         if self.command == "reproduce" and self.figure not in FIGURES:
             raise ValueError(f"reproduce requires a figure: {' or '.join(FIGURES)}")
@@ -114,11 +110,15 @@ def _load_spec(config: RunConfig) -> GeneratorSpec:
 
 
 def _grid(spec: GeneratorSpec, config: RunConfig) -> SimplexGrid:
-    """The run's simplex grid, refused when it has more than ``MAX_GRID_POINTS`` points."""
+    """The run's simplex grid, refused when it has more than ``MAX_GRID_POINTS`` points; its
+    count C(k + S - 1, S - 1) >= k + S - 1 for S > 1 is taken only below that bound."""
     k, s = config.grid_resolution, spec.dimension
-    count = math.comb(k + s - 1, s - 1)
+    least = k + s - 1 if s > 1 else 1
+    count = least if least > MAX_GRID_POINTS else math.comb(k + s - 1, s - 1)
     if count > MAX_GRID_POINTS:
-        raise ValueError(f"--grid {k} on {s} states has {count} points, over {MAX_GRID_POINTS}")
+        raise ValueError(
+            f"--grid {k} on {s} states has at least {count} points, over {MAX_GRID_POINTS}"
+        )
     return SimplexGrid(s, k)
 
 
@@ -174,14 +174,13 @@ def run(config: RunConfig) -> int:
         return 0
 
     if config.command == "certify-unique":
-        certificate = certify_unique(spec, _grid(spec, config))
-    elif spec.dimension == 2:
-        certificate = certify_ergodic_2(spec, config.scan_resolution)
-    elif spec.dimension == 3:
-        certificate = certify_ergodic_3(spec, _grid(spec, config))
+        certify = certify_unique
     else:
+        certify = {2: certify_ergodic_2, 3: certify_ergodic_3}.get(spec.dimension)
+    if certify is None:
         raise ValueError(f"ergodicity certificates support 2 or 3 states, not {spec.dimension}")
 
+    certificate = certify(spec, _grid(spec, config))
     certificate.to_json(out)
     print(f"verdict: {certificate.verdict}")
     print(f"reason: {certificate.reason}")
@@ -274,7 +273,6 @@ _FLAGS = {
         help="1-based starting state, or 'draw' to sample it from m0 (default)",
     ),
     "--grid": dict(dest="grid_resolution", type=int),
-    "--scan": dict(dest="scan_resolution", type=int),
     "--out": {},
     "--outdir": {},
     "figure": dict(choices=FIGURES),
@@ -292,7 +290,7 @@ _COMMANDS = {
     "certify-unique": ("certify uniqueness of the invariant distribution",
                        f"{_GENERATOR_FLAGS} --grid --out"),
     "certify-ergodic": ("certify strong ergodicity (2 or 3 states)",
-                        f"{_GENERATOR_FLAGS} --grid --scan --out"),
+                        f"{_GENERATOR_FLAGS} --grid --out"),
     "corpus-list": ("list built-in generators", ""),
     "reproduce": ("regenerate reference-figure artifacts", "figure --outdir"),
 }

@@ -30,6 +30,7 @@ ROWSUM_TOL = 1e-9        # conservativity slack per row, times max(1, the row's 
 RATE_FLOOR = 1e-9        # rates at or below this count as structural zeros
 MAX_TOTAL_DEGREE = 8     # cap on the total degree of a cell table's monomials
 VALIDATION_RESOLUTION = 20
+RATE_BLOCK = 4096        # points whose rates a sweep holds at once
 
 FILE_FORMAT = "nlmc-generator"
 FILE_VERSION = 1
@@ -365,19 +366,22 @@ def _problems(q: np.ndarray) -> list[tuple[int, str]]:
 def validate(spec: GeneratorSpec, grid: SimplexGrid | None = None) -> ValidationReport:
     """Check conservativity of ``spec`` at every point of ``grid``.
 
-    The default grid has resolution ``VALIDATION_RESOLUTION``.  Each failure
-    of the check (see ``_problems``) is reported with the offending point.
+    The default grid has resolution ``VALIDATION_RESOLUTION``, evaluated ``RATE_BLOCK``
+    points at a time.  Each failure of the check (see ``_problems``) is reported with the
+    offending point.
     """
     grid = _sweep_grid(spec, grid)
     points = grid.array
+    problems = [
+        (first + n, message)
+        for first in range(0, len(points), RATE_BLOCK)
+        for n, message in _problems(spec._batch(points[first : first + RATE_BLOCK]))
+    ]
     return ValidationReport(
         dimension=spec.dimension,
         grid_resolution=grid.resolution,
         checked=points.shape[0],
-        violations=tuple(
-            GridViolation(tuple(points[n].tolist()), message)
-            for n, message in _problems(spec._batch(points))
-        ),
+        violations=tuple(GridViolation(tuple(points[n].tolist()), m) for n, m in problems),
     )
 
 
@@ -468,6 +472,8 @@ def generator_from_json(text: str) -> GeneratorSpec:
         raise GeneratorFileError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:  # the decoder recurses once per level of nesting
+        raise GeneratorFileError("invalid JSON: arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
         raise GeneratorFileError("top level must be an object")
     if doc.get("format") != FILE_FORMAT:

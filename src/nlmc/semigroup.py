@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import IntegrationDivergedError
 from .generator import GeneratorSpec, _einsum
+from .generator import RATE_BLOCK as THINNING_BLOCK  # proposals, or bound-grid points, held at once
 from .simplex import (
     TOL_RENORMALIZE, Distribution, SimplexGrid, _check_states, _is_int, _project_array, _rows,
     _write_text,
@@ -27,7 +28,6 @@ MAX_SAMPLES = 1_000_000
 MAX_STEPS = 1_000_000    # step attempts, accepted or rejected, of one integrate_flow call
 THINNING_GRID_RESOLUTION = 50
 THINNING_HEADROOM = 1.1
-THINNING_BLOCK = 4096    # proposals, or bound-grid points, whose rates are held at once
 RTOL = 1e-8              # default error tolerances of the marginal-flow integrator
 ATOL = 1e-10
 

@@ -6,8 +6,9 @@ threshold search, simplex invariance by the tangent-cone condition,
 stationary distributions by a dense null space, matrix exponentials, naive
 monomial evaluation, exact rates and the exact three-state Dulac field in
 ``fractions.Fraction``, the oscillator's rates cell by cell, polynomial rates
-and drifts contracted by ``np.einsum``, a replicator-mutator cell table, and a
-cell table's states relabelled.
+and drifts contracted by ``np.einsum``, a replicator-mutator cell table, a
+cell table's states relabelled, and two-state herding tables with their drift's
+roots by ``numpy.roots``.
 Values frozen in the tests were produced by these oracles.
 """
 
@@ -17,6 +18,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from scipy.linalg import expm, null_space
 
 from nlmc import GeneratorSpec
@@ -263,6 +265,38 @@ def random_polynomial_cells(rng, s: int, max_degree: int = 3) -> dict:
                 terms.append((exponents, float(rng.uniform(0.1, 2.0))))
             cells[(i, j)] = terms
     return cells
+
+
+def _herding_cell(rng, target):
+    # A base rate, so the chain is irreducible, plus terms that grow
+    # with the share of the target state, so some specs are bistable.
+    terms = [((0, 0), float(rng.uniform(0.1, 1.0)))]
+    for _ in range(int(rng.integers(1, 3))):
+        exponents = [0, 0]
+        exponents[target] = int(rng.integers(1, 4))
+        exponents[1 - target] = int(rng.integers(0, 2))
+        terms.append((tuple(exponents), float(rng.uniform(0.5, 10.0))))
+    return terms
+
+
+def two_state_herding_cells(count: int) -> list[dict]:
+    """The first ``count`` two-state herding cell tables drawn from rng 2024."""
+    rng = np.random.default_rng(2024)
+    return [{(0, 1): _herding_cell(rng, 1), (1, 0): _herding_cell(rng, 0)} for _ in range(count)]
+
+
+def two_state_drift_roots(cells: dict) -> np.ndarray:
+    """The real roots in [0, 1] of a two-state cell table's drift f1, by ``numpy.roots``."""
+    # The chart m = (m1, 1 - m1) as polynomials in m1.
+    m1, m2 = Polynomial([0.0, 1.0]), Polynomial([1.0, -1.0])
+
+    def rate(terms):
+        return sum((c * m1**a * m2**b for (a, b), c in terms), Polynomial([0.0]))
+
+    drift = m2 * rate(cells.get((1, 0), ())) - m1 * rate(cells.get((0, 1), ()))
+    roots = np.roots(drift.coef[::-1])
+    roots = roots[np.abs(roots.imag) <= 1e-9].real
+    return roots[(roots >= 0.0) & (roots <= 1.0)]
 
 
 def relabel(spec, perm):

@@ -112,7 +112,7 @@ def test_criterion_3_bistable_basins():
 
 def test_criterion_4_irreducible_but_not_ergodic():
     spec = corpus("bistable")
-    certificate = certify_ergodic_2(spec)
+    certificate = certify_ergodic_2(spec, SimplexGrid(2, 40))
     refuted = (
         certificate.verdict == "REFUTED"
         and "uniqueness" in certificate.reason

@@ -39,6 +39,8 @@ from helpers import (
     random_rate_matrix,
     relabel,
     rps_mutator_cells,
+    two_state_drift_roots,
+    two_state_herding_cells,
 )
 
 CONSUMER = corpus("consumer", CONSUMER_PARAMS)
@@ -107,7 +109,8 @@ class TestCertificateContract:
             )
 
     def test_json_export_is_canonical(self, tmp_path):
-        certificate = certify_ergodic_2(constant_generator([[-2.0, 2.0], [1.0, -1.0]]))
+        spec = constant_generator([[-2.0, 2.0], [1.0, -1.0]])
+        certificate = certify_ergodic_2(spec, SimplexGrid(2, 40))
         text = certificate.to_json_text()
         assert text.endswith("\n")
         doc = json.loads(text)
@@ -252,7 +255,7 @@ class TestCertifyErgodicTwoStates:
 
     def test_contracting_chain_is_certified(self):
         spec = constant_generator([[-2.0, 2.0], [1.0, -1.0]])
-        certificate = certify_ergodic_2(spec)
+        certificate = certify_ergodic_2(spec, SimplexGrid(2, 40))
         assert certificate.verdict == "CERTIFIED"
         assert certificate.claim == "strong-ergodicity"
         assert certificate.evidence["margin"] > 1e-10
@@ -261,7 +264,7 @@ class TestCertifyErgodicTwoStates:
         assert root[1] == pytest.approx(2.0 / 3.0, abs=1e-9)
 
     def test_bistable_multiple_roots_refute(self):
-        certificate = certify_ergodic_2(corpus("bistable"))
+        certificate = certify_ergodic_2(corpus("bistable"), SimplexGrid(2, 40))
         assert certificate.verdict == "REFUTED"
         assert "multiple rest points" in certificate.reason
         witnesses = certificate.evidence["witnesses"]
@@ -271,19 +274,21 @@ class TestCertifyErgodicTwoStates:
             assert witness[0] + witness[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_a_vanishing_drift_lists_at_most_five_roots(self):
-        # A drift that is zero on [0, 1] has a root every few scan points.
-        certificate = certify_ergodic_2(constant_generator([[0, 0], [0, 0]]), 10**6)
+        # A drift that is zero on [0, 1] has a root every few grid points.
+        still = constant_generator([[0, 0], [0, 0]])
+        certificate = certify_ergodic_2(still, SimplexGrid(2, 20_300))
         assert certificate.verdict == "REFUTED"
         evidence = certificate.evidence
         assert evidence["root_count"] > 5
         assert len(evidence["roots"]) == len(evidence["witnesses"]) == 5
         assert evidence["roots"][0] == 0.0
         assert len(certificate.to_json_text()) < 4096
-        assert "root_count" not in certify_ergodic_2(corpus("bistable")).evidence
+        bistable = certify_ergodic_2(corpus("bistable"), SimplexGrid(2, 40))
+        assert "root_count" not in bistable.evidence
 
     def test_cubically_flat_rest_point_is_inconclusive(self):
-        # Drift -(m1 - 1/2)^3 decays below the 1e-10 margin near the root, so
-        # the one-sided sign check cannot clear its tolerance.
+        # Drift -(m1 - 1/2)^3 has slope 0 at its root, a grid point, so the field's
+        # limit -f1'(1/2) there cannot clear its 1e-8 tolerance.
         cells = {
             (0, 1): [((0, 0), 0.825), ((1, 0), -1.5), ((2, 0), 0.8)],
             (1, 0): [((0, 0), 0.125), ((1, 0), 0.2), ((2, 0), 0.2)],
@@ -291,29 +296,30 @@ class TestCertifyErgodicTwoStates:
         spec = GeneratorSpec(2, cells=cells)
         m1 = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
         assert np.allclose(_m1_drift(spec, m1), -((m1 - 0.5) ** 3), rtol=0.0, atol=1e-15)
-        certificate = certify_ergodic_2(spec)
+        certificate = certify_ergodic_2(spec, SimplexGrid(2, 40))
         assert certificate.verdict == "INCONCLUSIVE"
-        assert "uniformly" in certificate.reason
+        assert certificate.reason == "two-state field magnitude below tolerance"
+        assert certificate.evidence["witnesses"][0].tolist() == [0.5, 0.5]
 
     def test_a_drift_without_a_rest_point_is_inconclusive(self):
         # A rate into state 1 of -5e-11 passes validation (OFFDIAG_TOL is 1e-10),
         # and the drift -m1 - 5e-11 (1 - m1) then stays below zero on [0, 1].
         spec = GeneratorSpec(2, cells={(0, 1): [((0, 0), 1.0)], (1, 0): [((0, 0), -5e-11)]})
-        certificate = certify_ergodic_2(spec)
+        certificate = certify_ergodic_2(spec, SimplexGrid(2, 40))
         assert certificate.verdict == "INCONCLUSIVE"
         assert certificate.reason == "the drift scan located no rest point"
         assert certificate.evidence["roots"] == []
 
     def test_boundary_rest_point_certifies_from_one_side(self):
         # All mass drains into state 2: the unique rest point sits at the
-        # m1 = 0 vertex and only the right-hand margin exists.
+        # m1 = 0 vertex and every grid point lies to its right.
         spec = GeneratorSpec(2, cells={(0, 1): [((0, 0), 1.0), ((1, 0), 1.0)]})
-        certificate = certify_ergodic_2(spec)
+        certificate = certify_ergodic_2(spec, SimplexGrid(2, 40))
         assert certificate.verdict == "CERTIFIED"
         assert certificate.evidence["rest_point"][0] == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("scan", [10, 37])
-    def test_lockstep_roots_match_a_scalar_bisection(self, scan):
+    @pytest.mark.parametrize("k", [10, 37])
+    def test_lockstep_roots_match_a_scalar_bisection(self, k):
         def bisect(f, a, b, fa):
             while b - a > nlmc.certify.ROOT_REFINE_TOL:
                 mid = 0.5 * (a + b)
@@ -330,20 +336,20 @@ class TestCertifyErgodicTwoStates:
             def f(x):
                 return float(_m1_drift(spec, [x])[0])
 
-            xs = np.linspace(0.0, 1.0, scan + 1).tolist()
+            xs = SimplexGrid(2, k).array[:, 0].tolist()
             vals = [f(x) for x in xs]
             near = [abs(v) <= nlmc.certify.ZERO_DRIFT_TOL for v in vals]
             raw = [x for x, zero in zip(xs, near) if zero]
-            for k in range(scan):
-                if not (near[k] or near[k + 1]) and (vals[k] > 0) != (vals[k + 1] > 0):
-                    raw.append(bisect(f, xs[k], xs[k + 1], vals[k]))
+            for n in range(k):
+                if not (near[n] or near[n + 1]) and (vals[n] > 0) != (vals[n + 1] > 0):
+                    raw.append(bisect(f, xs[n], xs[n + 1], vals[n]))
             roots = []
             for r in sorted(raw):
-                if not roots or r - roots[-1] > 2.0 / scan:
+                if not roots or r - roots[-1] > 2.0 / k:
                     roots.append(r)
             return roots
 
-        rng = np.random.default_rng(scan)
+        rng = np.random.default_rng(k)
         for _ in range(12):
             # q12 = a (m1 - r)^2 + c and q21 = d m1^2 + e m1 + g give up to three roots.
             a, r, c, d, e, g = rng.uniform([0.5, 0.0, 0.0, 0.0, 0.0, 0.0], [20, 1, 1, 3, 3, 1])
@@ -354,7 +360,7 @@ class TestCertifyErgodicTwoStates:
                     (1, 0): [((2, 0), d), ((1, 0), e), ((0, 0), g)],
                 },
             )
-            roots = certify_ergodic_2(spec, scan).evidence["roots"]
+            roots = certify_ergodic_2(spec, SimplexGrid(2, k)).evidence["roots"]
             assert roots == reference_roots(spec)
             assert roots
 
@@ -368,52 +374,71 @@ class TestCertifyErgodicTwoStates:
         return calls
 
     def test_midpoint_with_exact_zero_drift_is_the_root(self, monkeypatch):
-        # Drift 3 - 32 m1 vanishes exactly at 3/32, the midpoint of the
-        # scan bracket [1/16, 2/16], so the first halving ends the bisection.
+        # Drift 3 - 32 m1 vanishes exactly at 3/32, the midpoint of the grid
+        # bracket [1/16, 2/16], so the first halving ends the bisection; one more
+        # call takes the drift at the root for the field.
         spec = constant_generator([[-29.0, 29.0], [3.0, -3.0]])
         spec.require_valid()
         calls = self._count_rate_calls(monkeypatch)
-        certificate = certify_ergodic_2(spec, 16)
+        certificate = certify_ergodic_2(spec, SimplexGrid(2, 16))
         assert certificate.evidence["roots"] == [0.09375]
         assert certificate.verdict == "CERTIFIED"
-        assert len(calls) == 2
+        assert len(calls) == 3
 
     def test_all_brackets_share_one_rate_call_per_halving(self, monkeypatch):
         spec = corpus("bistable")
         spec.require_valid()
         calls = self._count_rate_calls(monkeypatch)
-        certificate = certify_ergodic_2(spec, 37)
+        certificate = certify_ergodic_2(spec, SimplexGrid(2, 37))
         assert len(certificate.evidence["roots"]) == 3
         halvings = math.ceil(math.log2((1.0 / 37) / nlmc.certify.ROOT_REFINE_TOL))
         assert len(calls) <= 1 + halvings
 
-    def test_wrong_dimension_and_bad_scan_raise(self):
-        with pytest.raises(ValueError):
-            certify_ergodic_2(CONSUMER)
-        with pytest.raises(ValueError):
-            certify_ergodic_2(corpus("bistable"), scan_resolution=5)
+    def test_wrong_dimension_raises(self):
+        with pytest.raises(ValueError, match="requires a two-state generator"):
+            certify_ergodic_2(CONSUMER, SimplexGrid(3, 10))
 
-    @pytest.mark.parametrize("scan", [10**9, 1_000_001])
-    def test_scan_resolution_is_capped_before_any_work(self, scan, monkeypatch):
-        # A 10^9-interval scan would hold about 8 GB per float array.
-        def no_work():
-            raise AssertionError("worked before checking the scan resolution")
-
+    def test_a_grid_on_another_state_count_is_refused_before_any_rate_call(self, monkeypatch):
         spec = corpus("bistable")
-        monkeypatch.setattr(spec, "require_valid", no_work)
-        message = rf"^scan resolution must be an integer in 10\.\.1000000, got {scan}$"
-        with pytest.raises(ValueError, match=message):
-            certify_ergodic_2(spec, scan)
+        calls = self._count_rate_calls(monkeypatch)
+        with pytest.raises(ValueError, match="grid on 3 states does not match"):
+            certify_ergodic_2(spec, SimplexGrid(3, 10))
+        assert calls == []
 
-    @pytest.mark.parametrize("scan", [1e4, 10.5, True, "37"])
-    def test_scan_resolution_must_be_an_integer(self, scan):
-        with pytest.raises(ValueError, match="must be an integer"):
-            certify_ergodic_2(corpus("bistable"), scan_resolution=scan)
+    @pytest.mark.parametrize("k", [10, 40, 20_300])
+    def test_constant_chains_have_the_closed_form_margin(self, k):
+        # f1 = q21 - (q12 + q21) m1, so h = q12 + q21 at every grid point.
+        rng = np.random.default_rng(k)
+        for q12, q21 in rng.uniform(0.1, 10.0, (30, 2)):
+            spec = constant_generator([[-q12, q12], [q21, -q21]])
+            certificate = certify_ergodic_2(spec, SimplexGrid(2, k))
+            assert certificate.verdict == "CERTIFIED"
+            expected = q12 + q21 - nlmc.certify.DIV_TOL
+            assert certificate.evidence["margin"] == pytest.approx(expected, rel=0.0, abs=1e-9)
+            root = certificate.evidence["rest_point"][0]
+            assert root == pytest.approx(q21 / (q12 + q21), rel=0.0, abs=1e-12)
 
-    def test_scan_resolution_may_be_a_numpy_integer(self):
-        spec = corpus("bistable")
-        by_numpy = certify_ergodic_2(spec, np.int64(37))
-        assert by_numpy.to_json_text() == certify_ergodic_2(spec, 37).to_json_text()
+    @pytest.mark.parametrize("k", [20, 40])
+    def test_refuted_exactly_when_numpy_finds_two_roots(self, k):
+        refuted = 0
+        for cells in two_state_herding_cells(40):
+            roots = two_state_drift_roots(cells)
+            certificate = certify_ergodic_2(GeneratorSpec(2, cells=cells), SimplexGrid(2, k))
+            assert (certificate.verdict == "REFUTED") == (len(roots) >= 2)
+            assert certificate.verdict in ("REFUTED", "CERTIFIED")
+            for root in certificate.evidence["roots"]:
+                assert np.min(np.abs(roots - root)) <= 1e-12
+            refuted += certificate.verdict == "REFUTED"
+        assert refuted >= 2
+
+    def test_a_root_on_a_grid_point_takes_the_stencil_value(self):
+        # f1 = 1 - 2 m1 vanishes at the grid point 1/2, where h = -f1'(1/2) = 2, not 0/0.
+        spec = constant_generator([[-1.0, 1.0], [1.0, -1.0]])
+        certificate = certify_ergodic_2(spec, SimplexGrid(2, 40))
+        assert certificate.verdict == "CERTIFIED"
+        assert certificate.evidence["rest_point"] == [0.5, 0.5]
+        expected = 2.0 - nlmc.certify.DIV_TOL
+        assert certificate.evidence["margin"] == pytest.approx(expected, rel=0.0, abs=1e-9)
 
 
 class TestReducedSystem:

@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, artifacts, argument validation."""
 
 import argparse
+import dataclasses
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -390,6 +392,18 @@ class TestCertifyCommands:
         assert doc["verdict"] == "REFUTED"
         assert len(doc["evidence"]["witnesses"]) == 3
 
+    def test_certify_ergodic_bistable_is_refuted_at_the_finest_two_state_grid(self, tmp_path):
+        out = tmp_path / "ergodic.json"
+        args = ["certify-ergodic", "--corpus", "bistable", "--grid", "20300", "--out", str(out)]
+        code = main(args)
+        assert code == 2
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["verdict"] == "REFUTED"
+        assert doc["evidence"]["grid_resolution"] == 20300
+        roots = doc["evidence"]["roots"]
+        assert len(roots) == 3
+        assert all(abs(r - root) <= 1e-12 for r, root in zip(roots, (0.25, 0.5, 0.75)))
+
     def test_certify_ergodic_oscillator_is_refuted(self, tmp_path):
         out = tmp_path / "ergodic.json"
         code = main(
@@ -545,6 +559,27 @@ class TestGeneratorFile:
         config = RunConfig(command="invariant", corpus_name="consumer", grid_resolution=200)
         assert len(_grid(spec, config)) == MAX_GRID_POINTS == 20301
 
+    def test_point_cap_admits_the_finest_two_state_grid(self):
+        config = RunConfig(command="certify-ergodic", corpus_name="bistable", grid_resolution=20300)
+        assert len(_grid(corpus("bistable"), config)) == MAX_GRID_POINTS
+        finer = dataclasses.replace(config, grid_resolution=20301)
+        with pytest.raises(ValueError, match="^--grid 20301 on 2 states has at least 20302 points"):
+            _grid(corpus("bistable"), finer)
+
+    def test_a_three_state_grid_of_500_is_refused_by_the_point_cap(self, tmp_path, capsys):
+        out = tmp_path / "ergodic.json"
+        consumer = ["--corpus", "consumer", "--b", "1", "--e", "1", "--eps", "0.1", "--lambda", "1"]
+        assert main(["certify-ergodic", *consumer, "--grid", "500", "--out", str(out)]) == 1
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error: --grid 500 on 3 states has at least 125751 points, over 20301"
+
+    def test_a_vast_grid_is_refused_before_its_count_is_taken(self):
+        # C(2 * 10**6 - 1, 10**6 - 1) has about 600 000 digits; k + S - 1 already passes the cap.
+        config = RunConfig(command="invariant", corpus_name="bistable", grid_resolution=10**6)
+        with pytest.raises(ValueError, match="has at least 1999999 points, over 20301$"):
+            _grid(types.SimpleNamespace(dimension=10**6), config)
+
 
 class TestUsageErrors:
     def test_unknown_corpus_name(self, capsys):
@@ -633,8 +668,7 @@ class TestParser:
         " --seed --initial-state --out",
         "invariant": "--corpus --generator-file --b --e --eps --lambda --grid --out",
         "certify-unique": "--corpus --generator-file --b --e --eps --lambda --grid --out",
-        "certify-ergodic": "--corpus --generator-file --b --e --eps --lambda --grid --scan"
-        " --out",
+        "certify-ergodic": "--corpus --generator-file --b --e --eps --lambda --grid --out",
         "corpus-list": "",
         "reproduce": "figure --outdir",
     }
@@ -719,10 +753,8 @@ class TestRunConfigValidation:
         for field in ("rtol", "atol", "sample_every"):
             with pytest.raises(ValueError, match="positive and finite"):
                 RunConfig("simulate", **{field: math.nan}, **base)
-        with pytest.raises(ValueError):
-            RunConfig("invariant", corpus_name="bistable", grid_resolution=500)
-        with pytest.raises(ValueError):
-            RunConfig("certify-ergodic", corpus_name="bistable", scan_resolution=5)
+        with pytest.raises(ValueError, match="grid resolution must be at least 1"):
+            RunConfig("invariant", corpus_name="bistable", grid_resolution=0)
         with pytest.raises(TypeError):
             RunConfig("certify-unique", corpus_name="bistable", fd_step=0.5)
         with pytest.raises(ValueError):

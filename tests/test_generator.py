@@ -2,12 +2,14 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
+import nlmc.generator
 from nlmc import (
     GeneratorEvaluationError,
     GeneratorFileError,
@@ -651,6 +653,32 @@ class TestValidate:
         assert messages == {"non-finite", "negative", "row"}
         assert report.checked == len(grid)
 
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_a_blocked_sweep_reports_as_one_evaluation(self, block, monkeypatch):
+        # The rate m1 - 0.4 into state 2 is negative wherever m1 < 0.4, in many blocks.
+        cells = {(0, 1): [((1, 0, 0), 1.0), ((0, 0, 0), -0.4)], (1, 2): [((0, 0, 0), 1.0)]}
+        spec = GeneratorSpec(3, cells=cells)
+        monkeypatch.setattr(nlmc.generator, "RATE_BLOCK", 10**9)
+        whole = validate(spec)
+        monkeypatch.setattr(nlmc.generator, "RATE_BLOCK", block)
+        assert validate(spec) == whole
+        assert len(whole.violations) == sum(21 - a for a in range(8))  # m1 = a/20 < 0.4
+
+    def test_a_six_state_sweep_holds_one_block_of_rates(self, monkeypatch):
+        # All 53 130 points of the default grid in one rate call peaked at 132.6 MB;
+        # blocks of 4 096 points peak at about 13 MB, 2.6 MB of it the grid.
+        spec = GeneratorSpec(6, cells=random_polynomial_cells(np.random.default_rng(6), 6, 8))
+        tracemalloc.start()
+        try:
+            report = validate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        assert report.checked == 53130
+        monkeypatch.setattr(nlmc.generator, "RATE_BLOCK", 10**9)
+        assert validate(spec) == report
+
     def test_grid_validation_is_grid_limited(self):
         # The leak vanishes at every multiple of 1/20, so the default grid
         # cannot see it; a grid with a different resolution can.
@@ -842,6 +870,12 @@ class TestFileErrors:
     def test_invalid_json_reports_position(self):
         with pytest.raises(GeneratorFileError, match="line 1"):
             generator_from_json("{ nope")
+
+    def test_deep_nesting_is_a_file_error(self):
+        # json's decoder recurses once per level and raised RecursionError.
+        message = "^invalid JSON: arrays or objects nested too deeply$"
+        with pytest.raises(GeneratorFileError, match=message):
+            generator_from_json("[" * 100_000 + "]" * 100_000)
 
     def test_schema_violations_are_named(self):
         good = generator_to_json(corpus("bistable"))

@@ -6,7 +6,6 @@ import time
 
 import numpy as np
 import pytest
-from numpy.polynomial import Polynomial
 
 import nlmc.stationary
 from nlmc import (
@@ -40,31 +39,15 @@ from helpers import (
     random_distribution,
     random_rate_matrix,
     stationary_oracle,
+    two_state_drift_roots,
+    two_state_herding_cells,
 )
 
 SKEWED_CONSUMER = corpus("consumer", {"b": 2.0, "e": 3.0, "eps": 0.05, "lam": 0.5})
 
 
-def _herding_cell(rng, target):
-    # A base rate, so the chain is irreducible, plus terms that grow
-    # with the share of the target state, so some specs are bistable.
-    terms = [((0, 0), float(rng.uniform(0.1, 1.0)))]
-    for _ in range(int(rng.integers(1, 3))):
-        exponents = [0, 0]
-        exponents[target] = int(rng.integers(1, 4))
-        exponents[1 - target] = int(rng.integers(0, 2))
-        terms.append((tuple(exponents), float(rng.uniform(0.5, 10.0))))
-    return terms
-
-
-def _two_state_herding_cells(count: int) -> list[dict]:
-    """The first ``count`` two-state herding cell tables drawn from rng 2024."""
-    rng = np.random.default_rng(2024)
-    return [{(0, 1): _herding_cell(rng, 1), (1, 0): _herding_cell(rng, 0)} for _ in range(count)]
-
-
 # Newton leaves the simplex from 3 of this spec's grid-20 seeds, so they ride the flow.
-RIDING_HERDING = GeneratorSpec(2, cells=_two_state_herding_cells(2)[1])
+RIDING_HERDING = GeneratorSpec(2, cells=two_state_herding_cells(2)[1])
 
 
 def _three_state_herding(rng):
@@ -412,12 +395,6 @@ class TestFindInvariant:
             assert result.residual <= TOL_INVARIANT
 
     def test_two_state_points_are_the_roots_numpy_finds(self, monkeypatch):
-        # The chart m = (m1, 1 - m1) as polynomials in m1.
-        m1, m2 = Polynomial([0.0, 1.0]), Polynomial([1.0, -1.0])
-
-        def rate(terms):
-            return sum((c * m1**a * m2**b for (a, b), c in terms), Polynomial([0.0]))
-
         calls = []
         original = nlmc.stationary.integrate_flow
 
@@ -427,12 +404,9 @@ class TestFindInvariant:
 
         monkeypatch.setattr(nlmc.stationary, "integrate_flow", counting)
         multistable = 0
-        for cells in _two_state_herding_cells(40):
+        for cells in two_state_herding_cells(40):
             calls.append(0)
-            drift = m2 * rate(cells[(1, 0)]) - m1 * rate(cells[(0, 1)])
-            roots = np.roots(drift.coef[::-1])
-            roots = roots[np.abs(roots.imag) <= 1e-9].real
-            roots = roots[(roots >= 0.0) & (roots <= 1.0)]
+            roots = two_state_drift_roots(cells)
             multistable += len(roots) == 3
             found = find_invariant(GeneratorSpec(2, cells=cells), SimplexGrid(2, 20))
             landed = np.array([r.point[0] for r in found])
