@@ -93,7 +93,7 @@ class GeneratorSpec:
             raise ValueError(f"points must be rows (n, {self.dimension}), got shape {arr.shape}")
         _check_states("points", arr.shape[1], self.dimension)
         out = self._batch(arr)
-        if not np.logical_and.reduce(np.isfinite(out), axis=None):
+        if np.count_nonzero(np.isfinite(out)) != out.size:
             raise GeneratorEvaluationError(f"{self.describe()} produced non-finite rates")
         return out
 
@@ -188,15 +188,16 @@ def _compile_cells(dimension: int, cells: dict[tuple[int, int], tuple]):
     """Rates as sorted monomial values times one table with a column per entry of Q, each
     diagonal column minus its row's other columns.  A monomial is the product of its factors,
     one coordinate per unit of degree in index order, padded to the largest degree and masked,
-    so no power is taken.  einsum, not @: BLAS fuses multiply-adds and takes another path for
-    one row, so rates would depend on the batch size.  Its kernel is called directly:
-    np.einsum's wrapper costs more than a row."""
+    so no power is taken.  The factors are gathered from the transposed points as (T, d, n):
+    ``take`` along the points' axis 1 costs less for one row but slows batches 2-6x.  einsum,
+    not @: BLAS fuses multiply-adds and takes another path for one row, so rates would depend
+    on the batch size.  Its kernel is called directly: np.einsum's wrapper costs more than a row."""
     monomials = sorted({exps for terms in cells.values() for exps, _ in terms})
     column = {exps: k for k, exps in enumerate(monomials)}
     degrees = np.array([sum(exps) for exps in monomials], dtype=int)
-    used = np.arange(degrees.max(initial=0)) < degrees[:, None]
-    factors = np.zeros(used.shape, dtype=np.intp)
-    factors[used] = [k for exps in monomials for k, e in enumerate(exps) for _ in range(e)]
+    used = (np.arange(degrees.max(initial=0)) < degrees[:, None])[:, :, None]
+    factors = np.zeros(used.shape[:2], dtype=np.intp)
+    factors[used[:, :, 0]] = [k for exps in monomials for k, e in enumerate(exps) for _ in range(e)]
     coeffs = np.zeros((len(monomials), dimension * dimension))
     for (i, j), terms in cells.items():
         for monomial, coefficient in terms:
@@ -204,8 +205,8 @@ def _compile_cells(dimension: int, cells: dict[tuple[int, int], tuple]):
     coeffs[:, :: dimension + 1] = -np.add.reduce(coeffs.reshape(-1, dimension, dimension), axis=2)
 
     def batch(points: np.ndarray) -> np.ndarray:
-        values = np.multiply.reduce(points[:, factors], axis=2, where=used, initial=1.0)
-        return _einsum("nt,tk->nk", values, coeffs).reshape(-1, dimension, dimension)
+        values = np.multiply.reduce(points.T.take(factors, axis=0), axis=1, where=used, initial=1.0)
+        return _einsum("tn,tk->nk", values, coeffs).reshape(-1, dimension, dimension)
 
     return batch
 
@@ -232,7 +233,7 @@ def constant_generator(matrix) -> GeneratorSpec:
 # max(sign_k (c_j - 1/3), 0) / c_i with (j, i) = _OSC_COLUMNS[:, k] of the clamped point.
 _OSC_CELLS = np.array([2, 5, 6, 7])
 _OSC_COLUMNS = np.array([[1, 0, 1, 0], [0, 1, 2, 2]])
-_OSC_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
+_OSC_SIGNS = np.array([[-1.0], [1.0], [1.0], [-1.0]])
 _OSC_THIRDS = _OSC_SIGNS / 3.0
 
 
@@ -240,12 +241,14 @@ def _oscillator_batch(points: np.ndarray) -> np.ndarray:
     # Rates are defined on the region where every component is >= 1/10 and
     # extended to the rest of the simplex by clamping each argument at 1/10,
     # which keeps every cell bounded and Lipschitz.  sign c_j - sign/3 rounds to
-    # exactly sign (c_j - 1/3), and to +0.0, never -0.0, at c_j = 1/3.
-    c = np.maximum(points, 0.1)[:, _OSC_COLUMNS]
-    q = np.zeros((points.shape[0], 9))
-    q[:, _OSC_CELLS] = np.maximum(_OSC_SIGNS * c[:, 0] - _OSC_THIRDS, 0.0) / c[:, 1]
-    np.negative(np.add.reduce(q.reshape(-1, 3, 3), axis=2), out=q[:, ::4])
-    return q.reshape(-1, 3, 3)
+    # exactly sign (c_j - 1/3), and to +0.0, never -0.0, at c_j = 1/3.  The table
+    # is built transposed, (9, n), a cell per row: gathers along the points' axis 1
+    # slow batches.  A row of Q has at most two non-zero terms, so its sum is exact.
+    c = np.maximum(points.T, 0.1)[_OSC_COLUMNS]
+    q = np.zeros((9, points.shape[0]))
+    q[_OSC_CELLS] = np.maximum(_OSC_SIGNS * c[0] - _OSC_THIRDS, 0.0) / c[1]
+    np.negative(np.add.reduce(q.reshape(3, 3, -1), axis=1), out=q[::4])
+    return q.T.reshape(-1, 3, 3)
 
 
 _BISTABLE_CELLS = {

@@ -236,10 +236,10 @@ def integrate_flow(
         t_next = t + h
         final = t_next >= horizon
         # Only a step on which some row reaches the horizon clamps h and may end rows.
-        if reaching := np.logical_or.reduce(final):
+        if reaching := np.count_nonzero(final):
             h = np.where(final, horizon - t, h)
             t_next = np.where(final, horizon, t_next)
-        hc = h[:, None]
+        hc = h.repeat(y.shape[1]).reshape(y.shape)  # a same-shape multiply beats a broadcast
         stages[0] = f
         for i, weights in enumerate(_DP_A, start=1):
             yi = y + hc * _einsum("k,kns->ns", weights, stages[:i])
@@ -249,12 +249,12 @@ def integrate_flow(
         error = hc * _einsum("k,kns->ns", _DP_E, stages)
         err = np.sqrt(np.add.reduce((error / scale) ** 2, axis=1) / y.shape[1])
         ok = err <= 1.0
-        if np.logical_and.reduce(ok):
+        if (accepted := np.count_nonzero(ok)) == ok.size:
             t = t_next
             y, repaired = _project_array(yi)
             f = spec.drift_batch(y)
             knots.append((ids, t, y, f, repaired))
-        elif np.logical_or.reduce(ok):
+        elif accepted:
             t = np.where(ok, t_next, t)
             y_ok, repaired = _project_array(yi[ok])
             f_ok = spec.drift_batch(y_ok)
@@ -265,9 +265,9 @@ def integrate_flow(
         # 0.9 on a rejected one, so one clip to [0.2, 5] serves both; err = 0
         # takes the largest growth without a division by zero.
         h = h * np.minimum(np.maximum(0.9 * np.maximum(err, 1e-300) ** -0.2, 0.2), 5.0)
-        if np.minimum.reduce(h) < floor:
+        if np.count_nonzero(h < floor):
             raise IntegrationDivergedError(f"step size underflow at t = {float(t[h.argmin()])!r}")
-        if reaching and np.logical_or.reduce(done := ok & final):
+        if reaching and np.count_nonzero(done := ok & final):
             row_steps[ids[done]] = step + 1
             live = ~done
             ids, t, h, y, f = ids[live], t[live], h[live], y[live], f[live]

@@ -13,6 +13,7 @@ tolerance tiers are used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -176,18 +177,26 @@ def _chart_drift(spec, u: np.ndarray) -> np.ndarray:
 FD_STEP = 1e-6  # the package's central-difference step h, scaled per row by (1 + ||u||_2)
 
 
+@functools.cache
+def _stencil_offsets(d: int) -> np.ndarray:
+    """``_chart_jacobian``'s probe offsets +e_b, -e_b ``(d, 2, d)``, read-only, built once per d."""
+    offsets = np.eye(d)[:, None] * np.array([[1.0], [-1.0]])
+    offsets.flags.writeable = False
+    return offsets
+
+
 def _chart_jacobian(func, u: np.ndarray, h: float) -> np.ndarray:
     """Central-difference Jacobians ``(n, k, d)`` of ``func`` at chart rows ``u`` ``(n, d)``.
 
     ``func`` maps rows ``(p, d)`` to values ``(p, k)`` and is called once
     with all 2d probes of every row, ordered row by row as u + s e_b,
-    u - s e_b for b = 0, ..., d-1.  The step of a row is s = h (1 + ||u||_2).
+    u - s e_b for b = 0, ..., d-1.  The step of a row is s = h (1 + ||u||_2), summed as
+    ``np.linalg.norm`` sums it.
     """
     u = np.asarray(u, dtype=float)
     n, d = u.shape
-    steps = h * (1.0 + np.linalg.norm(u, axis=1))
-    offsets = np.eye(d)[None, :, None, :] * np.array([1.0, -1.0])[None, None, :, None]
-    probes = u[:, None, None, :] + offsets * steps[:, None, None, None]
+    steps = h * (1.0 + np.sqrt(np.add.reduce(u * u, axis=1)))
+    probes = u[:, None, None, :] + _stencil_offsets(d) * steps[:, None, None, None]
     values = np.asarray(func(probes.reshape(n * d * 2, d)), dtype=float)
     values = values.reshape(n, d, 2, values.shape[-1])
     diff = (values[:, :, 0, :] - values[:, :, 1, :]) / (2.0 * steps[:, None, None])
@@ -207,12 +216,12 @@ def _project_array(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u = u[:, ::-1]
     # The exit is tested before the finiteness scan, positivity first: a -inf never
     # reaches the sums, where inf - inf would warn.  A row that exits is finite.
-    positive = np.logical_and.reduce(u[:, -1] > 0.0)
+    positive = np.count_nonzero(u[:, -1] > 0.0) == n
     if positive:
         sums = np.add.accumulate(u, axis=1)
-        if np.logical_and.reduce(sums[:, -1] == 1.0):
+        if np.count_nonzero(sums[:, -1] == 1.0) == n:
             return v.copy(), np.zeros(n)
-    if not np.logical_and.reduce(np.isfinite(v), axis=None):
+    if np.count_nonzero(np.isfinite(v)) != v.size:
         raise IntegrationDivergedError("state contains non-finite entries")
     if not positive:
         sums = np.add.accumulate(u, axis=1)

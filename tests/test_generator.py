@@ -376,6 +376,56 @@ class TestOscillatorRates:
         with pytest.raises(GeneratorEvaluationError, match="non-finite"):
             corpus("oscillator").rates_batch([[0.2, np.nan, 0.8]])
 
+    def test_a_row_alone_gets_its_bits_in_a_stack_of_4096(self):
+        # The table is built a cell per row of (9, n); a row's bits must not depend on n.
+        rng = np.random.default_rng(4096)
+        spec = corpus("oscillator")
+        points = np.vstack([rng.dirichlet(np.ones(3), 2048), rng.uniform(-0.1, 1.1, (2048, 3))])
+        points[:100, 0] = 1.0 / 3.0
+        points[100:200, 1] = 0.1
+        rates, drifts = spec.rates_batch(points), spec.drift_batch(points)
+        for k, point in enumerate(points):
+            assert spec.rates(point).tobytes() == rates[k].tobytes()
+            assert spec.drift(point).tobytes() == drifts[k].tobytes()
+
+
+def _marked_rates(bad):
+    """A rate function on 2 states that puts ``bad`` in Q_12 of each row with m_1 > 1."""
+
+    def batch(points):
+        q = np.broadcast_to(np.array([[-1.0, 1.0], [2.0, -2.0]]), (len(points), 2, 2)).copy()
+        q[points[:, 0] > 1.0, 0, 1] = bad
+        return q
+
+    return batch
+
+
+NON_FINITE_SPECS = [
+    # One monomial, so the overflowing row's rates are +inf and -inf, with no inf - inf.
+    pytest.param(GeneratorSpec(2, cells={(0, 1): [((2, 0), 1e300)], (1, 0): [((2, 0), 1.0)]}),
+                 id="overflowing-cell"),
+    *(pytest.param(GeneratorSpec(2, _marked_rates(bad), name="marked"), id=f"function-{bad}")
+      for bad in (np.nan, np.inf, -np.inf)),
+]
+
+
+class TestNonFiniteRates:
+    """``rates_batch`` refuses a NaN or an infinity in any row, the last of a block included."""
+
+    @pytest.mark.parametrize("n", [1, 4096])
+    @pytest.mark.parametrize("spec", NON_FINITE_SPECS)
+    def test_a_bad_last_row_is_refused(self, spec, n):
+        points = np.random.default_rng(n).dirichlet(np.ones(2), n)
+        assert np.isfinite(spec.rates_batch(points)).all()
+        points[-1] = (1e10, 0.0)  # off the simplex: 1e20 times 1e300 overflows
+        with np.errstate(over="ignore"), pytest.raises(GeneratorEvaluationError, match="non-finite"):
+            spec.rates_batch(points)
+
+    @pytest.mark.parametrize("spec", NON_FINITE_SPECS)
+    def test_no_rows_give_an_empty_stack(self, spec):
+        rates = spec.rates_batch(np.empty((0, 2)))
+        assert rates.shape == (0, 2, 2)
+
 
 class TestContractionBits:
     """Rates and drifts keep the bytes of ``np.einsum``, the kernel being called directly."""

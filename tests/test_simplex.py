@@ -276,6 +276,15 @@ class TestRowProjection:
         with pytest.raises(IntegrationDivergedError, match="drifted 5.000000e-06"):
             _project_array(over)
 
+    def test_a_nan_in_the_last_row_of_a_stack_on_the_simplex_is_refused(self):
+        # Positive dyadic rows sum to exactly 1.0, so the clean stack takes the early exit.
+        rows = (1 + np.random.default_rng(4096).multinomial(61, np.ones(3) / 3, size=4096)) / 64.0
+        x, drift = _project_array(rows)
+        assert x.tobytes() == rows.tobytes() and not drift.any()
+        rows[-1, 1] = np.nan
+        with pytest.raises(IntegrationDivergedError, match="non-finite"):
+            _project_array(rows)
+
 
 ROW_KINDS = ("on-simplex", "zero-entries", "negative-entry", "dirichlet", "off-by-1e-9")
 # A one-state row has no room for a zero or a negative entry.
